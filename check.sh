@@ -181,6 +181,12 @@ dune exec test/test_workloads.exe -- test golden > /tmp/check_golden.out 2>&1 \
   || { cat /tmp/check_golden.out; exit 1; }
 tail -n 2 /tmp/check_golden.out
 
+echo "== bench: write BENCH_wallclock.json (default --wallclock path) =="
+# The file is gitignored, so a fresh clone has none: produce it here
+# rather than validate a leftover from an earlier run.
+dune exec bench/main.exe -- --only fig13 --wallclock > /dev/null 2>&1 \
+  || { echo "bench: --wallclock to the default path failed"; exit 1; }
+
 echo "== validate JSON outputs =="
 dune exec bin/jsoncheck.exe -- /tmp/b.json
 dune exec bin/jsoncheck.exe -- --chrome /tmp/t.json

@@ -11,8 +11,8 @@
    until touched while the fault path's descriptor lookup is an array
    index instead of a hash probe. A one-entry chunk cache covers the
    spatial locality of buddy-allocated pfns. Descriptors are still
-   created on first access, so creation order (and the deterministic ids
-   handed to their locks) is unchanged. *)
+   created on first access, so creation order (and the deterministic lock
+   ids each descriptor reserves) is unchanged. *)
 
 let chunk_bits = 10
 let chunk_mask = (1 lsl chunk_bits) - 1

@@ -2,31 +2,38 @@
 
    This is the hardware-level structure every system in the reproduction
    programs: a multi-level radix tree of page-table pages whose entries are
-   raw 64-bit words in the current ISA's format. Every write encodes and
-   immediately decodes the stored word into a per-node mirror of [Pte.t]
-   values, so the HAL is genuinely on the access path (as in CortenMM's
-   Rust implementation) while reads serve the mirror — one decode per
-   store instead of one per walk step, with identical results because the
-   mirror always holds [decode (encode pte)].
+   raw 64-bit words in the current ISA's format, stored unboxed in one
+   4 KiB byte page per node as hardware stores them. Every write encodes
+   and immediately decodes the stored word into a per-node mirror of
+   [Pte.t] values, so the HAL is genuinely on the access path (as in
+   CortenMM's Rust implementation) while reads serve the mirror — one
+   decode per store instead of one per walk step, with identical results
+   because the mirror always holds [decode (encode pte)].
 
    Each node is backed by a physical frame from {!Mm_phys.Phys}; the
-   frame's descriptor carries the per-PT-page lock and stale flag the
-   locking protocols use. Access costs are charged to the simulated CPU
-   when running inside a simulation fiber: reads pay a walk step on the
-   node's cache line (shared, non-serializing), writes pay an exclusive
-   line access (serializing) — which is how contention on a shared leaf PT
-   page emerges in the benchmarks.
+   frame's descriptor carries the per-PT-page lock (built on first use)
+   and stale flag the locking protocols use. Access costs are charged to
+   the simulated CPU when running inside a simulation fiber: reads pay a
+   walk step on the node's cache line (shared, non-serializing), writes
+   pay an exclusive line access (serializing) — which is how contention
+   on a shared leaf PT page emerges in the benchmarks.
 
    The ['m] parameter is the per-PTE metadata array CortenMM attaches to
    each PT page (paper §3.3); other systems instantiate it with [unit]. *)
 
 open Mm_hal
 
+(* Raw entry [i] is the little-endian word at byte offset [8 * i]. *)
+type raw = Bytes.t
+
+let raw_get (r : raw) idx = Bytes.get_int64_le r (idx * 8)
+let raw_set (r : raw) idx w = Bytes.set_int64_le r (idx * 8) w
+
 type 'm node = {
   frame : Mm_phys.Frame.t;
   level : int;
-  entries : int64 array;
-  decoded : Pte.t array; (* mirror: decoded.(i) = decode entries.(i) *)
+  raw : raw;
+  decoded : Pte.t array; (* mirror: decoded.(i) = decode (raw_get raw i) *)
   mutable present : int; (* number of present entries *)
   mutable parent : ('m node * int) option;
   mutable base : int; (* base vaddr of the node's coverage, set at link *)
@@ -53,22 +60,24 @@ let write_line (f : Mm_phys.Frame.t) =
   if Mm_sim.Engine.in_fiber () then
     Mm_sim.Engine.Line.write f.Mm_phys.Frame.line
 
+let make_node isa frame ~level =
+  let n = Geometry.entries isa.Isa.geo in
+  {
+    frame;
+    level;
+    raw = Bytes.make (n * 8) '\000';
+    decoded = Array.make n Pte.Absent;
+    present = 0;
+    parent = None;
+    base = 0;
+    meta = None;
+    touched = 0;
+  }
+
 let alloc_node t ~level =
   charge Mm_sim.Cost.pt_page_init;
   let frame = Mm_phys.Phys.alloc t.phys ~kind:Mm_phys.Frame.Pt_page () in
-  let node =
-    {
-      frame;
-      level;
-      entries = Array.make (Geometry.entries t.isa.Isa.geo) 0L;
-      decoded = Array.make (Geometry.entries t.isa.Isa.geo) Pte.Absent;
-      present = 0;
-      parent = None;
-      base = 0;
-      meta = None;
-      touched = 0;
-    }
-  in
+  let node = make_node t.isa frame ~level in
   Hashtbl.replace t.nodes frame.Mm_phys.Frame.pfn node;
   t.pt_page_count <- t.pt_page_count + 1;
   t.pt_pages_allocated <- t.pt_pages_allocated + 1;
@@ -76,19 +85,7 @@ let alloc_node t ~level =
 
 let create phys isa =
   let frame = Mm_phys.Phys.alloc phys ~kind:Mm_phys.Frame.Pt_page () in
-  let root =
-    {
-      frame;
-      level = isa.Isa.geo.Geometry.levels;
-      entries = Array.make (Geometry.entries isa.Isa.geo) 0L;
-      decoded = Array.make (Geometry.entries isa.Isa.geo) Pte.Absent;
-      present = 0;
-      parent = None;
-      base = 0;
-      meta = None;
-      touched = 0;
-    }
-  in
+  let root = make_node isa frame ~level:isa.Isa.geo.Geometry.levels in
   let t =
     {
       phys;
@@ -125,7 +122,7 @@ let set t node idx pte =
   write_line node.frame;
   let old = node.decoded.(idx) in
   let raw = Isa.encode t.isa ~level:node.level pte in
-  node.entries.(idx) <- raw;
+  raw_set node.raw idx raw;
   (* Re-decode the stored word rather than caching [pte] itself, so reads
      observe exactly what the raw encoding preserves. *)
   node.decoded.(idx) <- Isa.decode t.isa ~level:node.level raw;
@@ -189,7 +186,7 @@ let set_accessed t node idx =
       Isa.encode t.isa ~level:node.level
         (Pte.Leaf { pfn; perm; accessed = true; dirty; global })
     in
-    node.entries.(idx) <- raw;
+    raw_set node.raw idx raw;
     node.decoded.(idx) <- Isa.decode t.isa ~level:node.level raw
   | Pte.Leaf _ | Pte.Absent | Pte.Table _ -> ()
 
@@ -323,9 +320,9 @@ let check_well_formed t =
       fail "node %#x frame is not a PT page" node.frame.Mm_phys.Frame.pfn;
     let present = ref 0 in
     Array.iteri
-      (fun idx raw ->
-        let pte = Isa.decode t.isa ~level:node.level raw in
-        if pte <> node.decoded.(idx) then
+      (fun idx mirror ->
+        let pte = Isa.decode t.isa ~level:node.level (raw_get node.raw idx) in
+        if pte <> mirror then
           fail "stale decode mirror (node %#x idx %d)"
             node.frame.Mm_phys.Frame.pfn idx;
         match pte with
@@ -356,7 +353,7 @@ let check_well_formed t =
             if c.base <> node.base + (idx * entry_coverage t node) then
               fail "child %#x has stale base %#x" pfn c.base;
             go c))
-      node.entries;
+      node.decoded;
     if !present <> node.present then
       fail "present count %d <> actual %d (node %#x)" node.present !present
         node.frame.Mm_phys.Frame.pfn

@@ -4,11 +4,14 @@
 
 open Mm_hal
 
+type raw
+(** A node's raw hardware words, unboxed (one 4 KiB page). *)
+
 type 'm node = {
   frame : Mm_phys.Frame.t;
   level : int;
-  entries : int64 array;
-  decoded : Pte.t array; (* mirror: decoded.(i) = decode entries.(i) *)
+  raw : raw;
+  decoded : Pte.t array; (* mirror of the decoded raw words *)
   mutable present : int;
   mutable parent : ('m node * int) option;
   mutable base : int; (* base vaddr of the node's coverage, set at link *)

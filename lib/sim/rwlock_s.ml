@@ -40,10 +40,11 @@ type t = {
 
 let bravo_reenable_threshold = 16
 
-let make ?(bravo = true) ?name () =
+let make ?(bravo = true) ?id ?name () =
   {
     line = Engine.Line.make ();
-    id = Mm_obs.Contention.fresh_id ();
+    id =
+      (match id with Some id -> id | None -> Mm_obs.Contention.fresh_id ());
     name;
     bravo_capable = bravo;
     bravo;

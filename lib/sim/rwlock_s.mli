@@ -3,9 +3,10 @@
 
 type t
 
-val make : ?bravo:bool -> ?name:string -> unit -> t
+val make : ?bravo:bool -> ?id:int -> ?name:string -> unit -> t
 (** [name] labels the lock in contention reports and traces; unnamed locks
-    appear as [rwlock#<id>]. *)
+    appear as [rwlock#<id>]. [id] is one reserved earlier with
+    {!Mm_obs.Contention.fresh_id} (a fresh one by default). *)
 
 val set_name : t -> string -> unit
 val id : t -> int

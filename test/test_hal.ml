@@ -258,6 +258,31 @@ let test_perm_to_string () =
   check Alcotest.string "cow" "r--u+cow"
     (Perm.to_string (Perm.with_cow Perm.r true))
 
+(* [make] returns shared values from a table; each must be the record the
+   arguments describe, and keys outside 0-15 are still rejected. *)
+let test_perm_make_table () =
+  (* All 512 combinations of the five flags and the 16 keys. *)
+  for i = 0 to 511 do
+    let flag n = i land (1 lsl n) <> 0 in
+    let read = flag 0 and write = flag 1 and execute = flag 2 in
+    let user = flag 3 and cow = flag 4 and mpk_key = i lsr 5 in
+    let expected = { Perm.read; write; execute; user; cow; mpk_key } in
+    let got = Perm.make ~read ~write ~execute ~user ~cow ~mpk_key () in
+    if got <> expected then
+      Alcotest.failf "Perm.make %s gave %s" (Perm.to_string expected)
+        (Perm.to_string got)
+  done;
+  List.iter
+    (fun mpk_key ->
+      check Alcotest.bool
+        (Printf.sprintf "mpk_key %d rejected" mpk_key)
+        true
+        (try
+           ignore (Perm.make ~mpk_key ());
+           false
+         with Invalid_argument _ -> true))
+    [ -1; 16 ]
+
 let () =
   Alcotest.run "mm_hal"
     [
@@ -302,5 +327,6 @@ let () =
         [
           Alcotest.test_case "allows" `Quick test_perm_allows;
           Alcotest.test_case "to_string" `Quick test_perm_to_string;
+          Alcotest.test_case "make table" `Quick test_perm_make_table;
         ] );
     ]

@@ -90,6 +90,38 @@ let test_tracing_does_not_perturb () =
   in
   check Alcotest.int "cycles identical with tracing on" plain traced
 
+(* -- Lock-id numbering --
+
+   Unnamed PT-page locks appear in traces and contention reports as
+   [mutex#<id>] / [rwlock#<id>], so the order in which frame descriptors
+   reserve lock ids is part of the observable output. The digest pins the
+   Chrome JSON of one small traced world per PT-locking system; it was
+   taken while descriptors built both locks eagerly. *)
+
+let lock_id_trace_golden = "2dc2d875f07ed917d9217f67b768ec0e"
+
+let test_lock_id_trace_golden () =
+  let buf = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun (kind, needle) ->
+      Runner.reset_world_state ();
+      Trace.start ~capacity:(1 lsl 18) ();
+      ignore
+        (Micro.run ~kind ~ncpus:2 ~bench:Micro.Pf ~contention:Micro.High
+           ~iters:4 ());
+      let text = Json.to_string (Chrome.to_json (Trace.stop ())) in
+      check Alcotest.bool
+        (System.kind_name kind ^ " trace names PT-page locks by id")
+        true (contains ~needle text);
+      Buffer.add_string buf text)
+    [
+      (System.Linux, "mutex#");
+      (System.Corten Cortenmm.Config.rw, "rwlock#");
+      (System.Corten Cortenmm.Config.adv, "mutex#");
+    ];
+  check Alcotest.string "chrome trace digest" lock_id_trace_golden
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* -- Chrome export -- *)
 
 let test_chrome_json_wellformed () =
@@ -341,6 +373,8 @@ let () =
           Alcotest.test_case "determinism" `Quick test_trace_determinism;
           Alcotest.test_case "zero perturbation" `Quick
             test_tracing_does_not_perturb;
+          Alcotest.test_case "lock-id golden digest" `Quick
+            test_lock_id_trace_golden;
         ] );
       ( "export",
         [

@@ -270,6 +270,68 @@ let test_frame_descriptors () =
        false
      with Invalid_argument _ -> true)
 
+(* Descriptors reserve their two lock ids at creation, rwlock first, but
+   build the locks only on first use. *)
+let test_lazy_lock_ids () =
+  Mm_obs.Contention.reset ();
+  let phys = Phys.create () in
+  let frames = List.map (Phys.frame phys) [ 40; 3; 2000 ] in
+  (* Build the locks out of creation order: ids must not follow. *)
+  List.iter
+    (fun f -> ignore (Frame.lock f : Mm_sim.Mutex_s.t))
+    (List.rev frames);
+  List.iteri
+    (fun i f ->
+      let rw = Mm_sim.Rwlock_s.id (Frame.rwlock f) in
+      check Alcotest.int (Printf.sprintf "frame %d rwlock id" i) (2 * i) rw;
+      check Alcotest.int
+        (Printf.sprintf "frame %d mutex id" i)
+        (rw + 1)
+        (Mm_sim.Mutex_s.id (Frame.lock f)))
+    frames;
+  check Alcotest.int "later locks continue after the reserved ids" 6
+    (Mm_sim.Mutex_s.id (Mm_sim.Mutex_s.make ()))
+
+let test_lazy_lock_identity () =
+  let phys = Phys.create () in
+  let f = Phys.alloc phys ~kind:Frame.Pt_page () in
+  let l = Frame.lock f and rw = Frame.rwlock f in
+  check Alcotest.bool "same mutex every call" true (Frame.lock f == l);
+  check Alcotest.bool "same rwlock every call" true (Frame.rwlock f == rw);
+  Phys.free phys f;
+  let f' = Phys.alloc phys ~kind:Frame.Pt_page () in
+  check Alcotest.bool "frame reused" true (f == f');
+  check Alcotest.bool "mutex survives reuse" true (Frame.lock f' == l);
+  check Alcotest.bool "rwlock survives reuse" true (Frame.rwlock f' == rw)
+
+(* Host heap per simulated page: a descriptor whose locks were never used,
+   and each further present PTE (raw word + decoded leaf; permissions are
+   shared values). *)
+let test_heap_budget () =
+  let words v = Obj.reachable_words (Obj.repr v) in
+  let phys = Phys.create () in
+  let f = Phys.alloc phys ~kind:Frame.Anon () in
+  check Alcotest.bool
+    (Printf.sprintf "descriptor: %d words <= 15" (words f))
+    true
+    (words f <= 15);
+  let pt = Mm_pt.Pt.create phys Mm_hal.Isa.x86_64 in
+  let leaf = Mm_pt.Pt.walk_create pt ~to_level:1 0 in
+  let map idx =
+    Mm_pt.Pt.set pt leaf idx
+      (Mm_hal.Pte.leaf ~pfn:(1000 + idx) ~perm:Mm_hal.Perm.rw ())
+  in
+  map 0;
+  let before = words leaf in
+  let n = Mm_pt.Pt.entries_per_node pt - 1 in
+  for idx = 1 to n do
+    map idx
+  done;
+  let per_pte = float_of_int (words leaf - before) /. float_of_int n in
+  check Alcotest.bool
+    (Printf.sprintf "present PTE: %.2f words <= 6" per_pte)
+    true (per_pte <= 6.0)
+
 let test_usage_accounting () =
   let phys = Phys.create () in
   let f1 = Phys.alloc phys ~kind:Frame.Anon () in
@@ -327,6 +389,10 @@ let () =
       ( "phys",
         [
           Alcotest.test_case "frame descriptors" `Quick test_frame_descriptors;
+          Alcotest.test_case "lazy lock ids" `Quick test_lazy_lock_ids;
+          Alcotest.test_case "lazy lock identity" `Quick
+            test_lazy_lock_identity;
+          Alcotest.test_case "heap budget" `Quick test_heap_budget;
           Alcotest.test_case "usage accounting" `Quick test_usage_accounting;
           Alcotest.test_case "numa striping" `Quick test_numa_striping;
           Alcotest.test_case "numa bad node" `Quick test_numa_bad_node_rejected;
