@@ -11,7 +11,9 @@
    We model two NUMA nodes (cpu < ncpus/2 -> replica 0) with a full page
    table per replica. The first replica to apply an mmap allocates the
    physical frames and records them in the log entry so every replica maps
-   the same pages. *)
+   the same pages; likewise only the first replica to apply an unmap
+   releases them, since a lagging replica replays the unmap after the
+   frames may have been handed out again. *)
 
 open Mm_hal
 module Pt = Mm_pt.Pt
@@ -21,7 +23,7 @@ type fault_outcome = Handled | Sigsegv
 
 type log_op =
   | L_map of { lo : int; len : int; perm : Perm.t; mutable pfns : int array }
-  | L_unmap of { lo : int; len : int }
+  | L_unmap of { lo : int; len : int; mutable applied : bool }
 
 type replica = {
   rep_lock : Mm_sim.Mutex_s.t;
@@ -55,7 +57,7 @@ let create ?(isa = Isa.x86_64) ?(nreplicas = 2) ~ncpus () =
     isa;
     ncpus;
     nreplicas = min nreplicas (max 1 ncpus);
-    log = Array.make 0 (L_unmap { lo = 0; len = 0 });
+    log = [||];
     log_len = 0;
     log_tail_line = Mm_sim.Engine.Line.make ();
     replicas =
@@ -86,9 +88,7 @@ let log_append t op =
   charge Mm_sim.Cost.cache_hit;
   let cap = Array.length t.log in
   if t.log_len = cap then begin
-    let bigger =
-      Array.make (max 64 (cap * 2)) (L_unmap { lo = 0; len = 0 })
-    in
+    let bigger = Array.make (max 64 (cap * 2)) op in
     Array.blit t.log 0 bigger 0 cap;
     t.log <- bigger
   end;
@@ -117,17 +117,19 @@ let apply_op t (rep : replica) op =
         (Pt.index rep.pt ~level:1 ~vaddr)
         (Pte.leaf ~pfn:m.pfns.(i) ~perm:m.perm ())
     done
-  | L_unmap { lo; len } ->
-    let npages = len / ps in
+  | L_unmap u ->
+    let first = not u.applied in
+    u.applied <- true;
+    let npages = u.len / ps in
     for i = 0 to npages - 1 do
-      let vaddr = lo + (i * ps) in
+      let vaddr = u.lo + (i * ps) in
       let node = Pt.walk_opt rep.pt ~to_level:1 vaddr in
       if node.Pt.level = 1 then begin
         match Pt.get rep.pt node (Pt.index rep.pt ~level:1 ~vaddr) with
         | Pte.Leaf { pfn; _ } ->
           Pt.set rep.pt node (Pt.index rep.pt ~level:1 ~vaddr) Pte.Absent;
           let f = Mm_phys.Phys.frame t.phys pfn in
-          if f.Mm_phys.Frame.kind = Mm_phys.Frame.Anon then begin
+          if first && f.Mm_phys.Frame.kind = Mm_phys.Frame.Anon then begin
             f.Mm_phys.Frame.map_count <- f.Mm_phys.Frame.map_count - 1;
             if f.Mm_phys.Frame.map_count <= 0 then begin
               charge Mm_sim.Cost.page_free;
@@ -181,7 +183,7 @@ let munmap t ~addr ~len =
   let ps = page_size t in
   let len = Mm_util.Align.up len ps in
   let cpu = if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.cpu_id () else 0 in
-  log_append t (L_unmap { lo = addr; len });
+  log_append t (L_unmap { lo = addr; len; applied = false });
   with_replica t ~cpu (fun _ -> ());
   (* Conservative broadcast shootdown. *)
   (if Mm_sim.Engine.in_fiber () then
@@ -249,7 +251,7 @@ let fork t =
       isa = t.isa;
       ncpus = t.ncpus;
       nreplicas = t.nreplicas;
-      log = Array.make 0 (L_unmap { lo = 0; len = 0 });
+      log = [||];
       log_len = 0;
       log_tail_line = Mm_sim.Engine.Line.make ();
       replicas =
@@ -283,9 +285,10 @@ let fork t =
           | Pte.Absent | Pte.Table _ -> ()));
   child
 
-(* Tear one replica's page table down, releasing anon frames with the
-   same kind-guarded decrement [apply_op]'s unmap path uses (the first
-   replica to reach a frame frees it; the rest see [Free] and skip). *)
+(* Tear one replica's page table down, releasing anon frames with a
+   kind-guarded decrement: [destroy] catches every replica up and tears
+   them down back to back, so the first replica to reach a frame frees it
+   and the rest see [Free] and skip. *)
 let teardown_pt t pt =
   let rec go node =
     for idx = 0 to Pt.entries_per_node pt - 1 do

@@ -398,6 +398,36 @@ let test_nros_replicas_catch_up () =
   check Alcotest.bool "both replicas populated" true
     (Mm_nros.Nros.replicated_pt_bytes t >= 2 * 4 * page)
 
+(* A lagging replica replays an unmap after the frame it names was freed
+   and handed out again: only the entry's first applier may release the
+   frame, or the replay frees a page that is still mapped elsewhere. *)
+let test_nros_lagging_replica_no_double_free () =
+  let ncpus = 2 in
+  let t = Mm_nros.Nros.create ~ncpus () in
+  let on_cpu cpu f =
+    let w = Engine.create ~ncpus in
+    let r = ref None in
+    Engine.spawn w ~cpu (fun () -> r := Some (f ()));
+    Engine.run w;
+    Option.get !r
+  in
+  let mmap () = Mm_nros.Nros.mmap t ~len:page ~perm:Perm.rw () in
+  let second =
+    on_cpu 0 (fun () ->
+        let first = mmap () in
+        Mm_nros.Nros.munmap t ~addr:first ~len:page;
+        let second = mmap () in
+        Mm_nros.Nros.write_value t ~vaddr:second ~value:42;
+        second)
+  in
+  (* cpu 1's replica replays map, unmap, map. *)
+  on_cpu 1 (fun () -> Mm_nros.Nros.touch t ~vaddr:second ~write:false);
+  on_cpu 0 (fun () ->
+      let third = mmap () in
+      Mm_nros.Nros.write_value t ~vaddr:third ~value:99);
+  check Alcotest.int "second region keeps its value" 42
+    (on_cpu 0 (fun () -> Mm_nros.Nros.read_value t ~vaddr:second))
+
 let test_nros_log_serializes () =
   let run ncpus =
     let w = Engine.create ~ncpus in
@@ -461,5 +491,7 @@ let () =
           Alcotest.test_case "replicas catch up" `Quick
             test_nros_replicas_catch_up;
           Alcotest.test_case "log serializes" `Quick test_nros_log_serializes;
+          Alcotest.test_case "lagging replica no double free" `Quick
+            test_nros_lagging_replica_no_double_free;
         ] );
     ]
