@@ -36,8 +36,6 @@ let create ?(nblocks = 1 lsl 20) ~name () =
     reads = 0;
   }
 
-let charge c = if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.tick c
-
 exception Device_full
 
 let alloc_block t =
@@ -50,12 +48,12 @@ let alloc_block t =
     b
 
 let write_page t ~block ~contents =
-  charge write_cost;
+  Mm_sim.Engine.charge write_cost;
   t.writes <- t.writes + 1;
   Hashtbl.replace t.blocks block contents
 
 let read_page t ~block =
-  charge read_cost;
+  Mm_sim.Engine.charge read_cost;
   t.reads <- t.reads + 1;
   match Hashtbl.find_opt t.blocks block with
   | Some c -> c

@@ -62,8 +62,6 @@ let create ~kind ~size =
 let regular ~name ~size = create ~kind:(Regular name) ~size
 let shm ~size = create ~kind:Shm ~size
 
-let charge c = if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.tick c
-
 let page_token t ~page_index = (t.id * 1_000_003) + page_index
 
 let emit ev = if Mm_sim.Monitor.on () then Mm_sim.Monitor.emit ev
@@ -85,15 +83,15 @@ let get_page t phys ~page_index =
     let f = Mm_phys.Phys.alloc phys ~kind:Mm_phys.Frame.File_page () in
     (match backing_contents t ~page_index with
     | Some c ->
-      charge io_read_cost;
+      Mm_sim.Engine.charge io_read_cost;
       f.Mm_phys.Frame.contents <- c
     | None -> (
       match t.kind with
       | Regular _ ->
-        charge io_read_cost;
+        Mm_sim.Engine.charge io_read_cost;
         f.Mm_phys.Frame.contents <- page_token t ~page_index
       | Shm ->
-        charge Mm_sim.Cost.page_zero;
+        Mm_sim.Engine.charge Mm_sim.Cost.page_zero;
         f.Mm_phys.Frame.contents <- 0));
     Hashtbl.replace t.pages page_index f;
     f
@@ -106,7 +104,7 @@ let mark_dirty t ~page_index =
 
 (* Store one page's contents in the backing store (one device write). *)
 let store_page t ~page_index ~contents =
-  charge Blockdev.write_cost;
+  Mm_sim.Engine.charge Blockdev.write_cost;
   t.writebacks <- t.writebacks + 1;
   Hashtbl.replace t.disk page_index contents;
   Hashtbl.remove t.dirty page_index;

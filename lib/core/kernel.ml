@@ -88,7 +88,7 @@ let supports_mpk t = Mm_hal.Isa.supports_mpk t.isa
 let wrpkru t ~cpu ~key ~deny_access ~deny_write =
   if not (supports_mpk t) then invalid_arg "wrpkru: ISA without MPK";
   if key < 1 || key > 15 then invalid_arg "wrpkru: key";
-  if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.tick Mm_sim.Cost.cache_hit;
+  Mm_sim.Engine.charge Mm_sim.Cost.cache_hit;
   let bit = 1 lsl key in
   let set m v = if v then m lor bit else m land lnot bit in
   t.pkru_access_deny.(cpu) <- set t.pkru_access_deny.(cpu) deny_access;

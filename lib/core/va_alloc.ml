@@ -41,8 +41,6 @@ let create ~ncpus ~per_core ~va_lo ~va_hi ~page_size =
   in
   { per_core; shares; global_lock = Mm_sim.Mutex_s.make ~name:"va_alloc.global" (); page_size }
 
-let charge c = if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.tick c
-
 (* A forked child inherits the parent's allocation state (same regions are
    considered in use). *)
 let clone t =
@@ -92,7 +90,7 @@ let alloc t ~cpu ?align ~len () =
   let align = match align with Some a -> a | None -> t.page_size in
   if len <= 0 || not (Mm_util.Align.is_aligned len t.page_size) then
     invalid_arg "Va_alloc.alloc: len must be a positive page multiple";
-  charge Mm_sim.Cost.cache_hit;
+  Mm_sim.Engine.charge Mm_sim.Cost.cache_hit;
   if t.per_core then alloc_in (share_for t ~cpu) ~len ~align
   else begin
     (* Shared allocator: serialize on its lock. *)
@@ -108,7 +106,7 @@ let alloc t ~cpu ?align ~len () =
   end
 
 let free t ~cpu ~addr ~len =
-  charge Mm_sim.Cost.cache_hit;
+  Mm_sim.Engine.charge Mm_sim.Cost.cache_hit;
   let stash share =
     let q =
       match Hashtbl.find_opt share.free_by_len len with

@@ -190,14 +190,12 @@ let fork_push base =
    swap-in arms' costs, so routing [Mm] through the pager changes no
    simulated cycle. *)
 
-let charge c = if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.tick c
-
 let pager ~dev ~phys =
   {
     Pager.name = "anon";
     get_page =
       (fun ~page_index ->
-        charge Mm_sim.Cost.page_alloc;
+        Mm_sim.Engine.charge Mm_sim.Cost.page_alloc;
         let frame = Mm_phys.Phys.alloc phys ~kind:Mm_phys.Frame.Anon () in
         frame.Mm_phys.Frame.contents <-
           Blockdev.read_page dev ~block:page_index;

@@ -40,8 +40,6 @@ type t = {
 }
 
 
-let charge c = if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.tick c
-
 let va_lo = 0x1000_0000
 
 let create ?(isa = Isa.x86_64) ~ncpus () =
@@ -70,17 +68,18 @@ let vma_count t = Vma.count t.vmas
 let pt_page_count t = Pt.pt_page_count t.pt
 
 let note_cpu t =
-  if Mm_sim.Engine.in_fiber () then
-    t.cpu_mask.(Mm_sim.Engine.cpu_id ()) <- true
+  match Mm_sim.Engine.current () with
+  | Some f -> t.cpu_mask.(f.f_cpu) <- true
+  | None -> ()
 
 (* -- mmap: writer side of mmap_lock -- *)
 
 let mmap t ?addr ~len ~perm () =
-  charge Mm_sim.Cost.syscall;
+  Mm_sim.Engine.charge Mm_sim.Cost.syscall;
   note_cpu t;
   let ps = page_size t in
   let len = Mm_util.Align.up len ps in
-  let cpu = if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.cpu_id () else 0 in
+  let cpu = Mm_sim.Engine.cpu_or_zero () in
   Mm_sim.Rwlock_s.write_lock t.mmap_lock;
   let lo =
     match addr with
@@ -116,7 +115,7 @@ let clear_pt_range t ~lo ~hi =
               f.Mm_phys.Frame.map_count = 0
               && f.Mm_phys.Frame.kind = Mm_phys.Frame.Anon
             then begin
-              charge Mm_sim.Cost.page_free;
+              Mm_sim.Engine.charge Mm_sim.Cost.page_free;
               Mm_phys.Phys.free t.phys f
             end;
             unmapped := (sub_lo / ps) :: !unmapped
@@ -161,12 +160,12 @@ let free_empty_pt_pages t ~lo ~hi =
 (* -- munmap: the Fig 2 sequence -- *)
 
 let munmap t ~addr ~len =
-  charge Mm_sim.Cost.syscall;
+  Mm_sim.Engine.charge Mm_sim.Cost.syscall;
   note_cpu t;
   let ps = page_size t in
   let len = Mm_util.Align.up len ps in
   let lo = addr and hi = addr + len in
-  let cpu = if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.cpu_id () else 0 in
+  let cpu = Mm_sim.Engine.cpu_or_zero () in
   Mm_sim.Rwlock_s.write_lock t.mmap_lock;
   (* vma_start_write on each overlapping VMA (Fig 2 munmap L3-8). *)
   let victims = Vma.overlapping t.vmas ~lo ~hi in
@@ -190,7 +189,7 @@ let munmap t ~addr ~len =
 (* -- mprotect -- *)
 
 let mprotect t ~addr ~len ~perm =
-  charge Mm_sim.Cost.syscall;
+  Mm_sim.Engine.charge Mm_sim.Cost.syscall;
   note_cpu t;
   let lo = addr and hi = addr + len in
   Mm_sim.Rwlock_s.write_lock t.mmap_lock;
@@ -223,7 +222,7 @@ let mprotect t ~addr ~len ~perm =
 (* -- Page fault: lock-free find + per-VMA read lock (Fig 2) -- *)
 
 let page_fault t ~vaddr ~write =
-  charge Mm_sim.Cost.trap;
+  Mm_sim.Engine.charge Mm_sim.Cost.trap;
   note_cpu t;
   let ps = page_size t in
   let page = Mm_util.Align.down vaddr ps in
@@ -281,7 +280,8 @@ let page_fault t ~vaddr ~write =
               Handled
             end
             else begin
-              charge (Mm_sim.Cost.page_alloc + Mm_sim.Cost.page_copy);
+              Mm_sim.Engine.charge
+                (Mm_sim.Cost.page_alloc + Mm_sim.Cost.page_copy);
               let copy = Mm_phys.Phys.alloc t.phys ~kind:Mm_phys.Frame.Anon () in
               copy.Mm_phys.Frame.contents <- frame.Mm_phys.Frame.contents;
               copy.Mm_phys.Frame.map_count <- 1;
@@ -290,32 +290,37 @@ let page_fault t ~vaddr ~write =
               let p = Perm.with_cow (Perm.with_write perm true) false in
               Pt.set t.pt leaf idx
                 (Pte.leaf ~pfn:copy.Mm_phys.Frame.pfn ~perm:p ());
-              if Mm_sim.Engine.in_fiber () then begin
-                Mm_tlb.Tlb.install t.tlb ~cpu:(Mm_sim.Engine.cpu_id ())
-                  ~vpn:(page / ps) ~pfn:copy.Mm_phys.Frame.pfn ~writable:true
-                  ()
-              end;
+              (match Mm_sim.Engine.current () with
+              | Some f ->
+                Mm_tlb.Tlb.install t.tlb ~cpu:f.f_cpu ~vpn:(page / ps)
+                  ~pfn:copy.Mm_phys.Frame.pfn ~writable:true ()
+              | None -> ());
               Handled
             end
           end
           else Handled
         | Pte.Table _ -> failwith "page_fault: table entry at leaf level"
         | Pte.Absent ->
-          charge (Mm_sim.Cost.page_alloc + Mm_sim.Cost.page_zero);
+          Mm_sim.Engine.charge (Mm_sim.Cost.page_alloc + Mm_sim.Cost.page_zero);
           let frame = Mm_phys.Phys.alloc t.phys ~kind:Mm_phys.Frame.Anon () in
           frame.Mm_phys.Frame.map_count <- 1;
           let p = vma.Vma.perm in
           Pt.set t.pt leaf idx (Pte.leaf ~pfn:frame.Mm_phys.Frame.pfn ~perm:p ());
-          if Mm_sim.Engine.in_fiber () then
-            Mm_tlb.Tlb.install t.tlb ~cpu:(Mm_sim.Engine.cpu_id ())
-              ~vpn:(page / ps) ~pfn:frame.Mm_phys.Frame.pfn
-              ~writable:(p.Perm.write && not p.Perm.cow) ();
+          (match Mm_sim.Engine.current () with
+          | Some f ->
+            Mm_tlb.Tlb.install t.tlb ~cpu:f.f_cpu ~vpn:(page / ps)
+              ~pfn:frame.Mm_phys.Frame.pfn
+              ~writable:(p.Perm.write && not p.Perm.cow) ()
+          | None -> ());
           Handled
       in
       (* mm-wide RSS / LRU / memcg accounting: local bookkeeping plus an
          atomic on a shared mm cache line. *)
-      charge Mm_sim.Cost.linux_fault_accounting;
-      if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.Line.rmw t.stats_line;
+      (match Mm_sim.Engine.current () with
+      | Some f ->
+        Mm_sim.Engine.tick_on f Mm_sim.Cost.linux_fault_accounting;
+        Mm_sim.Engine.Line.rmw_on f t.stats_line
+      | None -> ());
       Mm_sim.Mutex_s.unlock (Mm_phys.Frame.lock leaf.Pt.frame);
       Mm_sim.Rwlock_s.read_unlock vma.Vma.vma_lock;
       outcome
@@ -327,8 +332,8 @@ let touch t ~vaddr ~write =
   note_cpu t;
   let ps = page_size t in
   let vpn = vaddr / ps in
-  let cpu = if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.cpu_id () else 0 in
-  charge Mm_sim.Cost.cache_hit;
+  let cpu = Mm_sim.Engine.cpu_or_zero () in
+  Mm_sim.Engine.charge Mm_sim.Cost.cache_hit;
   match Mm_tlb.Tlb.lookup t.tlb ~cpu ~vpn ~write with
   | Some _ -> ()
   | None ->
@@ -367,7 +372,7 @@ let touch_range t ~addr ~len ~write =
 (* -- fork: iterate the VMA list (Linux's fast path for enumeration) -- *)
 
 let fork t =
-  charge Mm_sim.Cost.syscall;
+  Mm_sim.Engine.charge Mm_sim.Cost.syscall;
   Mm_sim.Rwlock_s.write_lock t.mmap_lock;
   let child =
     {
@@ -396,7 +401,7 @@ let fork t =
   let ps = page_size t in
   let rec clone_pt (pn : unit Pt.node) (cn : unit Pt.node) =
     Pt.charge_node_scan t.pt;
-    charge Mm_sim.Cost.page_copy;
+    Mm_sim.Engine.charge Mm_sim.Cost.page_copy;
     for idx = 0 to Pt.entries_per_node t.pt - 1 do
       match Pt.get_uncharged t.pt pn idx with
       | Pte.Absent -> ()

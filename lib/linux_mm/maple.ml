@@ -32,11 +32,12 @@ type 'a t = {
   mutable height : int;
 }
 
-let charge c = if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.tick c
-
 let visit t =
-  charge Mm_sim.Cost.vma_node_visit;
-  if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.Line.read t.line
+  match Mm_sim.Engine.current () with
+  | Some f ->
+    Mm_sim.Engine.tick_on f Mm_sim.Cost.vma_node_visit;
+    Mm_sim.Engine.Line.read_on f t.line
+  | None -> ()
 
 let create ~start ~stop =
   {
@@ -103,7 +104,7 @@ let rec insert_into t node item =
     let pos = ref (Array.length l.items) in
     Array.iteri (fun i v -> if t.start v > key && !pos > i then pos := i) l.items;
     l.items <- array_insert l.items !pos item;
-    charge Mm_sim.Cost.vma_tree_update;
+    Mm_sim.Engine.charge Mm_sim.Cost.vma_tree_update;
     if Array.length l.items > cap then begin
       (* Split: right half moves to a new leaf. *)
       let n = Array.length l.items in
@@ -118,7 +119,7 @@ let rec insert_into t node item =
     | None -> None
     | Some right ->
       inode.children <- array_insert inode.children (idx + 1) right;
-      charge Mm_sim.Cost.vma_tree_update;
+      Mm_sim.Engine.charge Mm_sim.Cost.vma_tree_update;
       if Array.length inode.children > cap then begin
         let n = Array.length inode.children in
         let right_children = Array.sub inode.children (n / 2) (n - (n / 2)) in
@@ -149,7 +150,7 @@ let rec remove_from t node key =
           l.items <- array_remove l.items i
         end)
       l.items;
-    if !found then charge Mm_sim.Cost.vma_tree_update;
+    if !found then Mm_sim.Engine.charge Mm_sim.Cost.vma_tree_update;
     !found
   | Internal inode ->
     let idx = child_index t inode.children key in
@@ -172,7 +173,7 @@ let rec remove_from t node key =
             else Array.append b.items a.items
           in
           if Array.length merged <= cap then begin
-            charge Mm_sim.Cost.vma_tree_update;
+            Mm_sim.Engine.charge Mm_sim.Cost.vma_tree_update;
             inode.children.(sib) <- Leaf { items = merged };
             inode.children <- array_remove inode.children idx
           end
@@ -182,7 +183,7 @@ let rec remove_from t node key =
             else Array.append b.children a.children
           in
           if Array.length merged <= cap then begin
-            charge Mm_sim.Cost.vma_tree_update;
+            Mm_sim.Engine.charge Mm_sim.Cost.vma_tree_update;
             inode.children.(sib) <- Internal { children = merged };
             inode.children <- array_remove inode.children idx
           end

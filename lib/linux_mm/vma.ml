@@ -26,8 +26,6 @@ type t = {
   cache : Mm_phys.Slab.t; (* the vm_area_struct slab cache *)
 }
 
-let charge c = if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.tick c
-
 let create phys =
   {
     tree = Maple.create ~start:(fun v -> v.v_start) ~stop:(fun v -> v.v_end);
@@ -37,7 +35,7 @@ let create phys =
   }
 
 let alloc_vma t ~start ~end_ ~perm =
-  charge Mm_sim.Cost.vma_alloc;
+  Mm_sim.Engine.charge Mm_sim.Cost.vma_alloc;
   let slab_handle = Mm_phys.Slab.alloc t.cache in
   {
     v_start = start;
@@ -50,7 +48,7 @@ let alloc_vma t ~start ~end_ ~perm =
   }
 
 let release_vma t (v : vma) =
-  charge Mm_sim.Cost.vma_free;
+  Mm_sim.Engine.charge Mm_sim.Cost.vma_free;
   Mm_phys.Slab.free t.cache v.slab_handle
 
 let slab_bytes t = Mm_phys.Slab.bytes_reserved t.cache
@@ -83,7 +81,7 @@ let insert_or_merge t ~start ~end_ ~perm =
   let prev = find t (start - 1) in
   match prev with
   | Some v when v.v_end = start && Mm_hal.Perm.equal v.perm perm ->
-    charge Mm_sim.Cost.vma_tree_update;
+    Mm_sim.Engine.charge Mm_sim.Cost.vma_tree_update;
     v.v_end <- end_;
     v
   | _ -> (
@@ -91,7 +89,7 @@ let insert_or_merge t ~start ~end_ ~perm =
     match next with
     | Some v when v.v_start = end_ && Mm_hal.Perm.equal v.perm perm ->
       (* Extending downward re-keys the node: remove + reinsert. *)
-      charge Mm_sim.Cost.vma_tree_update;
+      Mm_sim.Engine.charge Mm_sim.Cost.vma_tree_update;
       remove_node t v.v_start;
       v.v_start <- start;
       insert_node t v;

@@ -45,8 +45,6 @@ type t = {
   cpu_mask : bool array;
 }
 
-let charge c = if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.tick c
-
 let va_lo = 0x1000_0000
 
 let create ?(isa = Isa.x86_64) ?(nreplicas = 2) ~ncpus () =
@@ -84,8 +82,11 @@ let replica_of t ~cpu = t.replicas.(cpu * t.nreplicas / t.ncpus)
 
 let log_append t op =
   (* The global serialization point of node replication. *)
-  if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.Line.rmw t.log_tail_line;
-  charge Mm_sim.Cost.cache_hit;
+  (match Mm_sim.Engine.current () with
+  | Some f ->
+    Mm_sim.Engine.Line.rmw_on f t.log_tail_line;
+    Mm_sim.Engine.tick_on f Mm_sim.Cost.cache_hit
+  | None -> ());
   let cap = Array.length t.log in
   if t.log_len = cap then begin
     let bigger = Array.make (max 64 (cap * 2)) op in
@@ -105,7 +106,8 @@ let apply_op t (rep : replica) op =
       (* First applier allocates the shared physical frames. *)
       m.pfns <-
         Array.init npages (fun _ ->
-            charge (Mm_sim.Cost.page_alloc + Mm_sim.Cost.page_zero);
+            Mm_sim.Engine.charge
+              (Mm_sim.Cost.page_alloc + Mm_sim.Cost.page_zero);
             let f = Mm_phys.Phys.alloc t.phys ~kind:Mm_phys.Frame.Anon () in
             f.Mm_phys.Frame.map_count <- 1;
             f.Mm_phys.Frame.pfn)
@@ -132,7 +134,7 @@ let apply_op t (rep : replica) op =
           if first && f.Mm_phys.Frame.kind = Mm_phys.Frame.Anon then begin
             f.Mm_phys.Frame.map_count <- f.Mm_phys.Frame.map_count - 1;
             if f.Mm_phys.Frame.map_count <= 0 then begin
-              charge Mm_sim.Cost.page_free;
+              Mm_sim.Engine.charge Mm_sim.Cost.page_free;
               Mm_phys.Phys.free t.phys f
             end
           end
@@ -153,16 +155,17 @@ let with_replica t ~cpu f =
   v
 
 let note_cpu t =
-  if Mm_sim.Engine.in_fiber () then
-    t.cpu_mask.(Mm_sim.Engine.cpu_id ()) <- true
+  match Mm_sim.Engine.current () with
+  | Some f -> t.cpu_mask.(f.f_cpu) <- true
+  | None -> ()
 
 (* NrOS mmap: eager backing (no demand paging). *)
 let mmap t ?addr ~len ~perm () =
-  charge Mm_sim.Cost.syscall;
+  Mm_sim.Engine.charge Mm_sim.Cost.syscall;
   note_cpu t;
   let ps = page_size t in
   let len = Mm_util.Align.up len ps in
-  let cpu = if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.cpu_id () else 0 in
+  let cpu = Mm_sim.Engine.cpu_or_zero () in
   let lo =
     match addr with
     | Some a -> a
@@ -178,11 +181,11 @@ let mmap t ?addr ~len ~perm () =
   lo
 
 let munmap t ~addr ~len =
-  charge Mm_sim.Cost.syscall;
+  Mm_sim.Engine.charge Mm_sim.Cost.syscall;
   note_cpu t;
   let ps = page_size t in
   let len = Mm_util.Align.up len ps in
-  let cpu = if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.cpu_id () else 0 in
+  let cpu = Mm_sim.Engine.cpu_or_zero () in
   log_append t (L_unmap { lo = addr; len; applied = false });
   with_replica t ~cpu (fun _ -> ());
   (* Conservative broadcast shootdown. *)
@@ -199,8 +202,8 @@ let touch t ~vaddr ~write =
   note_cpu t;
   let ps = page_size t in
   let vpn = vaddr / ps in
-  let cpu = if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.cpu_id () else 0 in
-  charge Mm_sim.Cost.cache_hit;
+  let cpu = Mm_sim.Engine.cpu_or_zero () in
+  Mm_sim.Engine.charge Mm_sim.Cost.cache_hit;
   match Mm_tlb.Tlb.lookup t.tlb ~cpu ~vpn ~write with
   | Some _ -> ()
   | None ->
@@ -242,9 +245,9 @@ let log_length t = t.log_len
    every one of its own replicas, plus an empty log of its own. *)
 
 let fork t =
-  charge Mm_sim.Cost.syscall;
+  Mm_sim.Engine.charge Mm_sim.Cost.syscall;
   note_cpu t;
-  let cpu = if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.cpu_id () else 0 in
+  let cpu = Mm_sim.Engine.cpu_or_zero () in
   let child =
     {
       phys = t.phys;
@@ -270,7 +273,8 @@ let fork t =
       Pt.iter_leaves rep.pt (Pt.root rep.pt) (fun vaddr _level pte ->
           match pte with
           | Pte.Leaf { pfn; perm; _ } ->
-            charge (Mm_sim.Cost.page_alloc + Mm_sim.Cost.page_copy);
+            Mm_sim.Engine.charge
+              (Mm_sim.Cost.page_alloc + Mm_sim.Cost.page_copy);
             let src = Mm_phys.Phys.frame t.phys pfn in
             let f = Mm_phys.Phys.alloc t.phys ~kind:Mm_phys.Frame.Anon () in
             f.Mm_phys.Frame.contents <- src.Mm_phys.Frame.contents;
@@ -306,7 +310,7 @@ let teardown_pt t pt =
         if f.Mm_phys.Frame.kind = Mm_phys.Frame.Anon then begin
           f.Mm_phys.Frame.map_count <- f.Mm_phys.Frame.map_count - 1;
           if f.Mm_phys.Frame.map_count <= 0 then begin
-            charge Mm_sim.Cost.page_free;
+            Mm_sim.Engine.charge Mm_sim.Cost.page_free;
             Mm_phys.Phys.free t.phys f
           end
         end
@@ -316,7 +320,7 @@ let teardown_pt t pt =
   go (Pt.root pt)
 
 let destroy t =
-  charge Mm_sim.Cost.syscall;
+  Mm_sim.Engine.charge Mm_sim.Cost.syscall;
   (* Catch every replica up first so each has seen every map/unmap, then
      tear the replicas down in order. *)
   Array.iter
@@ -335,7 +339,7 @@ let destroy t =
    mapping (raising {!Fault} when absent), then the local replica names
    the frame whose contents token we read or write. *)
 let with_pfn t ~vaddr f =
-  let cpu = if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.cpu_id () else 0 in
+  let cpu = Mm_sim.Engine.cpu_or_zero () in
   with_replica t ~cpu (fun rep ->
       let node = Pt.walk_opt rep.pt ~to_level:1 vaddr in
       if node.Pt.level <> 1 then raise (Fault vaddr)
@@ -357,7 +361,7 @@ let read_value t ~vaddr =
    must do) and read its page table. NrOS has no demand paging, so a
    page is either absent or resident. *)
 let page_state t ~vaddr =
-  let cpu = if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.cpu_id () else 0 in
+  let cpu = Mm_sim.Engine.cpu_or_zero () in
   with_replica t ~cpu (fun rep ->
       let node = Pt.walk_opt rep.pt ~to_level:1 vaddr in
       if node.Pt.level <> 1 then `Unmapped

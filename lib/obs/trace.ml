@@ -2,7 +2,8 @@
    switch.
 
    Zero-overhead-when-disabled: the only cost an instrumentation site pays
-   when no session is active is the [on ()] check — one ref dereference.
+   when no session is active is the [on ()] check — one atomic read while
+   no domain traces.
    Nothing in this module ever advances simulated time, so enabling a
    session changes *host* work only; virtual-time results are bit-identical
    with tracing on, off, or compiled out.
@@ -31,13 +32,20 @@ let current_key : session option ref Domain.DLS.key =
 
 let current () = Domain.DLS.get current_key
 
-let on () = !(current ()) <> None
+(* Process-wide count of domains with an open session. It is 0 in every
+   untraced run, so [on] answers there without the domain-local lookup. *)
+let open_sessions = Atomic.make 0
+
+let sessions () = Atomic.get open_sessions
+let on () = Atomic.get open_sessions > 0 && !(current ()) <> None
 
 let start ?(capacity = 1 lsl 16) () =
   if capacity <= 0 then invalid_arg "Trace.start: capacity";
   Metrics.reset ();
   Contention.reset ();
-  current () := Some { rings = Array.make max_cpus None; capacity; seq = 0 }
+  let cur = current () in
+  if !cur = None then Atomic.incr open_sessions;
+  cur := Some { rings = Array.make max_cpus None; capacity; seq = 0 }
 
 let emit ~time ~cpu payload =
   match !(current ()) with
@@ -77,7 +85,9 @@ let dropped () =
 
 let stop () =
   let evs = events () in
-  current () := None;
+  let cur = current () in
+  if !cur <> None then Atomic.decr open_sessions;
+  cur := None;
   evs
 
 (* The canonical text stream — what the determinism guarantee is stated

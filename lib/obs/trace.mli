@@ -1,6 +1,6 @@
 (** The tracing session: per-vCPU event rings behind one global on/off
-    switch. When no session is active an instrumentation site pays one ref
-    dereference ({!on}); recording never advances virtual time, so traced
+    switch. When no domain has a session open an instrumentation site pays
+    one atomic read ({!on}); recording never advances virtual time, so traced
     and untraced runs produce bit-identical simulation results. *)
 
 val start : ?capacity:int -> unit -> unit
@@ -9,8 +9,13 @@ val start : ?capacity:int -> unit -> unit
     so identical runs after [start] yield byte-identical streams. *)
 
 val on : unit -> bool
-(** Whether a session is active — the cheap gate every instrumentation
-    site checks first. *)
+(** Whether this domain has a session active — the cheap gate every
+    instrumentation site checks first. *)
+
+val sessions : unit -> int
+(** Process-wide number of domains with a session open; {!start} and
+    {!stop} keep it balanced. While it is 0, {!on} answers without the
+    domain-local lookup. *)
 
 val emit : time:int -> cpu:int -> Event.payload -> unit
 (** Record an event; no-op without a session. *)

@@ -34,8 +34,6 @@ type t = {
   mutable slabs : int;
 }
 
-let charge c = if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.tick c
-
 (* Object handles are synthetic "kernel addresses": slab base (pfn-derived)
    plus object offset. *)
 let page_size = 4096
@@ -68,7 +66,7 @@ let create phys ~name ~obj_size =
 let slab_base (s : slab) = s.frame.Frame.pfn * page_size
 
 let new_slab t =
-  charge Mm_sim.Cost.page_alloc;
+  Mm_sim.Engine.charge Mm_sim.Cost.page_alloc;
   let frame = Phys.alloc t.phys ~kind:Frame.Kernel ~order:t.order () in
   let next_free =
     Array.init t.objs_per_slab (fun i ->
@@ -80,7 +78,7 @@ let new_slab t =
   s
 
 let alloc t =
-  charge Mm_sim.Cost.cache_hit;
+  Mm_sim.Engine.charge Mm_sim.Cost.cache_hit;
   let s =
     match t.partial with
     | s :: _ -> s
@@ -112,7 +110,7 @@ let slab_of t addr =
   | None -> invalid_arg (t.name ^ ": free of an address not from this cache")
 
 let free t addr =
-  charge Mm_sim.Cost.cache_hit;
+  Mm_sim.Engine.charge Mm_sim.Cost.cache_hit;
   let s = slab_of t addr in
   let off = addr - slab_base s in
   if off mod t.obj_size <> 0 then invalid_arg (t.name ^ ": misaligned free");
@@ -134,7 +132,7 @@ let free t addr =
     | Some _ ->
       Hashtbl.remove t.by_addr (slab_base s);
       t.slabs <- t.slabs - 1;
-      charge Mm_sim.Cost.page_free;
+      Mm_sim.Engine.charge Mm_sim.Cost.page_free;
       Phys.free t.phys s.frame
   end
 

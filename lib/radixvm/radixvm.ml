@@ -54,8 +54,6 @@ let fanout = 1 lsl fanout_bits
 let levels = 4
 let radix_node_bytes = fanout * 8
 
-let charge c = if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.tick c
-
 let make_node ~level =
   {
     level;
@@ -105,8 +103,11 @@ let index ~level ~vpn = (vpn lsr (fanout_bits * (level - 1))) land (fanout - 1)
 (* Lock-free descent to the leaf radix node of [vpn], if it exists. *)
 let leaf_opt t ~vpn =
   let rec go node =
-    charge Mm_sim.Cost.vma_node_visit;
-    if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.Line.read node.line;
+    (match Mm_sim.Engine.current () with
+    | Some f ->
+      Mm_sim.Engine.tick_on f Mm_sim.Cost.vma_node_visit;
+      Mm_sim.Engine.Line.read_on f node.line
+    | None -> ());
     if node.level = 1 then Some node
     else
       match node.children.(index ~level:node.level ~vpn) with
@@ -119,7 +120,7 @@ let leaf_opt t ~vpn =
    locks). *)
 let leaf_create t ~vpn =
   let rec go node =
-    charge Mm_sim.Cost.vma_node_visit;
+    Mm_sim.Engine.charge Mm_sim.Cost.vma_node_visit;
     if node.level = 1 then node
     else
       let idx = index ~level:node.level ~vpn in
@@ -131,7 +132,7 @@ let leaf_create t ~vpn =
           match node.children.(idx) with
           | Some c -> c
           | None ->
-            charge Mm_sim.Cost.page_alloc;
+            Mm_sim.Engine.charge Mm_sim.Cost.page_alloc;
             let c = make_node ~level:(node.level - 1) in
             t.radix_nodes <- t.radix_nodes + 1;
             Mm_phys.Phys.kernel_alloc_bytes t.phys ~bytes:radix_node_bytes;
@@ -148,10 +149,10 @@ let entry_idx ~vpn = vpn land (fanout - 1)
 (* -- Operations -- *)
 
 let mmap t ?addr ~len ~perm () =
-  charge Mm_sim.Cost.syscall;
+  Mm_sim.Engine.charge Mm_sim.Cost.syscall;
   let ps = page_size t in
   let len = Mm_util.Align.up len ps in
-  let cpu = if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.cpu_id () else 0 in
+  let cpu = Mm_sim.Engine.cpu_or_zero () in
   let lo =
     match addr with
     | Some a -> a
@@ -170,7 +171,7 @@ let mmap t ?addr ~len ~perm () =
     Mm_sim.Mutex_s.lock leaf.lock;
     let in_this_leaf = min (npages - !i) (fanout - entry_idx ~vpn) in
     for k = 0 to in_this_leaf - 1 do
-      charge Mm_sim.Cost.meta_write;
+      Mm_sim.Engine.charge Mm_sim.Cost.meta_write;
       leaf.entries.(entry_idx ~vpn + k) <- reserved
     done;
     Mm_sim.Mutex_s.unlock leaf.lock;
@@ -186,10 +187,10 @@ let install_pte t ~cpu ~vpn ~pfn ~perm =
   Mm_tlb.Tlb.install t.tlb ~cpu ~vpn ~pfn ~writable:perm.Perm.write ()
 
 let page_fault t ~vaddr ~write =
-  charge Mm_sim.Cost.trap;
+  Mm_sim.Engine.charge Mm_sim.Cost.trap;
   let ps = page_size t in
   let vpn = vaddr / ps in
-  let cpu = if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.cpu_id () else 0 in
+  let cpu = Mm_sim.Engine.cpu_or_zero () in
   match leaf_opt t ~vpn with
   | None -> Sigsegv
   | Some leaf -> (
@@ -202,7 +203,7 @@ let page_fault t ~vaddr ~write =
       Mm_sim.Mutex_s.lock leaf.lock;
       (match leaf.entries.(idx) with
       | R_reserved _ ->
-        charge (Mm_sim.Cost.page_alloc + Mm_sim.Cost.page_zero);
+        Mm_sim.Engine.charge (Mm_sim.Cost.page_alloc + Mm_sim.Cost.page_zero);
         let frame = Mm_phys.Phys.alloc t.phys ~kind:Mm_phys.Frame.Anon () in
         frame.Mm_phys.Frame.map_count <- 1;
         leaf.entries.(idx) <-
@@ -223,16 +224,16 @@ let page_fault t ~vaddr ~write =
       (* Present elsewhere: replicate the translation into our private PT.
          No lock needed — the mask update is monotone and the per-core
          tracking is refcache-style (per-core, reconciled lazily). *)
-      charge Mm_sim.Cost.meta_write;
+      Mm_sim.Engine.charge Mm_sim.Cost.meta_write;
       leaf.core_mask <- leaf.core_mask lor (1 lsl cpu);
       install_pte t ~cpu ~vpn ~pfn ~perm;
       Handled)
 
 let munmap t ~addr ~len =
-  charge Mm_sim.Cost.syscall;
+  Mm_sim.Engine.charge Mm_sim.Cost.syscall;
   let ps = page_size t in
   let len = Mm_util.Align.up len ps in
-  let cpu = if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.cpu_id () else 0 in
+  let cpu = Mm_sim.Engine.cpu_or_zero () in
   let npages = len / ps in
   let vpn0 = addr / ps in
   let i = ref 0 in
@@ -269,7 +270,7 @@ let munmap t ~addr ~len =
           let f = Mm_phys.Phys.frame t.phys pfn in
           f.Mm_phys.Frame.map_count <- 0;
           if f.Mm_phys.Frame.kind = Mm_phys.Frame.Anon then begin
-            charge Mm_sim.Cost.page_free;
+            Mm_sim.Engine.charge Mm_sim.Cost.page_free;
             Mm_phys.Phys.free t.phys f
           end
         | R_reserved _ -> leaf.entries.(idx) <- R_empty
@@ -291,8 +292,8 @@ exception Fault of int
 let touch t ~vaddr ~write =
   let ps = page_size t in
   let vpn = vaddr / ps in
-  let cpu = if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.cpu_id () else 0 in
-  charge Mm_sim.Cost.cache_hit;
+  let cpu = Mm_sim.Engine.cpu_or_zero () in
+  Mm_sim.Engine.charge Mm_sim.Cost.cache_hit;
   match Mm_tlb.Tlb.lookup t.tlb ~cpu ~vpn ~write with
   | Some _ -> ()
   | None -> (
@@ -360,7 +361,7 @@ let page_state t ~vaddr =
    to a COW fork for private memory, which is what the oracle diffs. *)
 
 let fork t =
-  charge Mm_sim.Cost.syscall;
+  Mm_sim.Engine.charge Mm_sim.Cost.syscall;
   let child =
     {
       phys = t.phys;
@@ -375,7 +376,7 @@ let fork t =
   in
   Mm_phys.Phys.kernel_alloc_bytes t.phys ~bytes:radix_node_bytes;
   let rec copy node ~vpn_base =
-    charge Mm_sim.Cost.vma_node_visit;
+    Mm_sim.Engine.charge Mm_sim.Cost.vma_node_visit;
     if node.level = 1 then begin
       Mm_sim.Mutex_s.lock node.lock;
       for idx = 0 to fanout - 1 do
@@ -384,11 +385,11 @@ let fork t =
         | R_reserved _ as e ->
           let vpn = vpn_base + idx in
           let leaf = leaf_create child ~vpn in
-          charge Mm_sim.Cost.meta_write;
+          Mm_sim.Engine.charge Mm_sim.Cost.meta_write;
           leaf.entries.(entry_idx ~vpn) <- e
         | R_mapped { pfn; perm } ->
           let vpn = vpn_base + idx in
-          charge (Mm_sim.Cost.page_alloc + Mm_sim.Cost.page_copy);
+          Mm_sim.Engine.charge (Mm_sim.Cost.page_alloc + Mm_sim.Cost.page_copy);
           let f = Mm_phys.Phys.alloc t.phys ~kind:Mm_phys.Frame.Anon () in
           let src = Mm_phys.Phys.frame t.phys pfn in
           f.Mm_phys.Frame.contents <- src.Mm_phys.Frame.contents;
@@ -431,7 +432,7 @@ let free_pt_pages pt =
   go (Pt.root pt)
 
 let destroy t =
-  charge Mm_sim.Cost.syscall;
+  Mm_sim.Engine.charge Mm_sim.Cost.syscall;
   (* The radix tree is authoritative for frame lifetimes: free every
      mapped anon frame once, then drop the derived per-core caches. *)
   let rec sweep node =
@@ -443,7 +444,7 @@ let destroy t =
           let f = Mm_phys.Phys.frame t.phys pfn in
           f.Mm_phys.Frame.map_count <- 0;
           if f.Mm_phys.Frame.kind = Mm_phys.Frame.Anon then begin
-            charge Mm_sim.Cost.page_free;
+            Mm_sim.Engine.charge Mm_sim.Cost.page_free;
             Mm_phys.Phys.free t.phys f
           end
         | R_reserved _ -> node.entries.(idx) <- R_empty

@@ -133,6 +133,7 @@ let run ?isa ~backend ~mix ~policy_name ~policy ~ncpus ~sessions ~seed () =
        emergent interleaving, but each CPU's schedule depends only on
        (seed, cpu). *)
     let rng = Rng.create ~seed:(seed + ((cpu + 1) * 0x9e3779b9)) in
+    let f = Engine.fiber () in
     let ops = ref 0 in
     let op_done () =
       incr ops;
@@ -141,15 +142,15 @@ let run ?isa ~backend ~mix ~policy_name ~policy ~ncpus ~sessions ~seed () =
     in
     let think () =
       let d = exp_sample rng mix.Mix.think in
-      if d > 0 then Engine.tick d
+      if d > 0 then Engine.tick_on f d
     in
-    let next_arrival = ref (Engine.now ()) in
+    let next_arrival = ref (f.f_time) in
     for sess = 1 to quota cpu do
       next_arrival := !next_arrival + exp_sample rng mix.Mix.interarrival;
       (* Open loop: if we are early, wait for the arrival; if the backlog
          already pushed us past it, start at once — the lateness is the
          queueing delay and stays inside the session latency. *)
-      if Engine.now () < !next_arrival then Engine.advance_to !next_arrival;
+      if f.f_time < !next_arrival then Engine.advance_to !next_arrival;
       let arrival = !next_arrival in
       (* A fork-fleet session runs in its own forked child: clone the
          shared parent (the mix's signature cost, in its own histogram),
@@ -158,20 +159,20 @@ let run ?isa ~backend ~mix ~policy_name ~policy ~ncpus ~sessions ~seed () =
       let ssys =
         if not mix.Mix.fork then sys
         else begin
-          let t0 = Engine.now () in
+          let t0 = f.f_time in
           let child = System.fork_exn sys in
-          Metrics.observe h_fork (Engine.now () - t0);
+          Metrics.observe h_fork (f.f_time - t0);
           (* The child's TLB is fresh: re-arm the run's policy so its
              unmaps see the same shootdown regime as the parent's. *)
           System.set_shootdown_policy child policy;
           op_done ();
           think ();
           for p = 0 to hot_pages - 1 do
-            let t0 = Engine.now () in
+            let t0 = f.f_time in
             System.write_value_exn child
               ~vaddr:(hot.(cpu) + (p * ps))
               ~value:(((cpu + 1) * 1_000_000) + p);
-            Metrics.observe h_fault (Engine.now () - t0);
+            Metrics.observe h_fault (f.f_time - t0);
             op_done ()
           done;
           think ();
@@ -181,17 +182,17 @@ let run ?isa ~backend ~mix ~policy_name ~policy ~ncpus ~sessions ~seed () =
       for _ = 1 to mix.Mix.bursts do
         let pages = Rng.int_in rng ~lo:mix.Mix.min_pages ~hi:mix.Mix.max_pages in
         let len = pages * ps in
-        let t0 = Engine.now () in
+        let t0 = f.f_time in
         let addr = System.mmap_exn ssys ~len ~perm:Perm.rw () in
-        Metrics.observe h_mmap (Engine.now () - t0);
+        Metrics.observe h_mmap (f.f_time - t0);
         op_done ();
         think ();
         for p = 0 to pages - 1 do
-          let t0 = Engine.now () in
+          let t0 = f.f_time in
           (match System.touch ssys ~vaddr:(addr + (p * ps)) ~write:true with
           | Ok () -> ()
           | Error _ -> ());
-          Metrics.observe h_fault (Engine.now () - t0);
+          Metrics.observe h_fault (f.f_time - t0);
           op_done ()
         done;
         think ();
@@ -204,9 +205,9 @@ let run ?isa ~backend ~mix ~policy_name ~policy ~ncpus ~sessions ~seed () =
         in
         let wired = wire && System.has_reclaim ssys in
         if wired then begin
-          let t0 = Engine.now () in
+          let t0 = f.f_time in
           (match System.mlock ssys ~addr ~len with Ok () | Error _ -> ());
-          Metrics.observe h_fault (Engine.now () - t0);
+          Metrics.observe h_fault (f.f_time - t0);
           op_done ();
           think ()
         end;
@@ -214,9 +215,9 @@ let run ?isa ~backend ~mix ~policy_name ~policy ~ncpus ~sessions ~seed () =
            stays identical across backends with and without mprotect. *)
         let seal = Rng.float rng < mix.Mix.mprotect_prob in
         if seal && System.has_mprotect ssys then begin
-          let t0 = Engine.now () in
+          let t0 = f.f_time in
           System.mprotect_exn ssys ~addr ~len ~perm:Perm.r;
-          Metrics.observe h_mprotect (Engine.now () - t0);
+          Metrics.observe h_mprotect (f.f_time - t0);
           op_done ();
           think ()
         end;
@@ -226,9 +227,9 @@ let run ?isa ~backend ~mix ~policy_name ~policy ~ncpus ~sessions ~seed () =
           (match System.munlock ssys ~addr ~len with Ok () | Error _ -> ());
           op_done ()
         end;
-        let t0 = Engine.now () in
+        let t0 = f.f_time in
         System.munmap_exn ssys ~addr ~len;
-        Metrics.observe h_munmap (Engine.now () - t0);
+        Metrics.observe h_munmap (f.f_time - t0);
         op_done ()
       done;
       (* Pressure wave: every [pressure_every]-th session ends with a
@@ -257,7 +258,7 @@ let run ?isa ~backend ~mix ~policy_name ~policy ~ncpus ~sessions ~seed () =
         System.destroy ssys;
         op_done ()
       end;
-      Metrics.observe h_session (Engine.now () - arrival)
+      Metrics.observe h_session (f.f_time - arrival)
     done
   in
   let prep cpu =

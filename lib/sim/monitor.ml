@@ -69,9 +69,24 @@ type event =
 let hook_key : (event -> unit) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let set f = Domain.DLS.get hook_key := Some f
-let clear () = Domain.DLS.get hook_key := None
-let on () = !(Domain.DLS.get hook_key) <> None
+(* Process-wide count of domains with a hook installed: 0 in every
+   unmonitored run, so [on] answers there without the domain-local
+   lookup. *)
+let installed_hooks = Atomic.make 0
+
+let installed () = Atomic.get installed_hooks
+
+let set f =
+  let h = Domain.DLS.get hook_key in
+  if !h = None then Atomic.incr installed_hooks;
+  h := Some f
+
+let clear () =
+  let h = Domain.DLS.get hook_key in
+  if !h <> None then Atomic.decr installed_hooks;
+  h := None
+
+let on () = Atomic.get installed_hooks > 0 && !(Domain.DLS.get hook_key) <> None
 
 (* Call sites guard with [on ()] so event payloads are never allocated
    when no checker is installed. *)

@@ -70,7 +70,12 @@ val set : (event -> unit) -> unit
 val clear : unit -> unit
 
 val on : unit -> bool
-(** Whether a checker is installed. Emission sites guard with this so
-    payloads are never allocated when monitoring is off. *)
+(** Whether this domain has a checker installed. Emission sites guard
+    with this so payloads are never allocated when monitoring is off. *)
+
+val installed : unit -> int
+(** Process-wide number of domains with a checker installed; {!set} and
+    {!clear} keep it balanced. While it is 0, {!on} answers without the
+    domain-local lookup. *)
 
 val emit : event -> unit

@@ -47,8 +47,9 @@ let profile t =
       | Some n -> n
       | None -> Printf.sprintf "mutex#%d" t.id)
 
-let note_acquired t ~wait =
-  t.acquired_at <- Engine.now ();
+(* [f] is the acquiring fiber, looked up once per operation. *)
+let note_acquired (f : Engine.fiber) t ~wait =
+  t.acquired_at <- f.f_time;
   if Mm_obs.Trace.on () then begin
     Mm_obs.Contention.acquired (profile t) ~wait;
     Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "lock.wait_cycles") wait;
@@ -59,43 +60,45 @@ let note_acquired t ~wait =
     Monitor.emit (Monitor.Mutex_acquired { lock = t.id; cpu = t.holder })
 
 let lock t =
-  Engine.Line.rmw t.line;
+  let f = Engine.fiber () in
+  Engine.Line.rmw_on f t.line;
   t.acquisitions <- t.acquisitions + 1;
   if not t.locked then begin
     t.locked <- true;
-    t.holder <- Engine.cpu_id ();
-    note_acquired t ~wait:0
+    t.holder <- f.f_cpu;
+    note_acquired f t ~wait:0
   end
   else begin
     t.contended <- t.contended + 1;
     if Mm_obs.Trace.on () then
       Engine.obs
         (Mm_obs.Event.Lock_contend { lock = t.id; kind = Mm_obs.Event.Mutex });
-    let t0 = Engine.now () in
+    let t0 = f.f_time in
     Engine.park (fun p -> Queue.push p t.waiters);
     (* We resume as the holder: [unlock] set [holder] before unparking. *)
-    note_acquired t ~wait:(Engine.now () - t0)
+    note_acquired f t ~wait:(f.f_time - t0)
   end
 
 let try_lock t =
-  Engine.Line.rmw t.line;
+  let f = Engine.fiber () in
+  Engine.Line.rmw_on f t.line;
   if t.locked then false
   else begin
     t.acquisitions <- t.acquisitions + 1;
     t.locked <- true;
-    t.holder <- Engine.cpu_id ();
-    note_acquired t ~wait:0;
+    t.holder <- f.f_cpu;
+    note_acquired f t ~wait:0;
     true
   end
 
 let unlock t =
-  Engine.serialize ();
+  let f = Engine.fiber () in
+  Engine.serialize_on f;
   if not t.locked then failwith "Mutex_s.unlock: not locked";
-  if t.holder <> Engine.cpu_id () then
-    failwith "Mutex_s.unlock: unlocked by non-holder";
-  Engine.tick Cost.cache_hit;
+  if t.holder <> f.f_cpu then failwith "Mutex_s.unlock: unlocked by non-holder";
+  Engine.tick_on f Cost.cache_hit;
   if Mm_obs.Trace.on () then begin
-    let held = Engine.now () - t.acquired_at in
+    let held = f.f_time - t.acquired_at in
     Mm_obs.Contention.released (profile t) ~held;
     Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "lock.hold_cycles") held;
     Engine.obs
@@ -110,7 +113,7 @@ let unlock t =
   | Some p ->
     t.holder <- Engine.parked_cpu p;
     (* Handoff: the successor observes the release after a line transfer. *)
-    Engine.unpark p ~at:(Engine.now () + Cost.line_transfer)
+    Engine.unpark p ~at:(f.f_time + Cost.line_transfer)
 
 let holder t = if t.locked then Some t.holder else None
 let is_locked t = t.locked

@@ -60,9 +60,10 @@ let make ~ncpus =
   }
 
 let read_lock t =
-  Engine.serialize ();
-  Engine.tick Cost.rcu_toggle;
-  let c = Engine.cpu_id () in
+  let f = Engine.fiber () in
+  Engine.serialize_on f;
+  Engine.tick_on f Cost.rcu_toggle;
+  let c = f.f_cpu in
   t.nesting.(c) <- t.nesting.(c) + 1;
   if t.nesting.(c) = 1 then begin
     if Mm_obs.Trace.on () then Engine.obs Mm_obs.Event.Rcu_enter;
@@ -99,9 +100,10 @@ let quiesce t cpu =
     ready
 
 let read_unlock t =
-  Engine.serialize ();
-  Engine.tick Cost.rcu_toggle;
-  let c = Engine.cpu_id () in
+  let f = Engine.fiber () in
+  Engine.serialize_on f;
+  Engine.tick_on f Cost.rcu_toggle;
+  let c = f.f_cpu in
   if t.nesting.(c) <= 0 then failwith "Rcu_s.read_unlock: not in read section";
   t.nesting.(c) <- t.nesting.(c) - 1;
   if t.nesting.(c) = 0 then begin
@@ -125,8 +127,9 @@ let snapshot_readers t =
   (waiting, !remaining)
 
 let defer t fn =
-  Engine.serialize ();
-  Engine.tick Cost.cache_hit;
+  let f = Engine.fiber () in
+  Engine.serialize_on f;
+  Engine.tick_on f Cost.cache_hit;
   t.deferred <- t.deferred + 1;
   let waiting, remaining = snapshot_readers t in
   let cb_id = if Monitor.on () then fresh_cb_id () else 0 in
@@ -145,7 +148,8 @@ let defer t fn =
   end
 
 let synchronize t =
-  Engine.serialize ();
+  let f = Engine.fiber () in
+  Engine.serialize_on f;
   let _, remaining = snapshot_readers t in
   if remaining > 0 then
     Engine.park (fun p ->

@@ -68,14 +68,15 @@ let profile t =
       | Some n -> n
       | None -> Printf.sprintf "rwlock#%d" t.id)
 
-let note_acquired t ~kind ~wait =
+(* [f] is the operating fiber, looked up once per operation. *)
+let note_acquired (f : Engine.fiber) t ~kind ~wait =
   if Mm_obs.Trace.on () then begin
     Mm_obs.Contention.acquired (profile t) ~wait;
     Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "lock.wait_cycles") wait;
     Engine.obs (Mm_obs.Event.Lock_acquire { lock = t.id; kind; wait })
   end;
   if Monitor.on () then begin
-    let cpu = Engine.cpu_id () in
+    let cpu = f.f_cpu in
     Monitor.emit
       (match kind with
       | Mm_obs.Event.Rw_write -> Monitor.Write_acquired { lock = t.id; cpu }
@@ -86,8 +87,9 @@ let note_contend t ~kind =
   if Mm_obs.Trace.on () then
     Engine.obs (Mm_obs.Event.Lock_contend { lock = t.id; kind })
 
-let reader_entry_cost t =
-  if t.bravo then Engine.tick Cost.bravo_read else Engine.Line.rmw t.line
+let reader_entry_cost f t =
+  if t.bravo then Engine.tick_on f Cost.bravo_read
+  else Engine.Line.rmw_on f t.line
 
 let maybe_reenable_bravo t =
   if
@@ -97,74 +99,77 @@ let maybe_reenable_bravo t =
   then t.bravo <- true
 
 let read_lock t =
-  Engine.serialize ();
+  let f = Engine.fiber () in
+  Engine.serialize_on f;
   if t.writer || not (Queue.is_empty t.wwait) then begin
     (* Phase-fair: a pending writer blocks new readers. The waker updates
        the lock state on our behalf before unparking us. *)
     note_contend t ~kind:Mm_obs.Event.Rw_read;
-    let t0 = Engine.now () in
+    let t0 = f.f_time in
     Engine.park (fun p -> Queue.push p t.rwait);
-    note_acquired t ~kind:Mm_obs.Event.Rw_read ~wait:(Engine.now () - t0)
+    note_acquired f t ~kind:Mm_obs.Event.Rw_read ~wait:(f.f_time - t0)
   end
   else begin
-    reader_entry_cost t;
+    reader_entry_cost f t;
     t.readers <- t.readers + 1;
     t.read_acqs <- t.read_acqs + 1;
     t.reads_since_writer <- t.reads_since_writer + 1;
     maybe_reenable_bravo t;
-    note_acquired t ~kind:Mm_obs.Event.Rw_read ~wait:0
+    note_acquired f t ~kind:Mm_obs.Event.Rw_read ~wait:0
   end
 
-let wake_next_writer t =
+(* [now] is the releasing fiber's clock. *)
+let wake_next_writer t ~now =
   match Queue.take_opt t.wwait with
   | None -> ()
   | Some p ->
     t.writer <- true;
     t.writer_cpu <- Engine.parked_cpu p;
     t.write_acqs <- t.write_acqs + 1;
-    Engine.unpark p ~at:(Engine.now () + Cost.line_transfer)
+    Engine.unpark p ~at:(now + Cost.line_transfer)
 
 let read_unlock t =
-  Engine.serialize ();
+  let f = Engine.fiber () in
+  Engine.serialize_on f;
   if t.readers <= 0 then failwith "Rwlock_s.read_unlock: no readers";
-  reader_entry_cost t;
+  reader_entry_cost f t;
   t.readers <- t.readers - 1;
   if Mm_obs.Trace.on () then
     Engine.obs
       (Mm_obs.Event.Lock_release
          { lock = t.id; kind = Mm_obs.Event.Rw_read; held = 0 });
   if Monitor.on () then
-    Monitor.emit
-      (Monitor.Read_released { lock = t.id; cpu = Engine.cpu_id () });
-  if t.readers = 0 && not t.writer then wake_next_writer t
+    Monitor.emit (Monitor.Read_released { lock = t.id; cpu = f.f_cpu });
+  if t.readers = 0 && not t.writer then wake_next_writer t ~now:f.f_time
 
 let write_lock t =
-  Engine.Line.rmw t.line;
+  let f = Engine.fiber () in
+  Engine.Line.rmw_on f t.line;
   t.reads_since_writer <- 0;
   if t.bravo then begin
     (* Revoke the reader bias: scan the visible-readers table. *)
     t.bravo <- false;
     t.revocations <- t.revocations + 1;
-    Engine.tick (Cost.bravo_revoke_per_cpu * Engine.ncpus ())
+    Engine.tick_on f (Cost.bravo_revoke_per_cpu * Engine.ncpus ())
   end;
   if t.readers = 0 && (not t.writer) && Queue.is_empty t.wwait then begin
     t.writer <- true;
-    t.writer_cpu <- Engine.cpu_id ();
+    t.writer_cpu <- f.f_cpu;
     t.write_acqs <- t.write_acqs + 1;
-    t.writer_since <- Engine.now ();
-    note_acquired t ~kind:Mm_obs.Event.Rw_write ~wait:0
+    t.writer_since <- f.f_time;
+    note_acquired f t ~kind:Mm_obs.Event.Rw_write ~wait:0
   end
   else begin
     note_contend t ~kind:Mm_obs.Event.Rw_write;
-    let t0 = Engine.now () in
+    let t0 = f.f_time in
     Engine.park (fun p -> Queue.push p t.wwait);
     (* We resume as the writer: [wake_next_writer] set the state. *)
-    t.writer_since <- Engine.now ();
-    note_acquired t ~kind:Mm_obs.Event.Rw_write ~wait:(Engine.now () - t0)
+    t.writer_since <- f.f_time;
+    note_acquired f t ~kind:Mm_obs.Event.Rw_write ~wait:(f.f_time - t0)
   end
 
-let wake_reader_phase t =
-  let base = Engine.now () + Cost.line_transfer in
+let wake_reader_phase t ~now =
+  let base = now + Cost.line_transfer in
   let i = ref 0 in
   let admit p =
     t.readers <- t.readers + 1;
@@ -176,9 +181,9 @@ let wake_reader_phase t =
   Queue.iter admit t.rwait;
   Queue.clear t.rwait
 
-let note_writer_release t =
+let note_writer_release (f : Engine.fiber) t =
   if Mm_obs.Trace.on () then begin
-    let held = Engine.now () - t.writer_since in
+    let held = f.f_time - t.writer_since in
     Mm_obs.Contention.released (profile t) ~held;
     Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "lock.hold_cycles") held;
     Engine.obs
@@ -202,37 +207,38 @@ let mutant_skip_writer_handoff () =
 let set_mutant_skip_writer_handoff v = mutant_skip_writer_handoff () := v
 
 let write_unlock t =
-  Engine.serialize ();
+  let f = Engine.fiber () in
+  Engine.serialize_on f;
   if not t.writer then failwith "Rwlock_s.write_unlock: no writer";
-  if t.writer_cpu <> Engine.cpu_id () then
-    failwith "Rwlock_s.write_unlock: wrong cpu";
-  Engine.tick Cost.cache_hit;
-  note_writer_release t;
+  if t.writer_cpu <> f.f_cpu then failwith "Rwlock_s.write_unlock: wrong cpu";
+  Engine.tick_on f Cost.cache_hit;
+  note_writer_release f t;
   t.writer <- false;
   t.writer_cpu <- -1;
   if Monitor.on () then
-    Monitor.emit
-      (Monitor.Write_released { lock = t.id; cpu = Engine.cpu_id () });
-  if not (Queue.is_empty t.rwait) then wake_reader_phase t
-  else if not !(mutant_skip_writer_handoff ()) then wake_next_writer t
+    Monitor.emit (Monitor.Write_released { lock = t.id; cpu = f.f_cpu });
+  if not (Queue.is_empty t.rwait) then wake_reader_phase t ~now:f.f_time
+  else if
+    (not (Queue.is_empty t.wwait)) && not !(mutant_skip_writer_handoff ())
+  then wake_next_writer t ~now:f.f_time
 
 let downgrade t =
-  Engine.serialize ();
+  let f = Engine.fiber () in
+  Engine.serialize_on f;
   if not t.writer then failwith "Rwlock_s.downgrade: no writer";
-  if t.writer_cpu <> Engine.cpu_id () then
-    failwith "Rwlock_s.downgrade: wrong cpu";
-  Engine.tick Cost.cache_hit;
-  note_writer_release t;
+  if t.writer_cpu <> f.f_cpu then failwith "Rwlock_s.downgrade: wrong cpu";
+  Engine.tick_on f Cost.cache_hit;
+  note_writer_release f t;
   t.writer <- false;
   t.writer_cpu <- -1;
   t.readers <- t.readers + 1;
   if Monitor.on () then begin
-    let cpu = Engine.cpu_id () in
+    let cpu = f.f_cpu in
     Monitor.emit (Monitor.Write_released { lock = t.id; cpu });
     Monitor.emit (Monitor.Read_acquired { lock = t.id; cpu })
   end;
   (* Phase-fair: the waiting reader phase joins us. *)
-  if not (Queue.is_empty t.rwait) then wake_reader_phase t
+  if not (Queue.is_empty t.rwait) then wake_reader_phase t ~now:f.f_time
 
 (* Upgrade is modelled as release-then-acquire, as in the Linux page-fault
    path (Fig 2 re-validates after upgrading). *)

@@ -64,8 +64,9 @@ let backend : Backend.b =
     let pressure _ ~target_pages:_ = Error Errno.ENOSYS
 
     let timer_tick t =
-      if Mm_sim.Engine.in_fiber () then
-        Mm_tlb.Tlb.timer_tick (N.tlb t) ~cpu:(Mm_sim.Engine.cpu_id ())
+      match Mm_sim.Engine.current () with
+      | Some f -> Mm_tlb.Tlb.timer_tick (N.tlb t) ~cpu:f.f_cpu
+      | None -> ()
 
     let set_shootdown_policy t p = Mm_tlb.Tlb.set_policy (N.tlb t) p
     let tlb_counters t = Mm_tlb.Tlb.counters (N.tlb t)

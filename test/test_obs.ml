@@ -53,6 +53,40 @@ let test_trace_off_is_noop () =
   Trace.emit ~time:0 ~cpu:0 Event.Rcu_enter;
   check Alcotest.int "nothing recorded" 0 (List.length (Trace.events ()))
 
+(* [Trace.on] and [Monitor.on] first read a process-wide count of open
+   sessions and installed hooks. The count must stay balanced under
+   repeated start/stop and set/clear, and a session or hook opened on
+   one domain must stay invisible on another. *)
+let test_guard_fast_path () =
+  let module Monitor = Mm_sim.Monitor in
+  let on_other_domain f = Domain.join (Domain.spawn f) in
+  check Alcotest.int "no sessions" 0 (Trace.sessions ());
+  check Alcotest.int "no hooks" 0 (Monitor.installed ());
+  Trace.start ();
+  Trace.start ();
+  check Alcotest.int "restart keeps one session" 1 (Trace.sessions ());
+  check Alcotest.bool "on here" true (Trace.on ());
+  check Alcotest.bool "off elsewhere" false (on_other_domain Trace.on);
+  check Alcotest.int "other domain's session counted" 2
+    (on_other_domain (fun () ->
+         Trace.start ();
+         let n = Trace.sessions () in
+         ignore (Trace.stop ());
+         n));
+  ignore (Trace.stop ());
+  ignore (Trace.stop ());
+  check Alcotest.int "sessions balanced" 0 (Trace.sessions ());
+  check Alcotest.bool "off after stop" false (Trace.on ());
+  Monitor.set ignore;
+  Monitor.set ignore;
+  check Alcotest.int "re-set keeps one hook" 1 (Monitor.installed ());
+  check Alcotest.bool "hook here" true (Monitor.on ());
+  check Alcotest.bool "no hook elsewhere" false (on_other_domain Monitor.on);
+  Monitor.clear ();
+  Monitor.clear ();
+  check Alcotest.int "hooks balanced" 0 (Monitor.installed ());
+  check Alcotest.bool "no hook after clear" false (Monitor.on ())
+
 let run_micro () =
   Micro.run
     ~kind:(System.Corten Cortenmm.Config.adv)
@@ -370,6 +404,7 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "off is no-op" `Quick test_trace_off_is_noop;
+          Alcotest.test_case "guard fast path" `Quick test_guard_fast_path;
           Alcotest.test_case "determinism" `Quick test_trace_determinism;
           Alcotest.test_case "zero perturbation" `Quick
             test_tracing_does_not_perturb;

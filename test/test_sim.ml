@@ -48,6 +48,40 @@ let test_park_unpark () =
   Engine.run w;
   Alcotest.(check (list string)) "order" [ "woken"; "waker" ] !order
 
+(* [Engine.charge] is how shared code charges only under simulation: a
+   no-op outside a fiber (whatever the cost), a checked [tick] inside. *)
+let test_charge () =
+  Engine.charge 100;
+  Engine.charge (-1);
+  check int "cpu_or_zero outside" 0 (Engine.cpu_or_zero ());
+  check bool "no current fiber" true (Engine.current () = None);
+  let w = Engine.create ~ncpus:2 in
+  let cpu = ref (-1) in
+  Engine.spawn w ~cpu:1 (fun () ->
+      Engine.charge 40;
+      cpu := Engine.cpu_or_zero ();
+      Alcotest.check_raises "negative cost"
+        (Invalid_argument "Engine.tick: negative cost") (fun () ->
+          Engine.charge (-1)));
+  Engine.run w;
+  check int "charged inside" 40 (Engine.cpu_time w 1);
+  check int "cpu_or_zero inside" 1 !cpu
+
+(* A fiber looked up once stays valid across a park: it is the same
+   record, and its clock shows the resume time. *)
+let test_fiber_across_park () =
+  let w = Engine.create ~ncpus:2 in
+  let slot = ref None in
+  Engine.spawn w ~cpu:0 (fun () ->
+      let f = Engine.fiber () in
+      Engine.park (fun p -> slot := Some p);
+      check bool "same record" true (f == Engine.fiber ());
+      check int "resume time" 700 f.Engine.f_time);
+  Engine.spawn w ~cpu:1 (fun () ->
+      Engine.tick 10;
+      Option.iter (fun p -> Engine.unpark p ~at:700) !slot);
+  Engine.run w
+
 let test_deadlock_detection () =
   let w = Engine.create ~ncpus:1 in
   Engine.spawn w ~cpu:0 (fun () -> Engine.park (fun _ -> ()));
@@ -516,6 +550,8 @@ let () =
           Alcotest.test_case "tick accumulates" `Quick test_tick_accumulates;
           Alcotest.test_case "cpu ids" `Quick test_cpu_id;
           Alcotest.test_case "park/unpark" `Quick test_park_unpark;
+          Alcotest.test_case "charge" `Quick test_charge;
+          Alcotest.test_case "fiber across park" `Quick test_fiber_across_park;
           Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
           Alcotest.test_case "serialize time order" `Quick
             test_serialize_orders_by_time;
