@@ -119,6 +119,12 @@ val with_lock : t -> lo:int -> hi:int -> (cursor -> 'a) -> 'a
 val cursor_range : cursor -> int * int
 val cursor_covering_level : cursor -> int
 
+val sync_shootdown : cursor -> unit
+(** Make this transaction's commit invalidate remote TLBs before it
+    returns, under every shootdown strategy and policy (no LATR
+    laziness, no batching). Reclaim unmaps need this: once a page's
+    contents leave memory, no CPU may keep a translation to its frame. *)
+
 (** {2 The basic operations (Fig 4)} *)
 
 val query : cursor -> int -> Status.t

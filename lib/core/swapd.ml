@@ -64,8 +64,8 @@ let run_once ?(stats = fresh_stats ()) asp ~dev ~target =
       if node.Pt.level = 1 then begin
         let idx = Pt.index pt ~level:1 ~vaddr in
         match Pt.get pt node idx with
-        | Pte.Leaf ({ accessed = true; _ } as l) ->
-          Pt.set pt node idx (Pte.Leaf { l with accessed = false });
+        | Pte.Leaf { accessed = true; _ } ->
+          Pt.clear_accessed pt node idx;
           stripped := (vaddr / ps) :: !stripped
         | Pte.Leaf _ | Pte.Absent | Pte.Table _ -> ()
       end)

@@ -54,7 +54,12 @@ val lookup : t -> cpu:int -> vpn:int -> write:bool -> (int * int) option
 val flush_local : t -> cpu:int -> vpns:int list -> unit
 
 val shootdown :
-  ?on_flush:(unit -> unit) -> t -> targets:bool array -> vpns:int list -> unit
+  ?on_flush:(unit -> unit) ->
+  ?sync:bool ->
+  t ->
+  targets:bool array ->
+  vpns:int list ->
+  unit
 (** Invalidate [vpns] on each CPU whose bit is set in [targets] (plus the
     calling CPU, immediately — under either policy). Must be called from
     inside a fiber; the initiator is charged the selected strategy's cost
@@ -62,7 +67,9 @@ val shootdown :
     has completed: immediately under the [Immediate] policy (or when no
     remote CPU is targeted), at batch-flush time under [Batched] — the
     hook for work that must wait out stale remote translations, such as
-    deferred frame frees. *)
+    deferred frame frees. With [~sync:true] (default false) the remote
+    invalidation completes before the call returns under every strategy
+    and policy: LATR sends IPIs as [Sync] does, and nothing is batched. *)
 
 val shootdown_full : t -> targets:bool array -> unit
 (** Invalidate the targets' entire TLBs (synchronous; used beyond
