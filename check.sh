@@ -174,6 +174,26 @@ dune exec bin/mmrepro.exe -- serve --mix reclaim_storm --sessions 240 --cpus 2 \
 cmp /tmp/storm1.json /tmp/storm2.json \
   || { echo "serve: reclaim_storm -j 2 or rerun gave different JSON"; exit 1; }
 
+echo "== reclaim: 2-vCPU trace replays with no denied access =="
+# Page-outs on one vCPU race the other vCPU's accesses: no stale remote
+# translation may survive a page-out, and an access racing one must
+# fault the page back in rather than report SIGSEGV.
+dune exec bin/mmrepro.exe -- trace gen /tmp/reclaim2.trace --profile reclaim \
+  --cpus 2 --ops 20000 --seed 1 > /dev/null
+for sys in cortenmm-rw cortenmm-adv; do
+  dune exec bin/mmrepro.exe -- trace replay /tmp/reclaim2.trace \
+    --system "$sys" > /tmp/reclaim2_replay.out 2>&1 \
+    || { cat /tmp/reclaim2_replay.out; exit 1; }
+  grep -q "denied 0$" /tmp/reclaim2_replay.out \
+    || { cat /tmp/reclaim2_replay.out; echo "reclaim: $sys denied accesses"; exit 1; }
+done
+
+echo "== serve smoke: reclaim_storm on 8 vCPUs completes =="
+dune exec bin/mmrepro.exe -- serve --mix reclaim_storm \
+  --systems cortenmm-rw,cortenmm-adv --policies batched,immediate \
+  --sessions 240 --cpus 8 > /tmp/check_storm8.out 2>&1 \
+  || { cat /tmp/check_storm8.out; exit 1; }
+
 echo "== fig1 golden digest: riders charge zero cycles when off =="
 # Re-run the pinned digest test by name: the daemon-off default world
 # must stay bit-identical to the seed across every feature rider.
