@@ -259,6 +259,35 @@ let test_reclaim_storm_8cpu () =
   in
   check Alcotest.int "sessions served" 240 r.Mm_serve.Serve.r_sessions
 
+(* -- Golden digest of a reclaim replay --
+
+   A 2-vCPU Reclaim-profile trace replayed on both CortenMM protocols:
+   the page-out clock scans every leaf, page-outs and mlock storms race
+   the other vCPU's accesses, and exits tear the spaces down. Simulated
+   behaviour is deterministic; host-only performance work must leave
+   the digest unchanged. *)
+
+let reclaim_replay_golden_digest = "c056947ab7831f0127018205c1179fba"
+
+let test_reclaim_replay_golden_digest () =
+  let module Wtrace = Mm_workloads.Trace in
+  let trace =
+    Wtrace.generate ~profile:Wtrace.Reclaim ~ncpus:2 ~ops_per_cpu:1_500
+      ~seed:3
+  in
+  let buf = Buffer.create 256 in
+  List.iter
+    (fun cfg ->
+      let s = Wtrace.replay ~kind:(Mm_workloads.System.Corten cfg) trace in
+      let r = s.Wtrace.result in
+      Printf.bprintf buf "%s %d %d %.6f %d %d %d %d %d\n" (Config.name cfg)
+        r.Mm_workloads.Runner.ops r.Mm_workloads.Runner.cycles
+        r.Mm_workloads.Runner.ops_per_sec s.Wtrace.mmaps s.Wtrace.munmaps
+        s.Wtrace.touches s.Wtrace.forks s.Wtrace.faults_denied)
+    [ Config.rw; Config.adv ];
+  check Alcotest.string "reclaim replay digest" reclaim_replay_golden_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let () =
   Alcotest.run "reclaim"
     [
@@ -283,5 +312,10 @@ let () =
             `Quick test_two_cpu_reclaim_trace;
           Alcotest.test_case "reclaim storm on 8 vCPUs completes" `Quick
             test_reclaim_storm_8cpu;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "reclaim replay digest" `Quick
+            test_reclaim_replay_golden_digest;
         ] );
     ]

@@ -197,6 +197,29 @@ let test_oracle_batched_consistent () =
   | Ok n -> check Alcotest.bool "checked some ops" true (n > 0)
   | Error d -> Alcotest.failf "batched world diverged: %s" (Diff.describe d)
 
+(* -- Golden digest of the fork and exit paths --
+
+   A small fork_fleet round on every registered system under both
+   policies: forks stream-copy page tables, COW faults break pages, and
+   exits tear whole spaces down, so this pins the host-side scans of
+   fork, exit and partial munmap. Simulated behaviour is deterministic;
+   host-only performance work must leave the digest unchanged. *)
+
+let fork_fleet_golden_digest = "19a4146d263b7004920deacba0706da2"
+
+let test_fork_fleet_golden_digest () =
+  let mix = Mix.fork_fleet in
+  let reports =
+    Serve.run_matrix ~systems:System.Registry.all ~mix
+      ~policies:Serve.policies ~ncpus:4 ~sessions:150 ~seed:11 ()
+  in
+  let json =
+    Json.to_string
+      (Serve.report_json ~mix ~ncpus:4 ~sessions:150 ~seed:11 reports)
+  in
+  check Alcotest.string "fork_fleet report digest" fork_fleet_golden_digest
+    (Digest.to_hex (Digest.string json))
+
 let () =
   Alcotest.run "mm_serve"
     [
@@ -231,5 +254,10 @@ let () =
         [
           Alcotest.test_case "batched world consistent" `Quick
             test_oracle_batched_consistent;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "fork_fleet digest" `Quick
+            test_fork_fleet_golden_digest;
         ] );
     ]
