@@ -200,6 +200,13 @@ echo "== fig1 golden digest: riders charge zero cycles when off =="
 dune exec test/test_workloads.exe -- test golden > /tmp/check_golden.out 2>&1 \
   || { cat /tmp/check_golden.out; exit 1; }
 tail -n 2 /tmp/check_golden.out
+# The fork/exit and reclaim scans are pinned the same way: a fork_fleet
+# serve round on every system and a 2-vCPU Reclaim replay on CortenMM.
+for t in test_serve test_reclaim; do
+  dune exec "test/$t.exe" -- test golden > "/tmp/check_golden_$t.out" 2>&1 \
+    || { cat "/tmp/check_golden_$t.out"; exit 1; }
+  tail -n 2 "/tmp/check_golden_$t.out"
+done
 
 echo "== bench: write BENCH_wallclock.json (default --wallclock path) =="
 # The file is gitignored, so a fresh clone has none: produce it here

@@ -102,7 +102,7 @@ let clear_pt_range t ~lo ~hi =
   let unmapped = ref [] in
   let rec walk (node : unit Pt.node) ~lo ~hi =
     Pt.charge_range_scan t.pt node ~lo ~hi;
-    Pt.iter_range t.pt node ~lo ~hi (fun idx sub_lo sub_hi ->
+    Pt.iter_present_range t.pt node ~lo ~hi (fun idx sub_lo sub_hi ->
         match Pt.get_uncharged t.pt node idx with
         | Pte.Leaf _ when node.Pt.level = 1 ->
           Mm_sim.Mutex_s.lock (Mm_phys.Frame.lock node.Pt.frame);
@@ -140,7 +140,7 @@ let free_empty_pt_pages t ~lo ~hi =
   let rec prune (node : unit Pt.node) ~lo ~hi =
     if node.Pt.level > 1 then begin
       Pt.charge_range_scan t.pt node ~lo ~hi;
-      Pt.iter_range t.pt node ~lo ~hi (fun idx sub_lo sub_hi ->
+      Pt.iter_present_range t.pt node ~lo ~hi (fun idx sub_lo sub_hi ->
           match Pt.get_uncharged t.pt node idx with
           | Pte.Table { pfn } -> (
             match Pt.node_of_pfn t.pt pfn with
@@ -199,7 +199,7 @@ let mprotect t ~addr ~len ~perm =
   let ps = page_size t in
   let rec walk (node : unit Pt.node) ~lo ~hi =
     Pt.charge_range_scan t.pt node ~lo ~hi;
-    Pt.iter_range t.pt node ~lo ~hi (fun idx sub_lo sub_hi ->
+    Pt.iter_present_range t.pt node ~lo ~hi (fun idx sub_lo sub_hi ->
         match Pt.get_uncharged t.pt node idx with
         | Pte.Leaf l when node.Pt.level = 1 ->
           Mm_sim.Mutex_s.lock (Mm_phys.Frame.lock node.Pt.frame);
@@ -402,7 +402,7 @@ let fork t =
   let rec clone_pt (pn : unit Pt.node) (cn : unit Pt.node) =
     Pt.charge_node_scan t.pt;
     Mm_sim.Engine.charge Mm_sim.Cost.page_copy;
-    for idx = 0 to Pt.entries_per_node t.pt - 1 do
+    Pt.iter_present t.pt pn (fun idx ->
       match Pt.get_uncharged t.pt pn idx with
       | Pte.Absent -> ()
       | Pte.Table { pfn } -> (
@@ -429,8 +429,7 @@ let fork t =
         in
         Pt.set child.pt cn idx (Pte.Leaf { pfn; perm = p; accessed; dirty; global });
         let f = Mm_phys.Phys.frame t.phys pfn in
-        f.Mm_phys.Frame.map_count <- f.Mm_phys.Frame.map_count + 1
-    done
+        f.Mm_phys.Frame.map_count <- f.Mm_phys.Frame.map_count + 1)
   in
   clone_pt (Pt.root t.pt) (Pt.root child.pt);
   (if !vpns <> [] && Mm_sim.Engine.in_fiber () then

@@ -295,7 +295,7 @@ let fork t =
    and the rest see [Free] and skip. *)
 let teardown_pt t pt =
   let rec go node =
-    for idx = 0 to Pt.entries_per_node pt - 1 do
+    Pt.iter_present pt node (fun idx ->
       match Pt.get_uncharged pt node idx with
       | Pte.Table { pfn } -> (
         match Pt.node_of_pfn pt pfn with
@@ -314,8 +314,7 @@ let teardown_pt t pt =
             Mm_phys.Phys.free t.phys f
           end
         end
-      | Pte.Absent -> ()
-    done
+      | Pte.Absent -> ())
   in
   go (Pt.root pt)
 

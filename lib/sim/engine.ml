@@ -346,4 +346,6 @@ module Line = struct
 
   let rmw t = rmw_on (fiber ()) t
   let read t = read_on (fiber ()) t
+  let avail t = t.avail
+  let owner t = t.owner
 end

@@ -137,4 +137,10 @@ module Line : sig
 
   val rmw : t -> unit
   val read : t -> unit
+
+  val avail : t -> int
+  (** Virtual time at which the line is next free. *)
+
+  val owner : t -> int
+  (** The CPU holding the line exclusive; [-1] none, [-2] shared. *)
 end
