@@ -16,6 +16,8 @@ let () =
   let kernel = Kernel.create ~numa_nodes:2 ~ncpus:4 () in
   let asp = Addr_space.create kernel Config.adv in
   let dev = Blockdev.create ~name:"nvme0swap" () in
+  let daemon = Pageoutd.create kernel ~dev () in
+  Pageoutd.register_space daemon asp;
   let w = Engine.create ~ncpus:4 in
   Engine.spawn w ~cpu:0 (fun () ->
       Printf.printf "== NUMA placement (policy lives in the metadata) ==\n";
@@ -47,11 +49,11 @@ let () =
       let r = ok (Mm.mmap_r asp ~len:(128 * page) ~perm:Perm.rw ()) in
       Mm.touch_range asp ~addr:r ~len:(128 * page) ~write:true;
       Mm.write_value asp ~vaddr:r ~value:4242;
-      let stats = Swapd.fresh_stats () in
-      let got = Swapd.reclaim ~stats asp ~dev ~target:100 in
+      let got = Pageoutd.pressure daemon ~target_pages:100 in
+      let stats = Pageoutd.stats daemon in
       Printf.printf
         "   reclaimed %d pages (scanned %d, second chances %d)\n" got
-        stats.Swapd.scanned stats.Swapd.second_chances;
+        stats.Pageoutd.scanned stats.Pageoutd.second_chances;
       Printf.printf "   swap device now holds %d blocks\n"
         (Blockdev.used_blocks dev);
       Printf.printf "   touching a swapped page faults it back: value %d\n"

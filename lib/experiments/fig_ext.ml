@@ -1,6 +1,7 @@
 (* Extension experiments — beyond the paper's evaluation, exercising the
    features the paper lists as future work or engineering extensions:
-   NUMA policies (§4.5), transparent huge pages, and the swap daemon. *)
+   NUMA policies (§4.5), transparent huge pages, and the page-out
+   daemon. *)
 
 module Tablefmt = Mm_util.Tablefmt
 
@@ -127,7 +128,8 @@ let ext_swapd () =
   let kernel = Kernel.create ~ncpus:1 () in
   let asp = Addr_space.create kernel Config.adv in
   let dev = Blockdev.create ~name:"nvme0swap" () in
-  let stats = Swapd.fresh_stats () in
+  let daemon = Pageoutd.create kernel ~dev () in
+  Pageoutd.register_space daemon asp;
   let survived_hot = ref 0 and resident_total = ref 0 in
   let w = Engine.create ~ncpus:1 in
   Engine.spawn w ~cpu:0 (fun () ->
@@ -135,12 +137,12 @@ let ext_swapd () =
       let addr = ok (Mm.mmap_r asp ~len ~perm:Perm.rw ()) in
       Mm.touch_range asp ~addr ~len ~write:true;
       (* Age everything once, then keep 32 pages hot. *)
-      ignore (Swapd.run_once ~stats asp ~dev ~target:0);
+      Pageoutd.age daemon;
       Mm.timer_tick asp;
       for i = 0 to 31 do
         Mm.touch asp ~vaddr:(addr + (i * 8 * page)) ~write:false
       done;
-      ignore (Swapd.run_once ~stats asp ~dev ~target:200);
+      ignore (Pageoutd.pressure daemon ~target_pages:200);
       for i = 0 to 31 do
         Addr_space.with_lock asp ~lo:(addr + (i * 8 * page))
           ~hi:(addr + (i * 8 * page) + page) (fun c ->
@@ -150,12 +152,13 @@ let ext_swapd () =
       done;
       resident_total := 256 - Blockdev.used_blocks dev);
   Engine.run w;
+  let stats = Pageoutd.stats daemon in
   Tablefmt.print
     ~header:[ "metric"; "value" ]
     [
-      [ "pages scanned"; string_of_int stats.Swapd.scanned ];
-      [ "second chances"; string_of_int stats.Swapd.second_chances ];
-      [ "pages swapped"; string_of_int stats.Swapd.swapped ];
+      [ "pages scanned"; string_of_int stats.Pageoutd.scanned ];
+      [ "second chances"; string_of_int stats.Pageoutd.second_chances ];
+      [ "pages swapped"; string_of_int stats.Pageoutd.swapped ];
       [ "hot pages surviving"; Printf.sprintf "%d / 32" !survived_hot ];
       [ "pages still resident"; string_of_int !resident_total ];
     ];

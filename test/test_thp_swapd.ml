@@ -1,5 +1,6 @@
 (* Tests for the two remaining extensions: transparent huge-page
-   promotion (khugepaged) and the second-chance swap daemon. *)
+   promotion (khugepaged) and second-chance swapping by the page-out
+   daemon's clock pass. *)
 
 open Cortenmm
 module Engine = Mm_sim.Engine
@@ -107,51 +108,68 @@ let test_auto_thp () =
         check Alcotest.int "contiguous block" (head + 1) pfn
       | s -> Alcotest.failf "expected mapped, got %s" (Status.to_string s))
 
-(* -- Swap daemon -- *)
+(* -- Swap daemon: the page-out daemon's clock pass over one space -- *)
+
+let make_daemon kernel asp =
+  let dev = Blockdev.create ~name:"swap0" () in
+  let daemon = Pageoutd.create kernel ~dev () in
+  Pageoutd.register_space daemon asp;
+  (daemon, dev)
+
+let check_clock daemon ~scanned ~second_chances ~swapped =
+  let s = Pageoutd.stats daemon in
+  check Alcotest.int "pages scanned" scanned s.Pageoutd.scanned;
+  check Alcotest.int "second chances" second_chances
+    s.Pageoutd.second_chances;
+  check Alcotest.int "pages swapped" swapped s.Pageoutd.swapped
 
 let test_swapd_reclaims_cold () =
   in_sim (fun () ->
-      let _, asp = make_asp () in
-      let dev = Blockdev.create ~name:"swap0" () in
+      let kernel, asp = make_asp () in
+      let daemon, dev = make_daemon kernel asp in
       let addr = Mm_compat.mmap asp ~len:(64 * page) ~perm:Perm.rw () in
       Mm.touch_range asp ~addr ~len:(64 * page) ~write:true;
       (* Pass 1 strips accessed bits; pass 2 reclaims cold pages. *)
-      let stats = Swapd.fresh_stats () in
-      let got = Swapd.reclaim ~stats asp ~dev ~target:16 in
+      let got = Pageoutd.pressure daemon ~target_pages:16 in
       check Alcotest.int "reclaimed the target" 16 got;
       check Alcotest.bool "second chances given" true
-        (stats.Swapd.second_chances > 0);
-      check Alcotest.int "device holds 16 blocks" 16 (Blockdev.used_blocks dev))
+        ((Pageoutd.stats daemon).Pageoutd.second_chances > 0);
+      check Alcotest.int "device holds 16 blocks" 16 (Blockdev.used_blocks dev);
+      (* Both passes saw all 64 pages; only the first found them hot. *)
+      check_clock daemon ~scanned:128 ~second_chances:64 ~swapped:16)
 
 let test_swapd_spares_hot () =
   in_sim (fun () ->
-      let _, asp = make_asp () in
-      let dev = Blockdev.create ~name:"swap0" () in
+      let kernel, asp = make_asp () in
+      let daemon, _dev = make_daemon kernel asp in
       let addr = Mm_compat.mmap asp ~len:(32 * page) ~perm:Perm.rw () in
       Mm.touch_range asp ~addr ~len:(32 * page) ~write:true;
       let hot = addr in
       (* Strip everyone's accessed bit, then re-touch only the hot page. *)
-      ignore (Swapd.run_once asp ~dev ~target:0);
+      Pageoutd.age daemon;
+      check_clock daemon ~scanned:32 ~second_chances:32 ~swapped:0;
       Mm.timer_tick asp;
       Mm.touch asp ~vaddr:hot ~write:false;
       (* Now reclaim: the hot page must survive this pass. *)
-      ignore (Swapd.run_once asp ~dev ~target:31);
+      ignore (Pageoutd.pressure daemon ~target_pages:31);
       (match status_at asp hot with
       | Status.Mapped _ -> ()
       | s -> Alcotest.failf "hot page was swapped: %s" (Status.to_string s));
-      match status_at asp (addr + (5 * page)) with
+      (match status_at asp (addr + (5 * page)) with
       | Status.Swapped _ -> ()
-      | s -> Alcotest.failf "cold page not swapped: %s" (Status.to_string s))
+      | s -> Alcotest.failf "cold page not swapped: %s" (Status.to_string s));
+      check_clock daemon ~scanned:64 ~second_chances:33 ~swapped:31)
 
 let test_swapd_roundtrip () =
   in_sim (fun () ->
-      let _, asp = make_asp () in
-      let dev = Blockdev.create ~name:"swap0" () in
+      let kernel, asp = make_asp () in
+      let daemon, dev = make_daemon kernel asp in
       let addr = Mm_compat.mmap asp ~len:(16 * page) ~perm:Perm.rw () in
       for i = 0 to 15 do
         Mm.write_value asp ~vaddr:(addr + (i * page)) ~value:(100 + i)
       done;
-      ignore (Swapd.reclaim asp ~dev ~target:16);
+      ignore (Pageoutd.pressure daemon ~target_pages:16);
+      check_clock daemon ~scanned:32 ~second_chances:16 ~swapped:16;
       (* Every page faults back in with its data. *)
       for i = 0 to 15 do
         check Alcotest.int
@@ -165,14 +183,16 @@ let test_swapd_roundtrip () =
 
 let test_swapd_skips_shared () =
   in_sim (fun () ->
-      let _, asp = make_asp () in
-      let dev = Blockdev.create ~name:"swap0" () in
+      let kernel, asp = make_asp () in
+      let daemon, _dev = make_daemon kernel asp in
       let addr = Mm_compat.mmap asp ~len:page ~perm:Perm.rw () in
       Mm.write_value asp ~vaddr:addr ~value:1;
       let child = Mm.fork asp in
-      (* COW-shared pages are unreclaimable by the simple daemon. *)
-      let got = Swapd.reclaim asp ~dev ~target:1 in
+      (* COW-shared pages are unreclaimable by the simple daemon: two dry
+         passes that never even count the page. *)
+      let got = Pageoutd.pressure daemon ~target_pages:1 in
       check Alcotest.int "nothing reclaimed" 0 got;
+      check_clock daemon ~scanned:0 ~second_chances:0 ~swapped:0;
       ignore child)
 
 let () =
