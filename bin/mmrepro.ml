@@ -1,16 +1,22 @@
 (* mmrepro — command-line driver for the CortenMM reproduction.
 
    Subcommands:
-     list            show every reproducible table/figure
-     run [IDS...]    run experiments (all when none given)
+     list            show every reproducible table/figure and the backends
+     run [IDS...]    run experiments (all when none given), with --json
+                     results and --wallclock host timings
+     bechamel        host timings of the substrate itself (Bechamel)
      verify          run the full verification suite (protocol model
                      checking, refinement, exhaustive functional
                      correctness, linearizability)
      sweep           one microbenchmark over a core sweep (quick look)
      trace           generate / replay MM operation traces
-     oracle          differential cross-backend oracle on one trace *)
+     oracle          differential cross-backend oracle on one trace
+     serve           open-loop session fleet with SLO percentiles
+     schedcheck      schedule exploration of the concurrent core *)
 
 open Cmdliner
+module Driver = Mm_experiments.Driver
+module Registry = Mm_experiments.Registry
 
 (* Shared observability options: record a deterministic event trace
    (Chrome trace_event JSON, Perfetto-loadable) and/or print the
@@ -34,29 +40,53 @@ let obs_report =
           "After the run, print the lock-contention report (locks ranked by \
            serialized cycles) and the metrics registry.")
 
-(* -j/--jobs for the drivers whose work decomposes into independent
-   worlds (oracle, serve, schedcheck). Validation goes through the typed
-   [Par.jobs_of_string], so `-j 0` or `-j x` fail fast with the same
-   wording everywhere; outputs are byte-identical for any accepted
-   value. *)
-let jobs_arg =
-  let jobs_conv =
+(* Every count flag (-j, --cpus, --ops, --every, --sessions, --seeds,
+   --amplitude) parses through the typed [Par.count_of_string], so 0,
+   negatives and non-numbers are usage errors (exit 124) naming the
+   flag, never a crash or a vacuous pass. *)
+let count ?docv names ~default doc =
+  let name = List.hd names in
+  let flag = (if String.length name = 1 then "-" else "--") ^ name in
+  let positive =
     Arg.conv
       ( (fun s ->
-          Result.map_error (fun m -> `Msg m) (Mm_par.Par.jobs_of_string s)),
+          Result.map_error (fun m -> `Msg m)
+            (Mm_par.Par.count_of_string ~flag s)),
         Format.pp_print_int )
   in
+  Arg.(value & opt positive default & info names ?docv ~doc)
+
+(* -j/--jobs for the drivers whose work decomposes into independent
+   worlds (run, oracle, serve, schedcheck); outputs are byte-identical
+   for any accepted value. *)
+let jobs_arg =
+  count [ "j"; "jobs" ] ~docv:"N" ~default:1
+    "Worker domains to shard independent simulation worlds across \
+     (default 1). Results are byte-identical for any value; only \
+     wall-clock time changes."
+
+let cpus_arg default = count [ "cpus" ] ~default "Virtual CPUs."
+let ops_arg default = count [ "ops" ] ~default "Ops per CPU."
+let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.")
+
+let profile_arg doc =
   Arg.(
-    value & opt jobs_conv 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains to shard independent simulation worlds across \
-           (default 1). Results are byte-identical for any value; only \
-           wall-clock time changes.")
+    value
+    & opt
+        (enum
+           [
+             ("churn", Mm_workloads.Trace.Churn);
+             ("faults", Mm_workloads.Trace.Faults);
+             ("mixed", Mm_workloads.Trace.Mixed);
+             ("forks", Mm_workloads.Trace.Forks);
+             ("reclaim", Mm_workloads.Trace.Reclaim);
+           ])
+        Mm_workloads.Trace.Mixed
+    & info [ "profile" ] ~doc)
 
 let with_obs ~trace ~report f =
   if trace <> None || report then Mm_obs.Trace.start ();
-  f ();
+  let v = f () in
   (match trace with
   | Some path ->
     let events = Mm_obs.Trace.events () in
@@ -70,45 +100,364 @@ let with_obs ~trace ~report f =
     print_newline ();
     print_string (Mm_obs.Metrics.dump ())
   end;
-  if trace <> None || report then ignore (Mm_obs.Trace.stop ())
+  if trace <> None || report then ignore (Mm_obs.Trace.stop ());
+  v
 
 let list_cmd =
-  let doc = "List the reproducible tables and figures." in
+  let doc = "List the reproducible tables and figures, then the backends." in
   let run () =
     List.iter
-      (fun e ->
-        Printf.printf "%-8s %s\n" e.Mm_experiments.Registry.id
-          e.Mm_experiments.Registry.title)
-      Mm_experiments.Registry.all
+      (fun e -> Printf.printf "%-8s %s\n" e.Registry.id e.Registry.title)
+      Registry.all;
+    Printf.printf "backends: %s\n"
+      (String.concat ", " Mm_workloads.System.Registry.names)
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
+
+(* -- run: the experiments, their results and their host timings -- *)
+
+let write_results_json ~path results =
+  let open Mm_obs in
+  Json.write_file ~path
+    (Json.Obj
+       [
+         ( "results",
+           Json.List
+             (List.map
+                (fun (label, (r : Mm_workloads.Runner.result)) ->
+                  Json.Obj
+                    [
+                      ("id", Json.String label);
+                      ("ops", Json.Int r.ops);
+                      ("cycles", Json.Int r.cycles);
+                      ("ops_per_sec", Json.Float r.ops_per_sec);
+                    ])
+                results) );
+       ])
+
+(* Wall-clock timing (--wallclock) is host-side only: it never touches
+   the simulated (deterministic) outputs. Per-entry seconds come from
+   the pool ({!Par.timed}); the totals compare the *elapsed* time of a
+   sequential and a parallel pass over the same entries — the quantity
+   [-j N] actually improves (per-entry times barely move: each entry is
+   still one world on one domain). *)
+
+(* The slowest single cell: the lower bound the parallel elapsed time
+   converges to as -j grows (the suite's critical path now that the big
+   entries are split into per-world cells). *)
+let max_cell tasks =
+  List.fold_left
+    (fun acc (t : Driver.task_result) ->
+      List.fold_left
+        (fun acc (c : Driver.cell_time) ->
+          if c.Driver.ct_seconds > snd acc then
+            (t.Driver.t_id ^ "/" ^ c.Driver.ct_label, c.Driver.ct_seconds)
+          else acc)
+        acc t.Driver.t_cells)
+    ("", 0.0) tasks
+
+let write_wallclock_json ~path ~jobs ~elapsed_seq ~elapsed_par
+    ~(seq : Driver.task_result list) ~(par : Driver.task_result list) =
+  let open Mm_obs in
+  let speedup = if elapsed_par > 0. then elapsed_seq /. elapsed_par else 1.0 in
+  let max_cell_label, max_cell_seq = max_cell seq in
+  let _, max_cell_par = max_cell par in
+  Json.write_file ~path
+    (Json.Obj
+       [
+         ("jobs", Json.Int jobs);
+         ( "wallclock",
+           Json.List
+             (List.map2
+                (fun (s : Driver.task_result) (p : Driver.task_result) ->
+                  Json.Obj
+                    [
+                      ("id", Json.String s.Driver.t_id);
+                      ("seconds_seq", Json.Float s.Driver.t_seconds);
+                      ("seconds_par", Json.Float p.Driver.t_seconds);
+                      ( "speedup",
+                        Json.Float
+                          (if p.Driver.t_seconds > 0. then
+                             s.Driver.t_seconds /. p.Driver.t_seconds
+                           else 1.0) );
+                      ( "cells",
+                        Json.List
+                          (List.map2
+                             (fun (cs : Driver.cell_time)
+                                  (cp : Driver.cell_time) ->
+                               Json.Obj
+                                 [
+                                   ("label", Json.String cs.Driver.ct_label);
+                                   ( "seconds_seq",
+                                     Json.Float cs.Driver.ct_seconds );
+                                   ( "seconds_par",
+                                     Json.Float cp.Driver.ct_seconds );
+                                 ])
+                             s.Driver.t_cells p.Driver.t_cells) );
+                    ])
+                seq par) );
+         ("total_seconds_seq", Json.Float elapsed_seq);
+         ("total_seconds_par", Json.Float elapsed_par);
+         ("speedup", Json.Float speedup);
+         (* Critical-path summary: elapsed time at -j N is bounded below
+            by the slowest single cell. *)
+         ("max_cell_label", Json.String max_cell_label);
+         ("max_cell_seconds_seq", Json.Float max_cell_seq);
+         ("max_cell_seconds_par", Json.Float max_cell_par);
+       ]);
+  Printf.printf "## Wall-clock per experiment driver (-j %d)\n\n" jobs;
+  Printf.printf "  %-10s %12s %12s %7s\n" "id" "seq (s)"
+    (Printf.sprintf "-j%d (s)" jobs)
+    "cells";
+  List.iter2
+    (fun (s : Driver.task_result) (p : Driver.task_result) ->
+      Printf.printf "  %-10s %12.3f %12.3f %7d\n" s.Driver.t_id
+        s.Driver.t_seconds p.Driver.t_seconds
+        (List.length s.Driver.t_cells))
+    seq par;
+  Printf.printf "  %-10s %12.3f %12.3f  (elapsed; speedup %.2fx)\n" "total"
+    elapsed_seq elapsed_par speedup;
+  Printf.printf "  critical path: %.3fs in %s (max cell vs %.3fs total)\n"
+    max_cell_seq max_cell_label elapsed_seq;
+  Printf.printf "wrote wall-clock timings to %s\n%!" path
 
 let run_cmd =
   let doc = "Run experiments by id (all when none given)." in
   let ids = Arg.(value & pos_all string [] & info [] ~docv:"ID") in
-  let run ids trace report =
-    with_obs ~trace ~report (fun () ->
-        match ids with
-        | [] -> Mm_experiments.Driver.run_all ()
-        | ids ->
-          (* Resolve every id before running anything, then reuse the
-             driver's header/capture path (one owner of the
-             `=== id: title ===` format). *)
-          let entries =
-            List.map
-              (fun id ->
-                match Mm_experiments.Registry.find id with
-                | Ok e -> e
-                | Error msg ->
-                  Printf.eprintf "mmrepro: %s\n" msg;
-                  exit 1)
-              ids
-          in
-          ignore
-            (Mm_experiments.Driver.run_entries
-               ~emit:Mm_experiments.Driver.emit_stdout ~jobs:1 entries))
+  let json =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"FILE"
+          ~doc:"Write every collected result (label, ops, cycles, ops/s) here.")
   in
-  Cmd.v (Cmd.info "run" ~doc) Term.(const run $ ids $ obs_trace $ obs_report)
+  let wallclock =
+    Arg.(
+      value
+      & opt ~vopt:(Some "BENCH_wallclock.json") (some string) None
+      & info [ "wallclock" ] ~docv:"FILE"
+          ~doc:
+            "Write per-entry and per-cell host wall-clock timings to \
+             $(docv). At -j N a second, sequential pass supplies the \
+             reference timings and must reproduce every entry's output and \
+             results.")
+  in
+  let run ids jobs json wallclock trace report =
+    Driver.gc_pacing ();
+    (* A bare --wallclock takes the next word as its FILE, so in
+       `run --wallclock fig13` the id would be lost and every entry run. *)
+    (match wallclock with
+    | Some f when List.mem f Registry.ids ->
+      Printf.eprintf
+        "mmrepro: --wallclock took the id %s as its FILE; write \
+         --wallclock=FILE or put --wallclock after the ids\n"
+        f;
+      exit 1
+    | _ -> ());
+    (* Resolve every id before running anything, so a typo fails fast
+       instead of silently running a subset. *)
+    let entries =
+      match ids with
+      | [] -> Registry.all
+      | ids ->
+        List.map
+          (fun id ->
+            match Registry.find id with
+            | Ok e -> e
+            | Error msg ->
+              Printf.eprintf "mmrepro: %s\n" msg;
+              exit 1)
+          ids
+    in
+    let jobs =
+      if (trace <> None || report) && jobs > 1 then begin
+        Printf.eprintf
+          "mmrepro: --trace/--report force -j 1 (one tracing session \
+           accumulates across the whole run)\n\
+           %!";
+        1
+      end
+      else jobs
+    in
+    let collect = json <> None in
+    let results, elapsed =
+      with_obs ~trace ~report (fun () ->
+          let t0 = Unix.gettimeofday () in
+          let results =
+            Driver.run_entries ~emit:Driver.emit_stdout ~collect ~jobs entries
+          in
+          (results, Unix.gettimeofday () -. t0))
+    in
+    (match json with
+    | Some path ->
+      write_results_json ~path
+        (List.concat_map (fun t -> t.Driver.t_results) results);
+      Printf.printf "wrote results to %s\n%!" path
+    | None -> ());
+    match wallclock with
+    | None -> ()
+    | Some path ->
+      (* Honest seq-vs-par numbers: at [-j 1] one pass is both; at
+         [-j N] a second, output-suppressed sequential pass provides the
+         reference timings — and doubles as a byte-identity gate over
+         every entry's output and collected results. *)
+      let seq, elapsed_seq =
+        if jobs = 1 then (results, elapsed)
+        else begin
+          let t0 = Unix.gettimeofday () in
+          let seq = Driver.run_entries ~collect ~jobs:1 entries in
+          let elapsed_seq = Unix.gettimeofday () -. t0 in
+          List.iter2
+            (fun (p : Driver.task_result) (s : Driver.task_result) ->
+              if p.Driver.t_output <> s.Driver.t_output
+                 || p.Driver.t_results <> s.Driver.t_results
+              then begin
+                Printf.eprintf
+                  "mmrepro: -j %d output for %s differs from the sequential \
+                   reference — parallel merge bug\n"
+                  jobs p.Driver.t_id;
+                exit 1
+              end)
+            results seq;
+          (seq, elapsed_seq)
+        end
+      in
+      write_wallclock_json ~path ~jobs ~elapsed_seq ~elapsed_par:elapsed ~seq
+        ~par:results
+  in
+  Cmd.v (Cmd.info "run" ~doc)
+    Term.(
+      const run $ ids $ jobs_arg $ json $ wallclock $ obs_trace $ obs_report)
+
+let bechamel_suite () =
+  let open Bechamel in
+  let open Toolkit in
+  let isa = Mm_hal.Isa.x86_64 in
+  let pte_roundtrip =
+    Test.make ~name:"hal: x86-64 PTE encode+decode"
+      (Staged.stage (fun () ->
+           let pte = Mm_hal.Pte.leaf ~pfn:0x1234 ~perm:Mm_hal.Perm.rw () in
+           ignore
+             (Mm_hal.Isa.decode isa ~level:1
+                (Mm_hal.Isa.encode isa ~level:1 pte))))
+  in
+  let buddy_cycle =
+    Test.make ~name:"phys: buddy alloc+free"
+      (Staged.stage
+         (let b = Mm_phys.Buddy.create ~nframes:(1 lsl 24) in
+          fun () ->
+            let pfn = Mm_phys.Buddy.alloc b ~order:0 in
+            Mm_phys.Buddy.free b ~pfn ~order:0))
+  in
+  let pt_map_unmap =
+    Test.make ~name:"pt: walk_create+set+clear"
+      (Staged.stage
+         (let phys = Mm_phys.Phys.create () in
+          let pt = Mm_pt.Pt.create phys isa in
+          let vaddr = ref 0x1000_0000 in
+          fun () ->
+            let node = Mm_pt.Pt.walk_create pt ~to_level:1 !vaddr in
+            let idx = Mm_pt.Pt.index pt ~level:1 ~vaddr:!vaddr in
+            Mm_pt.Pt.set pt node idx
+              (Mm_hal.Pte.leaf ~pfn:1 ~perm:Mm_hal.Perm.rw ());
+            Mm_pt.Pt.set pt node idx Mm_hal.Pte.Absent;
+            vaddr := !vaddr + 4096))
+  in
+  let vma_find =
+    Test.make ~name:"linux: vma tree find"
+      (Staged.stage
+         (let phys = Mm_phys.Phys.create () in
+          let t = Mm_linux.Vma.create phys in
+          for i = 0 to 99 do
+            ignore
+              (Mm_linux.Vma.insert t
+                 ~start:(0x1000_0000 + (i * 0x10000))
+                 ~end_:(0x1000_0000 + (i * 0x10000) + 0x8000)
+                 ~perm:Mm_hal.Perm.rw)
+          done;
+          fun () -> ignore (Mm_linux.Vma.find t 0x1000_4000)))
+  in
+  let checker_run =
+    Test.make ~name:"verif: rw model check (2 cores)"
+      (Staged.stage (fun () ->
+           let tree = Mm_verif.Tree.create ~arity:2 ~depth:3 in
+           ignore (Mm_verif.Rw_model.check ~tree ~targets:[| 1; 3 |] ())))
+  in
+  let sim_microop =
+    Test.make ~name:"sim: one simulated mmap+touch+munmap"
+      (Staged.stage (fun () ->
+           let w = Mm_sim.Engine.create ~ncpus:1 in
+           Mm_sim.Engine.spawn w ~cpu:0 (fun () ->
+               let kernel = Cortenmm.Kernel.create ~ncpus:1 () in
+               let asp =
+                 Cortenmm.Addr_space.create kernel Cortenmm.Config.adv
+               in
+               let a =
+                 match Cortenmm.Mm.mmap_r asp ~len:16384 ~perm:Mm_hal.Perm.rw () with
+                 | Ok a -> a
+                 | Error e -> raise (Mm_hal.Errno.Error e)
+               in
+               Cortenmm.Mm.touch_range asp ~addr:a ~len:16384 ~write:true;
+               ignore (Cortenmm.Mm.munmap_r asp ~addr:a ~len:16384));
+           Mm_sim.Engine.run w))
+  in
+  let maple_ops =
+    Test.make ~name:"linux: maple tree insert+find+remove"
+      (Staged.stage
+         (let phys = Mm_phys.Phys.create () in
+          let t = Mm_linux.Vma.create phys in
+          let next = ref 0x1000_0000 in
+          fun () ->
+            let s = !next in
+            next := s + 0x10000;
+            let _ = Mm_linux.Vma.insert t ~start:s ~end_:(s + 0x8000)
+                      ~perm:Mm_hal.Perm.rw in
+            ignore (Mm_linux.Vma.find t (s + 0x4000));
+            Mm_linux.Vma.remove_node t s))
+  in
+  let slab_cycle =
+    Test.make ~name:"phys: slab alloc+free"
+      (Staged.stage
+         (let phys = Mm_phys.Phys.create () in
+          let c = Mm_phys.Slab.create phys ~name:"bench" ~obj_size:200 in
+          fun () ->
+            let h = Mm_phys.Slab.alloc c in
+            Mm_phys.Slab.free c h))
+  in
+  let tests =
+    [
+      pte_roundtrip; buddy_cycle; slab_cycle; pt_map_unmap; vma_find;
+      maple_ops; checker_run; sim_microop;
+    ]
+  in
+  Printf.printf "## Bechamel — host-level timings of the substrate\n\n%!";
+  List.iter
+    (fun test ->
+      let instances = Instance.[ monotonic_clock ] in
+      let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) () in
+      let raw = Benchmark.all cfg instances test in
+      let results =
+        Analyze.all
+          (Analyze.ols ~bootstrap:0 ~r_square:false
+             ~predictors:[| Measure.run |])
+          Instance.monotonic_clock raw
+      in
+      Hashtbl.iter
+        (fun name result ->
+          match Analyze.OLS.estimates result with
+          | Some [ est ] -> Printf.printf "  %-45s %12.1f ns/run\n%!" name est
+          | Some _ | None -> Printf.printf "  %-45s (no estimate)\n%!" name)
+        results)
+    tests;
+  print_newline ()
+
+let bechamel_cmd =
+  let doc =
+    "Time the substrate itself on the host with Bechamel: PTE codecs, \
+     allocators, page-table ops, the VMA and maple trees, the model checker \
+     and one simulated mmap+touch+munmap."
+  in
+  Cmd.v (Cmd.info "bechamel" ~doc) Term.(const bechamel_suite $ const ())
 
 let verify_cmd =
   let doc =
@@ -310,26 +659,7 @@ let trace_cmd =
   let path =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"FILE")
   in
-  let profile =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("churn", Mm_workloads.Trace.Churn);
-               ("faults", Mm_workloads.Trace.Faults);
-               ("mixed", Mm_workloads.Trace.Mixed);
-               ("forks", Mm_workloads.Trace.Forks);
-               ("reclaim", Mm_workloads.Trace.Reclaim);
-             ])
-          Mm_workloads.Trace.Mixed
-      & info [ "profile" ] ~doc:"Workload profile for gen.")
-  in
-  let ncpus =
-    Arg.(value & opt int 4 & info [ "cpus" ] ~doc:"Virtual CPUs.")
-  in
-  let ops = Arg.(value & opt int 200 & info [ "ops" ] ~doc:"Ops per CPU.") in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.") in
+  let profile = profile_arg "Workload profile for gen." in
   let system =
     Arg.(
       value
@@ -369,7 +699,9 @@ let trace_cmd =
         s.Mm_workloads.Trace.faults_denied
   in
   Cmd.v (Cmd.info "trace" ~doc)
-    Term.(const run $ mode $ path $ profile $ ncpus $ ops $ seed $ system)
+    Term.(
+      const run $ mode $ path $ profile $ cpus_arg 4 $ ops_arg 200 $ seed_arg
+      $ system)
 
 let oracle_cmd =
   let doc =
@@ -385,30 +717,9 @@ let oracle_cmd =
           ~doc:"Saved trace to check; generated from the profile flags when \
                 omitted.")
   in
-  let profile =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("churn", Mm_workloads.Trace.Churn);
-               ("faults", Mm_workloads.Trace.Faults);
-               ("mixed", Mm_workloads.Trace.Mixed);
-               ("forks", Mm_workloads.Trace.Forks);
-               ("reclaim", Mm_workloads.Trace.Reclaim);
-             ])
-          Mm_workloads.Trace.Mixed
-      & info [ "profile" ] ~doc:"Workload profile when generating.")
-  in
-  let ncpus =
-    Arg.(value & opt int 4 & info [ "cpus" ] ~doc:"Virtual CPUs.")
-  in
-  let ops = Arg.(value & opt int 200 & info [ "ops" ] ~doc:"Ops per CPU.") in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.") in
+  let profile = profile_arg "Workload profile when generating." in
   let every =
-    Arg.(
-      value & opt int 16
-      & info [ "every" ] ~doc:"Snapshot-compare cadence in operations.")
+    count [ "every" ] ~default:16 "Snapshot-compare cadence in operations."
   in
   let cow_mutant =
     Arg.(
@@ -455,8 +766,8 @@ let oracle_cmd =
   in
   Cmd.v (Cmd.info "oracle" ~doc)
     Term.(
-      const run $ path $ profile $ ncpus $ ops $ seed $ every $ cow_mutant
-      $ reclaim_mutant $ jobs_arg $ systems_arg)
+      const run $ path $ profile $ cpus_arg 4 $ ops_arg 200 $ seed_arg $ every
+      $ cow_mutant $ reclaim_mutant $ jobs_arg $ systems_arg)
 
 let serve_cmd =
   let doc =
@@ -469,14 +780,8 @@ let serve_cmd =
      reports."
   in
   let sessions =
-    Arg.(
-      value & opt int 100_000
-      & info [ "sessions" ] ~doc:"Total sessions across all CPUs.")
+    count [ "sessions" ] ~default:100_000 "Total sessions across all CPUs."
   in
-  let ncpus =
-    Arg.(value & opt int 8 & info [ "cpus" ] ~doc:"Virtual CPUs.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.") in
   let mix =
     Arg.(
       value & opt string "mixed"
@@ -534,7 +839,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ sessions $ ncpus $ seed $ mix $ policies_flag $ json
+      const run $ sessions $ cpus_arg 8 $ seed_arg $ mix $ policies_flag $ json
       $ jobs_arg $ systems_arg)
 
 let schedcheck_cmd =
@@ -553,14 +858,8 @@ let schedcheck_cmd =
       & opt (enum [ ("adv", `Adv); ("rw", `Rw); ("both", `Both) ]) `Both
       & info [ "protocol" ] ~doc:"Locking protocol to check: adv, rw, both.")
   in
-  let cpus =
-    Arg.(value & opt int 4 & info [ "cpus" ] ~doc:"Virtual CPUs.")
-  in
-  let ops = Arg.(value & opt int 12 & info [ "ops" ] ~doc:"Ops per CPU.") in
   let seeds =
-    Arg.(
-      value & opt int 25
-      & info [ "seeds" ] ~doc:"Schedule seeds to try per protocol.")
+    count [ "seeds" ] ~default:25 "Schedule seeds to try per protocol."
   in
   let seed0 =
     Arg.(value & opt int 1 & info [ "seed0" ] ~doc:"First schedule seed.")
@@ -569,9 +868,7 @@ let schedcheck_cmd =
     Arg.(value & opt int 42 & info [ "workload-seed" ] ~doc:"Workload seed.")
   in
   let amplitude =
-    Arg.(
-      value & opt int 8
-      & info [ "amplitude" ] ~doc:"Tie-break key range (permutation width).")
+    count [ "amplitude" ] ~default:8 "Tie-break key range (permutation width)."
   in
   let mutant =
     Arg.(
@@ -674,8 +971,8 @@ let schedcheck_cmd =
   in
   Cmd.v (Cmd.info "schedcheck" ~doc)
     Term.(
-      const run $ protocol $ cpus $ ops $ seeds $ seed0 $ wseed $ amplitude
-      $ mutant $ out $ replay $ jobs_arg)
+      const run $ protocol $ cpus_arg 4 $ ops_arg 12 $ seeds $ seed0 $ wseed
+      $ amplitude $ mutant $ out $ replay $ jobs_arg)
 
 let () =
   let doc = "CortenMM reproduction driver" in
@@ -684,6 +981,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            list_cmd; run_cmd; verify_cmd; sweep_cmd; trace_cmd; oracle_cmd;
-            serve_cmd; schedcheck_cmd;
+            list_cmd; run_cmd; bechamel_cmd; verify_cmd; sweep_cmd; trace_cmd;
+            oracle_cmd; serve_cmd; schedcheck_cmd;
           ]))

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Repository health check: tier-1 build + tests, then a smoke run of the
-# bench driver's machine-readable and tracing outputs with JSON
+# mmrepro CLI's machine-readable and tracing outputs with JSON
 # validation. Exits nonzero on the first failure.
 set -eu
 cd "$(dirname "$0")"
@@ -11,49 +11,72 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
-echo "== bench smoke: fig13 --json/--trace/--wallclock =="
-dune exec bench/main.exe -- --only fig13 --json /tmp/b.json \
-  --trace /tmp/t.json --wallclock --wallclock-out /tmp/wallclock.json \
+echo "== run smoke: fig13 --json/--trace/--wallclock =="
+dune exec bin/mmrepro.exe -- run fig13 --json /tmp/b.json \
+  --trace /tmp/t.json --wallclock=/tmp/wallclock.json \
   --report > /tmp/check_bench.out 2>&1 \
   || { cat /tmp/check_bench.out; exit 1; }
 tail -n 3 /tmp/check_bench.out
 
-echo "== bench parallel: -j 2 stream and JSON byte-identical to -j 1 =="
-dune exec bench/main.exe -- --only fig1,fig13 --json /tmp/bj.json \
+echo "== run parallel: -j 2 stream and JSON byte-identical to -j 1 =="
+dune exec bin/mmrepro.exe -- run fig1 fig13 --json /tmp/bj.json \
   > /tmp/bench_j1.out 2>/dev/null
 cp /tmp/bj.json /tmp/bj_seq.json
-dune exec bench/main.exe -- --only fig1,fig13 --json /tmp/bj.json -j 2 \
+dune exec bin/mmrepro.exe -- run fig1 fig13 --json /tmp/bj.json -j 2 \
   > /tmp/bench_j2.out 2>/dev/null
 cmp /tmp/bench_j1.out /tmp/bench_j2.out \
-  || { echo "bench: -j 2 stdout differs from -j 1"; exit 1; }
+  || { echo "run: -j 2 stdout differs from -j 1"; exit 1; }
 cmp /tmp/bj_seq.json /tmp/bj.json \
-  || { echo "bench: -j 2 --json differs from -j 1"; exit 1; }
+  || { echo "run: -j 2 --json differs from -j 1"; exit 1; }
 
-echo "== bench cells: reduced fig14 -j 2 stream and JSON byte-identical to -j 1 =="
+echo "== run: the seven Run entries, -j 2 stream and JSON byte-identical to -j 1 =="
+# Each print-as-you-go entry runs as a plan of one printing cell; at
+# -j 2 the seven single-cell plans share the pool with each other.
+run_ids="tab2 fig18 fig22 tab4 tab5 ext-thp ext-swapd"
+dune exec bin/mmrepro.exe -- run $run_ids --json /tmp/rj.json \
+  > /tmp/run_j1.out 2>/dev/null
+cp /tmp/rj.json /tmp/rj_seq.json
+dune exec bin/mmrepro.exe -- run $run_ids --json /tmp/rj.json -j 2 \
+  > /tmp/run_j2.out 2>/dev/null
+cmp /tmp/run_j1.out /tmp/run_j2.out \
+  || { echo "run: Run entries -j 2 stdout differs from -j 1"; exit 1; }
+cmp /tmp/rj_seq.json /tmp/rj.json \
+  || { echo "run: Run entries -j 2 --json differs from -j 1"; exit 1; }
+
+echo "== run cells: reduced fig14 -j 2 stream and JSON byte-identical to -j 1 =="
 # MM_FIG14_SUBSET shrinks the sweep to a seconds-long subset; unlike the
 # fig1/fig13 gate above, fig14 decomposes into per-(contention, bench,
 # cores, system) cells that run on separate domains at -j 2, so this
 # exercises the intra-entry cell pool rather than entry-level parallelism.
-MM_FIG14_SUBSET=1 dune exec bench/main.exe -- --only fig14 \
+MM_FIG14_SUBSET=1 dune exec bin/mmrepro.exe -- run fig14 \
   --json /tmp/f14.json > /tmp/f14_j1.out 2>/dev/null
 cp /tmp/f14.json /tmp/f14_seq.json
-MM_FIG14_SUBSET=1 dune exec bench/main.exe -- --only fig14 \
+MM_FIG14_SUBSET=1 dune exec bin/mmrepro.exe -- run fig14 \
   --json /tmp/f14.json -j 2 > /tmp/f14_j2.out 2>/dev/null
 cmp /tmp/f14_j1.out /tmp/f14_j2.out \
-  || { echo "bench: fig14 cells -j 2 stdout differs from -j 1"; exit 1; }
+  || { echo "run: fig14 cells -j 2 stdout differs from -j 1"; exit 1; }
 cmp /tmp/f14_seq.json /tmp/f14.json \
-  || { echo "bench: fig14 cells -j 2 --json differs from -j 1"; exit 1; }
+  || { echo "run: fig14 cells -j 2 --json differs from -j 1"; exit 1; }
 
-echo "== bench parallel: --wallclock two-pass self-gate at -j 2 =="
-dune exec bench/main.exe -- --only fig13 --wallclock \
-  --wallclock-out /tmp/wallclock2.json -j 2 > /dev/null 2>&1 \
-  || { echo "bench: -j 2 --wallclock pass failed"; exit 1; }
+echo "== run parallel: --wallclock two-pass self-gate at -j 2 =="
+dune exec bin/mmrepro.exe -- run fig13 \
+  --wallclock=/tmp/wallclock2.json -j 2 > /dev/null 2>&1 \
+  || { echo "run: -j 2 --wallclock pass failed"; exit 1; }
 
-echo "== bench: bad -j values fail fast =="
-for bad in 0 -4 x; do
-  if dune exec bench/main.exe -- --only tab2 -j "$bad" > /dev/null 2>&1; then
-    echo "bench: -j $bad NOT rejected"; exit 1
-  fi
+echo "== mmrepro: bad count values are usage errors (exit 124) =="
+# 0, a negative and a non-number must each fail in the parser, not crash
+# later (125) or pass vacuously (0).
+for flag in "run tab2 -j" "oracle -j" "oracle --cpus" "oracle --ops" \
+  "oracle --every" "trace gen /tmp/bad.trace --cpus" \
+  "trace gen /tmp/bad.trace --ops" "serve -j" "serve --sessions" \
+  "serve --cpus" "schedcheck -j" "schedcheck --cpus" "schedcheck --ops" \
+  "schedcheck --seeds" "schedcheck --amplitude"; do
+  for bad in 0 -4 x; do
+    rc=0
+    dune exec bin/mmrepro.exe -- $flag "$bad" > /dev/null 2>&1 || rc=$?
+    [ "$rc" -eq 124 ] \
+      || { echo "mmrepro $flag $bad: exit $rc, expected 124"; exit 1; }
+  done
 done
 
 echo "== differential oracle: seeded traces across all backends =="
@@ -138,8 +161,8 @@ cmp /tmp/fleet1.json /tmp/fleet2.json \
   || { echo "serve: fork_fleet -j 2 or rerun gave different JSON"; exit 1; }
 
 echo "== ext-fleet: process-fleet experiment, -j 2 byte-identical =="
-dune exec bench/main.exe -- --only ext-fleet > /tmp/fleet_j1.out 2>/dev/null
-dune exec bench/main.exe -- --only ext-fleet -j 2 > /tmp/fleet_j2.out 2>/dev/null
+dune exec bin/mmrepro.exe -- run ext-fleet > /tmp/fleet_j1.out 2>/dev/null
+dune exec bin/mmrepro.exe -- run ext-fleet -j 2 > /tmp/fleet_j2.out 2>/dev/null
 cmp /tmp/fleet_j1.out /tmp/fleet_j2.out \
   || { echo "ext-fleet: -j 2 output differs from -j 1"; exit 1; }
 
@@ -208,11 +231,11 @@ for t in test_serve test_reclaim; do
   tail -n 2 "/tmp/check_golden_$t.out"
 done
 
-echo "== bench: write BENCH_wallclock.json (default --wallclock path) =="
+echo "== run: write BENCH_wallclock.json (default --wallclock path) =="
 # The file is gitignored, so a fresh clone has none: produce it here
 # rather than validate a leftover from an earlier run.
-dune exec bench/main.exe -- --only fig13 --wallclock > /dev/null 2>&1 \
-  || { echo "bench: --wallclock to the default path failed"; exit 1; }
+dune exec bin/mmrepro.exe -- run fig13 --wallclock > /dev/null 2>&1 \
+  || { echo "run: --wallclock to the default path failed"; exit 1; }
 
 echo "== validate JSON outputs =="
 dune exec bin/jsoncheck.exe -- /tmp/b.json

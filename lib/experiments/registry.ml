@@ -5,11 +5,11 @@
    independent simulation cells plus a pure render ({!Plan}), which lets
    the driver parallelize *inside* the entry; entries whose measurements
    do not decompose into single-world cells (source-derived tables,
-   multi-probe worlds like fig18/fig22) keep the legacy opaque [Run]
-   form and parallelize at whole-entry granularity only. *)
+   multi-probe worlds like fig18/fig22) are one print-as-you-go function
+   ([Run]), which {!plan} turns into a plan of one printing cell. *)
 
 type body =
-  | Run of (unit -> unit)  (* legacy: one opaque print-as-you-go task *)
+  | Run of (unit -> unit)  (* one print-as-you-go task *)
   | Cells of (unit -> Plan.t)  (* plan built at run time, cells + render *)
 
 type entry = {
@@ -45,13 +45,29 @@ let all =
 
 let ids = List.map (fun e -> e.id) all
 
-(* Run one entry sequentially on the calling domain (no header, no
-   world-state resets — byte-identical to the pre-split monolithic
-   [run]). The parallel path lives in [Driver.run_entries]. *)
-let run_entry e =
+(* Every entry as a plan. A [Run] function becomes one cell, labelled
+   with the entry id, that prints as it goes and returns no result; the
+   driver hoists a cell's printed output to just after the entry header,
+   so the stream is the function's own. Weight 100 is about a mid-sized
+   cell: such entries start neither first nor last (the hint only moves
+   wall-clock, never bytes). *)
+let plan e =
   match e.body with
-  | Run f -> f ()
-  | Cells mk -> Plan.run_seq (mk ())
+  | Cells mk -> mk ()
+  | Run f ->
+    {
+      Plan.cells =
+        [
+          Plan.cell ~label:e.id ~weight:100.0 (fun () ->
+              f ();
+              None);
+        ];
+      render = ignore;
+    }
+
+(* Run one entry sequentially on the calling domain (no header, no
+   world-state resets). The parallel path lives in [Driver.run_entries]. *)
+let run_entry e = Plan.run_seq (plan e)
 
 (* Same shape as [System.Registry.find]: the error is a ready-to-print
    message embedding the valid ids. *)

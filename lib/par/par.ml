@@ -35,17 +35,17 @@ type 'a slot = ('a timed, exn * Printexc.raw_backtrace) result
 
 let available_cores () = Domain.recommended_domain_count ()
 
-(* Typed [--jobs] validation, same result-style shape as the registry
-   lookups: the [Error] is a ready-to-print message. *)
-let jobs_of_string s =
+(* Typed validation of a count flag, same result-style shape as the
+   registry lookups: the [Error] is a ready-to-print message naming
+   [flag]. *)
+let count_of_string ~flag s =
   match int_of_string_opt (String.trim s) with
   | None ->
     Error
-      (Printf.sprintf
-         "invalid jobs count %S (expected a positive integer, e.g. -j 4)" s)
+      (Printf.sprintf "invalid %s value %S (expected a positive integer)" flag
+         s)
   | Some n when n <= 0 ->
-    Error
-      (Printf.sprintf "invalid jobs count %d (must be at least 1)" n)
+    Error (Printf.sprintf "invalid %s value %d (must be at least 1)" flag n)
   | Some n -> Ok n
 
 let timed_call f =

@@ -14,10 +14,10 @@ type 'a timed = { value : 'a; seconds : float }
 val available_cores : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
 
-val jobs_of_string : string -> (int, string) result
-(** Typed validation for [--jobs]/[-j] values: [Ok n] for a positive
-    integer, otherwise a ready-to-print error message (same result-style
-    shape as the registry lookups). *)
+val count_of_string : flag:string -> string -> (int, string) result
+(** Typed validation for count flags ([-j], [--cpus], ...): [Ok n] for a
+    positive integer, otherwise a ready-to-print error message naming
+    [flag] (same result-style shape as the registry lookups). *)
 
 val run_timed :
   ?emit:('a timed -> unit) ->
