@@ -1,11 +1,11 @@
 (* jsoncheck — validate a JSON file (used by check.sh to smoke-test the
-   bench --json and --trace outputs).
+   mmrepro run --json/--trace/--wallclock and serve --json outputs).
 
      jsoncheck FILE              parse FILE, exit 0 iff well-formed
      jsoncheck --chrome FILE     additionally require Chrome trace_event
                                  shape: a top-level "traceEvents" array
                                  whose entries carry name/ph/pid/tid
-     jsoncheck --wallclock FILE  additionally require the bench
+     jsoncheck --wallclock FILE  additionally require the mmrepro run
                                  --wallclock shape: "jobs", a "wallclock"
                                  array of {id, seconds_seq, seconds_par,
                                  speedup, cells}, per-cell seconds that
