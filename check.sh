@@ -224,8 +224,9 @@ dune exec test/test_workloads.exe -- test golden > /tmp/check_golden.out 2>&1 \
   || { cat /tmp/check_golden.out; exit 1; }
 tail -n 2 /tmp/check_golden.out
 # The fork/exit and reclaim scans are pinned the same way: a fork_fleet
-# serve round on every system and a 2-vCPU Reclaim replay on CortenMM.
-for t in test_serve test_reclaim; do
+# serve round on every system and a 2-vCPU Reclaim replay on CortenMM;
+# NrOS's per-page replay and fork copy by a 2-vCPU NrOS world.
+for t in test_serve test_reclaim test_baselines; do
   dune exec "test/$t.exe" -- test golden > "/tmp/check_golden_$t.out" 2>&1 \
     || { cat "/tmp/check_golden_$t.out"; exit 1; }
   tail -n 2 "/tmp/check_golden_$t.out"

@@ -448,6 +448,93 @@ let test_nros_log_serializes () =
     true
     (t8 > 4 * t1)
 
+(* -- Golden digest of NrOS's per-page loops --
+
+   A 2-vCPU world that drives the three loops NrOS runs once per page:
+   replaying an mmap into a replica, replaying an munmap (including
+   pages with no leaf page, whose walk stops part way), and fork's copy
+   into each child replica. The mapping starts and ends inside leaf
+   pages, spans four of them and crosses a 1 GiB boundary; the unmap
+   also covers two 2 MiB blocks with no leaf page and two ranges whose
+   walk stops at levels 3 and 4. Simulated behaviour is deterministic;
+   host-only performance work must leave the digest unchanged. *)
+
+let nros_golden_digest = "89abfbdd3c991255f36b224ef312d7ea"
+
+let test_nros_golden_digest () =
+  let module N = Mm_nros.Nros in
+  let ncpus = 2 in
+  let out = Buffer.create 65536 in
+  let on_cpu cpu f =
+    let w = Engine.create ~ncpus in
+    let r = ref None in
+    Engine.spawn w ~cpu (fun () -> r := Some (f ()));
+    Engine.run w;
+    Printf.bprintf out "cycles %d %d\n" (Engine.cpu_time w 0)
+      (Engine.cpu_time w 1);
+    Option.get !r
+  in
+  let block = mib 2 and gib = 1024 * mib 1 in
+  let lo = (2 * gib) - block - (5 * page) in
+  let hi = lo + (2 * block) + (10 * page) in
+  let unmap_lo = lo - (2 * block) and unmap_hi = lo + block + (7 * page) in
+  let second = gib + (3 * page) and second_len = 600 * page in
+  let states t ~lo ~hi =
+    for cpu = 0 to ncpus - 1 do
+      on_cpu cpu (fun () ->
+          let v = ref lo in
+          while !v < hi do
+            Buffer.add_char out
+              (match N.page_state t ~vaddr:!v with
+              | `Unmapped -> '.'
+              | `Lazy _ -> 'l'
+              | `Resident true -> 'w'
+              | `Resident false -> 'r');
+            v := !v + page
+          done;
+          Buffer.add_char out '\n')
+    done
+  in
+  let sizes t =
+    Printf.bprintf out "log %d pt_bytes %d\n" (N.log_length t)
+      (N.replicated_pt_bytes t)
+  in
+  let t = N.create ~ncpus () in
+  on_cpu 0 (fun () -> ignore (N.mmap t ~addr:lo ~len:(hi - lo) ~perm:Perm.rw ()));
+  (* cpu 1's replica replays the map. *)
+  on_cpu 1 (fun () ->
+      N.touch t ~vaddr:lo ~write:true;
+      N.touch t ~vaddr:(hi - page) ~write:false);
+  on_cpu 0 (fun () ->
+      N.write_value t ~vaddr:(lo + (2 * block)) ~value:7;
+      N.write_value t ~vaddr:(hi - page) ~value:11;
+      N.munmap t ~addr:unmap_lo ~len:(unmap_hi - unmap_lo);
+      N.munmap t ~addr:((3 * gib) + (5 * page)) ~len:(3 * page);
+      N.munmap t ~addr:((512 * gib) + page) ~len:(2 * page));
+  sizes t;
+  (* cpu 1's replica replays the three unmaps, then logs a second map
+     that cpu 0's replica replays when it forks. *)
+  on_cpu 1 (fun () ->
+      N.touch t ~vaddr:(hi - page) ~write:false;
+      ignore (N.mmap t ~addr:second ~len:second_len ~perm:Perm.r ()));
+  let child = on_cpu 0 (fun () -> N.fork t) in
+  sizes t;
+  sizes child;
+  states t ~lo:(unmap_lo - page) ~hi:(hi + (2 * page));
+  states t ~lo:(second - page) ~hi:(second + second_len + page);
+  states child ~lo:(unmap_lo - page) ~hi:(hi + (2 * page));
+  states child ~lo:(second - page) ~hi:(second + second_len + page);
+  on_cpu 1 (fun () ->
+      Printf.bprintf out "values %d %d\n"
+        (N.read_value child ~vaddr:(lo + (2 * block)))
+        (N.read_value child ~vaddr:(hi - page)));
+  sizes child;
+  on_cpu 0 (fun () ->
+      N.destroy child;
+      N.destroy t);
+  check Alcotest.string "nros world digest" nros_golden_digest
+    (Digest.to_hex (Digest.string (Buffer.contents out)))
+
 let () =
   Alcotest.run "baselines"
     [
@@ -493,5 +580,10 @@ let () =
           Alcotest.test_case "log serializes" `Quick test_nros_log_serializes;
           Alcotest.test_case "lagging replica no double free" `Quick
             test_nros_lagging_replica_no_double_free;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "nros per-page loops digest" `Quick
+            test_nros_golden_digest;
         ] );
     ]
