@@ -8,14 +8,11 @@
    shared {!Pager.Mapper_set} rmap, written back if modified, then
    dropped through the file pager).
 
-   Pressure is simulated: watermarks are defined over the machine's
-   resident data frames ({!Mm_phys.Phys.data_frames}). [balance] is the
-   kswapd wakeup — when residency exceeds the high watermark it reclaims
-   down to the low one; [pressure] forces a reclaim of a given size
-   (the harness's knob for reclaim storms); [age] runs the clock hand
-   alone, stripping accessed bits without taking a page. The daemon never
-   runs unless one of them is called, so worlds that ignore it are
-   byte-identical to pre-daemon worlds.
+   Pressure is simulated and driven from outside: [pressure] forces a
+   reclaim of a given size (the harness's knob for reclaim storms), and
+   [age] runs the clock hand alone, stripping accessed bits without
+   taking a page. The daemon never runs unless one of them is called, so
+   worlds that ignore it are byte-identical to pre-daemon worlds.
 
    Correctness properties (checked by [Mm_verif.Live] via the Reclaim_*
    monitor events): wired (mlock'd) pages are never taken; dirty pages
@@ -38,8 +35,6 @@ type stats = {
 type t = {
   kernel : Kernel.t;
   dev : Blockdev.t;
-  mutable low : int; (* reclaim down to this many data frames *)
-  mutable high : int; (* [balance] wakes above this *)
   mutable spaces : Addr_space.t list; (* in registration order *)
   mutable files : File.t list;
   stats : stats;
@@ -55,13 +50,8 @@ let fresh_stats () =
     wakeups = 0;
   }
 
-let create ?(low = 0) ?(high = max_int) kernel ~dev () =
-  { kernel; dev; low; high; spaces = []; files = []; stats = fresh_stats () }
-
-let set_watermarks t ~low ~high =
-  if low > high then invalid_arg "Pageoutd.set_watermarks";
-  t.low <- low;
-  t.high <- high
+let create kernel ~dev () =
+  { kernel; dev; spaces = []; files = []; stats = fresh_stats () }
 
 let stats t = t.stats
 let dev t = t.dev
@@ -267,10 +257,3 @@ let pressure t ~target_pages =
 (* The clock hand alone: strip every registered space's accessed bits,
    take nothing. *)
 let age t = List.iter (fun asp -> ignore (clock_pass t asp ~target:0)) t.spaces
-
-(* The kswapd wakeup: reclaim down to the low watermark when residency
-   exceeds the high one. *)
-let balance t =
-  let resident = Mm_phys.Phys.data_frames t.kernel.Kernel.phys in
-  if resident > t.high then pressure t ~target_pages:(resident - t.low)
-  else 0

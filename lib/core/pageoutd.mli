@@ -1,11 +1,12 @@
 (** The global page-out daemon: reclaims from every registered address
     space (anonymous pages, second-chance clock scan over the hardware
     accessed bits, swapped through the transactional interface) and file
-    object (page-cache writeback + drop through the pagers), driven by
-    free-frame watermarks over {!Mm_phys.Phys.data_frames}. Wired
-    (mlock'd) pages are never taken; dirty pages are written back before
-    their frame is dropped; unmaps run inside transactions so TLB
-    shootdowns commit before frame reuse. *)
+    object (page-cache writeback + drop through the pagers) when the
+    caller asks it to: {!pressure} takes a given number of pages, {!age}
+    only strips accessed bits. Wired (mlock'd) pages are never taken;
+    dirty pages are written back before their frame is dropped; unmaps
+    run inside transactions so TLB shootdowns commit before frame
+    reuse. *)
 
 type stats = {
   mutable scanned : int;  (** non-COW 4 KiB leaves the clock hand visited *)
@@ -18,11 +19,9 @@ type stats = {
 
 type t
 
-val create : ?low:int -> ?high:int -> Kernel.t -> dev:Blockdev.t -> unit -> t
-(** A daemon swapping to [dev]. Defaults: [high = max_int] (never wakes
-    on {!balance}), [low = 0]. *)
+val create : Kernel.t -> dev:Blockdev.t -> unit -> t
+(** A daemon swapping to [dev]. *)
 
-val set_watermarks : t -> low:int -> high:int -> unit
 val stats : t -> stats
 val dev : t -> Blockdev.t
 
@@ -39,7 +38,3 @@ val age : t -> unit
 (** One clock pass over every registered space that strips the accessed
     bits of hot pages and takes nothing: afterwards only pages touched
     again count as hot. *)
-
-val balance : t -> int
-(** The kswapd wakeup: when resident data frames exceed the high
-    watermark, reclaim down to the low one. Returns pages reclaimed. *)

@@ -182,7 +182,7 @@ let buddy t = t.buddies.(0)
 
 let peak_data_bytes t = t.peak_data_frames * t.page_size
 
-(* Resident user data (anon + page-cache) frames right now; the pageout
-   daemon's watermarks compare against this, not the peak. *)
+(* Resident user data (anon + page-cache) frames right now, not the
+   peak; the page-out daemon reports it when a reclaim pass starts. *)
 let data_frames t =
   t.counts.(kind_index Frame.Anon) + t.counts.(kind_index Frame.File_page)

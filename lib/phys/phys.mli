@@ -42,5 +42,5 @@ val peak_data_bytes : t -> int
     allocator memory-usage experiment (Fig 18). *)
 
 val data_frames : t -> int
-(** Currently resident user data (anon + page-cache) frames — the
-    quantity {!Pageoutd} watermarks are defined over. *)
+(** Currently resident user data (anon + page-cache) frames, which the
+    page-out daemon reports when a reclaim pass starts. *)

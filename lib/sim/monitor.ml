@@ -53,7 +53,7 @@ type event =
          before dropping the cache frame. *)
   | Reclaim_waken of { free : int; target : int }
       (* The page-out daemon started a pass: [free] data frames resident,
-         reclaiming down to [target]. *)
+         [target] pages to reclaim. *)
   | Reclaim_page of { pfn : int }
       (* A resident page was paged out (swapped or dropped) by reclaim. *)
   | Reclaim_writeback of { file : int; page : int }

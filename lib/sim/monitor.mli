@@ -55,7 +55,7 @@ type event =
           before dropping the cache frame. *)
   | Reclaim_waken of { free : int; target : int }
       (** The page-out daemon started a pass: [free] data frames
-          resident, reclaiming down to [target]. *)
+          resident, [target] pages to reclaim. *)
   | Reclaim_page of { pfn : int }
       (** A resident page was paged out (swapped/dropped) by reclaim. *)
   | Reclaim_writeback of { file : int; page : int }
