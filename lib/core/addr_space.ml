@@ -239,9 +239,7 @@ type cursor = {
   mutable wc_b : walk_cache option;
 }
 
-let cursor_range c = (c.lo, c.hi)
 let sync_shootdown c = c.sync_shootdown <- true
-let cursor_covering_level c = c.covering.Pt.level
 
 (* The unique child slot of [node] that entirely covers [lo, hi), if the
    node is not a leaf-level page. *)

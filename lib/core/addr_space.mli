@@ -68,8 +68,6 @@ val set_mutant_fork_skip_parent_wp : bool -> unit
     the child observes them. Domain-local; cleared by
     [Mm_workloads.Runner.reset_world_state]. *)
 
-val mutant_fork_skip_parent_wp : unit -> bool
-
 (** {2 Transactions}
 
     A transaction's lifecycle is [lock] → cursor operations → [commit],
@@ -119,8 +117,6 @@ val commit : cursor -> unit
 val with_lock : t -> lo:int -> hi:int -> (cursor -> 'a) -> 'a
 (** [lock], run the function, [commit] (also on exception). *)
 
-val cursor_range : cursor -> int * int
-val cursor_covering_level : cursor -> int
 
 val sync_shootdown : cursor -> unit
 (** Make this transaction's commit invalidate remote TLBs before it

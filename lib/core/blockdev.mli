@@ -6,7 +6,6 @@ type t
 exception Device_full
 
 val write_cost : int
-val read_cost : int
 
 val create : ?nblocks:int -> name:string -> unit -> t
 val alloc_block : t -> int

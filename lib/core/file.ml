@@ -148,7 +148,6 @@ let remove_mapper t ~asp_id ~map_vaddr =
   Pager.Mapper_set.remove t.mappers ~asp_id ~map_vaddr
 
 let mappers t = Pager.Mapper_set.to_list t.mappers
-let mapper_set t = t.mappers
 let cached_pages t = Hashtbl.length t.pages
 
 let cached_page_indexes t =

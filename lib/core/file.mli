@@ -14,8 +14,6 @@ type mapper = Pager.mapping = {
 
 type t
 
-val io_read_cost : int
-
 val create : kind:kind -> size:int -> t
 val regular : name:string -> size:int -> t
 val shm : size:int -> t
@@ -44,10 +42,6 @@ val remove_mapper : t -> asp_id:int -> map_vaddr:int -> unit
 val mappers : t -> mapper list
 (** The file-side reverse mapping ("the file object contains a tree of
     all AddrSpaces that map the file", §4.5). *)
-
-val mapper_set : t -> Pager.Mapper_set.t
-(** The underlying shared reverse-mapping set (for the page-out
-    daemon). *)
 
 val cached_pages : t -> int
 

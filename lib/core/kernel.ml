@@ -71,8 +71,6 @@ let rmap_of t ~pfn =
       (Pager.Mapper_set.to_list s)
   | None -> []
 
-let rmap_set t ~pfn = Hashtbl.find_opt t.anon_rmap pfn
-
 let numa_nodes t = Mm_phys.Phys.numa_nodes t.phys
 
 (* CPUs are striped across nodes in contiguous blocks, as on real

@@ -30,10 +30,6 @@ val rmap_of : t -> pfn:int -> (int * int) list
 (** Mappers of an anonymous frame as [(address-space id, vaddr)] pairs.
     Reverse mappings are hints: re-validate through a transaction. *)
 
-val rmap_set : t -> pfn:int -> Pager.Mapper_set.t option
-(** The frame's raw reverse-mapping set (shared {!Pager.Mapper_set}
-    container, same as the file mapper tree). *)
-
 val page_size : t -> int
 val numa_nodes : t -> int
 

@@ -74,8 +74,6 @@ val mbind : Addr_space.t -> addr:int -> len:int -> policy:Numa.policy -> unit
 val timer_tick : Addr_space.t -> unit
 (** Simulated timer interrupt: drains the CPU's lazy (LATR) TLB buffer. *)
 
-val user_range : Addr_space.t -> int * int
-
 val write_value : Addr_space.t -> vaddr:int -> value:int -> unit
 (** Simulated user store of a verification token (drives COW/swap tests). *)
 

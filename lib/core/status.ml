@@ -27,19 +27,6 @@ let perm = function
   | Swapped { perm; _ } ->
     Some perm
 
-let with_perm t p =
-  match t with
-  | Invalid -> Invalid
-  | Mapped m -> Mapped { m with perm = p }
-  | Private_anon _ -> Private_anon p
-  | Private_file f -> Private_file { f with perm = p }
-  | Shared_anon s -> Shared_anon { s with perm = p }
-  | Swapped s -> Swapped { s with perm = p }
-
-let is_virtually_allocated = function
-  | Private_anon _ | Private_file _ | Shared_anon _ | Swapped _ -> true
-  | Invalid | Mapped _ -> false
-
 let equal a b =
   match (a, b) with
   | Invalid, Invalid -> true

@@ -12,8 +12,6 @@ type t =
   | Swapped of { dev : Blockdev.t; block : int; perm : Perm.t }
 
 val perm : t -> Perm.t option
-val with_perm : t -> Perm.t -> t
-val is_virtually_allocated : t -> bool
 val equal : t -> t -> bool
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -85,11 +85,6 @@ let shadow base =
   emit (Mm_sim.Monitor.Obj_ref { obj = base.id; refs = base.refs });
   s
 
-let ref_ o =
-  if o.dead then invalid_arg "Vm_object.ref_: dead object";
-  o.refs <- o.refs + 1;
-  emit (Mm_sim.Monitor.Obj_ref { obj = o.id; refs = o.refs })
-
 (* Collapse [o] (refs = 1, whose only referent is its single live shadow
    [s]): merge every page [s] does not already shadow, splice [s] onto
    [o]'s parent, and kill [o]. Frames are not touched — their lifetime is

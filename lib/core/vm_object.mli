@@ -30,8 +30,6 @@ val fork_push : t -> t * t
     shadows over [top], which loses the forking space's direct
     reference. Returns [(parent_top, child_top)]. *)
 
-val ref_ : t -> unit
-
 val unref : t -> unit
 (** Drop one reference. At zero the object dies (and unrefs its chain
     parent, cascading); at one with a single surviving shadow child the

@@ -20,7 +20,6 @@ let leaf ?(accessed = false) ?(dirty = false) ?(global = false) ~pfn ~perm () =
 
 let is_present = function Absent -> false | Table _ | Leaf _ -> true
 let is_leaf = function Leaf _ -> true | Absent | Table _ -> false
-let is_table = function Table _ -> true | Absent | Leaf _ -> false
 
 let pfn = function
   | Absent -> None

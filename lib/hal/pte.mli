@@ -23,7 +23,6 @@ val leaf :
 
 val is_present : t -> bool
 val is_leaf : t -> bool
-val is_table : t -> bool
 val pfn : t -> int option
 val equal : t -> t -> bool
 val to_string : t -> string

@@ -33,8 +33,6 @@ type 'a timed = { value : 'a; seconds : float }
 
 type 'a slot = ('a timed, exn * Printexc.raw_backtrace) result
 
-let available_cores () = Domain.recommended_domain_count ()
-
 (* Typed validation of a count flag, same result-style shape as the
    registry lookups: the [Error] is a ready-to-print message naming
    [flag]. *)

@@ -11,9 +11,6 @@ type 'a timed = { value : 'a; seconds : float }
 (** A task's result plus the wall-clock seconds it spent in its worker
     (host-side timing only — virtual time is unaffected). *)
 
-val available_cores : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
-
 val count_of_string : flag:string -> string -> (int, string) result
 (** Typed validation for count flags ([-j], [--cpus], ...): [Ok n] for a
     positive integer, otherwise a ready-to-print error message naming

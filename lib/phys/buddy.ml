@@ -153,13 +153,6 @@ let splits t = t.splits
 let merges t = t.merges
 let frontier t = t.frontier
 
-let free_frames t =
-  let acc = ref 0 in
-  Array.iteri
-    (fun order n -> acc := !acc + (n * block_size order))
-    t.free_counts;
-  !acc + (t.nframes - t.frontier)
-
 (* Sorted (ascending) free-block pfns of one order, for tests and the
    reference-implementation equivalence harness. *)
 let free_blocks t ~order =

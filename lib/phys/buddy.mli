@@ -18,7 +18,6 @@ val free : t -> pfn:int -> order:int -> unit
     frees and misaligned blocks. *)
 
 val allocated_frames : t -> int
-val free_frames : t -> int
 val splits : t -> int
 val merges : t -> int
 

@@ -55,7 +55,6 @@ type 'm t = {
   nodes : (int, 'm node) Hashtbl.t; (* pfn -> node *)
   occ_off : int; (* byte offset of the occupancy bits in a node's raw *)
   mutable pt_page_count : int;
-  mutable pt_pages_allocated : int;
   mutable pt_pages_freed : int;
 }
 
@@ -85,7 +84,6 @@ let alloc_node t ~level =
   let node = make_node t.isa frame ~level in
   Hashtbl.replace t.nodes frame.Mm_phys.Frame.pfn node;
   t.pt_page_count <- t.pt_page_count + 1;
-  t.pt_pages_allocated <- t.pt_pages_allocated + 1;
   node
 
 let create phys isa =
@@ -99,7 +97,6 @@ let create phys isa =
       nodes = Hashtbl.create 256;
       occ_off = Geometry.entries isa.Isa.geo * 8;
       pt_page_count = 1;
-      pt_pages_allocated = 1;
       pt_pages_freed = 0;
     }
   in
@@ -111,7 +108,6 @@ let isa t = t.isa
 let geometry t = t.isa.Isa.geo
 let node_of_pfn t pfn = Hashtbl.find_opt t.nodes pfn
 let pt_page_count t = t.pt_page_count
-let pt_pages_allocated t = t.pt_pages_allocated
 let pt_pages_freed t = t.pt_pages_freed
 
 let entries_per_node t = Geometry.entries t.isa.Isa.geo

@@ -33,7 +33,6 @@ val node_of_pfn : 'm t -> int -> 'm node option
 val entries_per_node : 'm t -> int
 
 val pt_page_count : 'm t -> int
-val pt_pages_allocated : 'm t -> int
 val pt_pages_freed : 'm t -> int
 
 val get : 'm t -> 'm node -> int -> Pte.t

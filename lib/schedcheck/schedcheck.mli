@@ -80,7 +80,6 @@ val shrink : config -> keys:int array -> budget:int -> int array * int
 (** {2 Schedule files} *)
 
 val schedule_of : config -> int array -> Schedule.t
-val config_of_schedule : Schedule.t -> (config, string) result
 
 val replay_schedule : Schedule.t -> (string list, string) result
 (** Re-run a schedule deterministically; [Ok violations] is the

@@ -25,7 +25,6 @@ type t = {
 
 val short : t
 val mixed : t
-val faulty : t
 
 val fork_fleet : t
 (** The process-fleet mix: every session forks a child off a long-lived

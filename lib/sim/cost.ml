@@ -62,7 +62,6 @@ let linux_fault_accounting = 260
 let rcu_toggle = 2 (* preemption-disable style read-side entry/exit *)
 let bravo_read = 12 (* BRAVO visible-reader slot update *)
 let bravo_revoke_per_cpu = 30 (* writer scanning the visible-reader table *)
-let lock_body = 10 (* bookkeeping inside an acquired lock *)
 
 (* -- TLB maintenance -- *)
 

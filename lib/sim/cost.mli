@@ -91,9 +91,6 @@ val bravo_read : int
 val bravo_revoke_per_cpu : int
 (** Writer scanning the visible-reader table. *)
 
-val lock_body : int
-(** Bookkeeping inside an acquired lock. *)
-
 (** {2 TLB maintenance} *)
 
 val tlb_flush_local : int

@@ -116,7 +116,6 @@ let unlock t =
     Engine.unpark p ~at:(f.f_time + Cost.line_transfer)
 
 let holder t = if t.locked then Some t.holder else None
-let is_locked t = t.locked
 let acquisitions t = t.acquisitions
 let contended t = t.contended
 let id t = t.id

@@ -18,6 +18,5 @@ val unlock : t -> unit
 (** Raises if the lock is not held, or held by a different CPU. *)
 
 val holder : t -> int option
-val is_locked : t -> bool
 val acquisitions : t -> int
 val contended : t -> int

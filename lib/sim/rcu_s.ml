@@ -165,7 +165,6 @@ let synchronize t =
             }
             :: t.pending)
 
-let pending_callbacks t = List.length t.pending
 let deferred t = t.deferred
 let completed t = t.completed
 let immediate t = t.immediate

@@ -17,7 +17,6 @@ val defer : t -> (unit -> unit) -> unit
 val synchronize : t -> unit
 (** Block the calling fiber until a grace period elapses. *)
 
-val pending_callbacks : t -> int
 val deferred : t -> int
 val completed : t -> int
 val immediate : t -> int

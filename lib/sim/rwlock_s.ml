@@ -33,8 +33,6 @@ type t = {
   mutable writer_since : int; (* virtual time the writer acquired *)
   rwait : Engine.parked Queue.t;
   wwait : Engine.parked Queue.t;
-  mutable read_acqs : int;
-  mutable write_acqs : int;
   mutable revocations : int;
 }
 
@@ -55,8 +53,6 @@ let make ?(bravo = true) ?id ?name () =
     writer_since = 0;
     rwait = Queue.create ();
     wwait = Queue.create ();
-    read_acqs = 0;
-    write_acqs = 0;
     revocations = 0;
   }
 
@@ -112,7 +108,6 @@ let read_lock t =
   else begin
     reader_entry_cost f t;
     t.readers <- t.readers + 1;
-    t.read_acqs <- t.read_acqs + 1;
     t.reads_since_writer <- t.reads_since_writer + 1;
     maybe_reenable_bravo t;
     note_acquired f t ~kind:Mm_obs.Event.Rw_read ~wait:0
@@ -125,7 +120,6 @@ let wake_next_writer t ~now =
   | Some p ->
     t.writer <- true;
     t.writer_cpu <- Engine.parked_cpu p;
-    t.write_acqs <- t.write_acqs + 1;
     Engine.unpark p ~at:(now + Cost.line_transfer)
 
 let read_unlock t =
@@ -155,7 +149,6 @@ let write_lock t =
   if t.readers = 0 && (not t.writer) && Queue.is_empty t.wwait then begin
     t.writer <- true;
     t.writer_cpu <- f.f_cpu;
-    t.write_acqs <- t.write_acqs + 1;
     t.writer_since <- f.f_time;
     note_acquired f t ~kind:Mm_obs.Event.Rw_write ~wait:0
   end
@@ -173,7 +166,6 @@ let wake_reader_phase t ~now =
   let i = ref 0 in
   let admit p =
     t.readers <- t.readers + 1;
-    t.read_acqs <- t.read_acqs + 1;
     (* Waking readers still serialize lightly on the lock word. *)
     Engine.unpark p ~at:(base + (!i * Cost.atomic_local));
     incr i
@@ -248,7 +240,5 @@ let upgrade t =
 
 let readers t = t.readers
 let writer_active t = t.writer
-let read_acqs t = t.read_acqs
-let write_acqs t = t.write_acqs
 let revocations t = t.revocations
 let id t = t.id

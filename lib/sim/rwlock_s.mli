@@ -25,8 +25,6 @@ val upgrade : t -> unit
 
 val readers : t -> int
 val writer_active : t -> bool
-val read_acqs : t -> int
-val write_acqs : t -> int
 val revocations : t -> int
 
 val set_mutant_skip_writer_handoff : bool -> unit

@@ -26,7 +26,6 @@ type t = {
 }
 
 let name t = t.name
-let decisions t = t.count
 
 let fifo () =
   { name = "fifo"; next = (fun _ -> 0); record = false; count = 0; buf = [||] }

@@ -34,9 +34,6 @@ val replay : int array -> t
 val next_key : t -> int
 (** The next tie key. Called by the engine once per event push. *)
 
-val decisions : t -> int
-(** How many keys this policy has handed out. *)
-
 val recorded : t -> int array
 (** The keys handed out so far ([random] policies only; empty for
     [fifo]/[replay]). *)

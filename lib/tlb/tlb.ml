@@ -25,11 +25,6 @@
 
 type strategy = Sync | Early_ack | Latr
 
-let strategy_to_string = function
-  | Sync -> "sync"
-  | Early_ack -> "early-ack"
-  | Latr -> "latr"
-
 type policy = Immediate | Batched of { window : int; max_batch : int }
 
 let policy_to_string = function

@@ -30,7 +30,6 @@ type t
 
 val create : ?policy:policy -> ncpus:int -> strategy:strategy -> unit -> t
 val strategy : t -> strategy
-val strategy_to_string : strategy -> string
 
 val policy : t -> policy
 val policy_to_string : policy -> string

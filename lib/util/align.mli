@@ -1,7 +1,6 @@
 (** Power-of-two alignment arithmetic. All [align] arguments must be powers
     of two; the functions raise [Invalid_argument] otherwise. *)
 
-val is_pow2 : int -> bool
 val log2 : int -> int
 val down : int -> int -> int
 val up : int -> int -> int

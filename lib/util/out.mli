@@ -7,7 +7,6 @@
     run. With no capture active, output goes straight to stdout. *)
 
 val print_string : string -> unit
-val print_char : char -> unit
 val print_newline : unit -> unit
 val print_endline : string -> unit
 val printf : ('a, unit, string, unit) format4 -> 'a

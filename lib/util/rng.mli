@@ -12,9 +12,6 @@ val create : seed:int -> t
 val next : t -> int
 (** Next non-negative pseudo-random integer (uniform over 62 bits). *)
 
-val next_int64 : t -> int64
-(** Next raw 64-bit output of the generator. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound). Raises [Invalid_argument] if
     [bound <= 0]. *)

@@ -9,9 +9,8 @@ val percentile : float array -> float -> float
 val median : float array -> float
 val geomean : float array -> float
 
-val cycles_per_second : float
-(** Nominal simulated clock (3 GHz) used to present cycle counts as
-    per-second throughput in the tables. *)
-
 val ops_per_second : ops:int -> cycles:int -> float
+(** Throughput at the nominal simulated clock (3 GHz), used to present
+    cycle counts as per-second rates in the tables. *)
+
 val speedup : baseline:float -> value:float -> float

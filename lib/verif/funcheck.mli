@@ -11,10 +11,6 @@ type op =
 
 val op_to_string : op -> string
 
-val op_universe : op list
-(** The fixed operation alphabet exhaustive enumeration draws from,
-    covering overlap, splitting, remapping, permission changes, faults. *)
-
 type exhaustive_result = {
   sequences : int;
   checks : int;

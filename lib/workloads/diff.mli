@@ -8,8 +8,6 @@
 
 type outcome = O_ok | O_err of Mm_hal.Errno.t | O_skip
 
-val outcome_to_string : outcome -> string
-
 type divergence = {
   d_op : int;  (** index of the offending op in the trace *)
   d_backend_a : string;
@@ -18,9 +16,6 @@ type divergence = {
 }
 
 val describe : divergence -> string
-
-val default_backends : unit -> System.backend list
-(** All of {!System.Registry.all}, in registry order. *)
 
 val compare_page_states :
   ?check_writable:bool ->
@@ -47,9 +42,10 @@ val run :
   (int, divergence) result
 (** [Ok nops] when every backend agrees on the whole trace; otherwise
     the earliest divergence by op index. [check_every] defaults to 16;
-    [backends] to {!default_backends} (the first entry is the
-    reference). [jobs] (default 1) shards the per-backend replays
-    across domains; the verdict is identical for any value.
+    [backends] to every backend of {!System.Registry.all}, in registry
+    order (the first entry is the reference). [jobs] (default 1) shards
+    the per-backend replays across domains; the verdict is identical for
+    any value.
 
     Fork ops replay as {!System.fork}: the child process inherits the
     parent's regions, a per-(proc, region, page) value model written by

@@ -31,7 +31,7 @@ type contention = Low | High
 
 let contention_name = function Low -> "low" | High -> "high"
 
-let region_len = 16 * 1024
+let region_len = 16 * 1024 (* as in the paper *)
 let chunk_align = region_len
 let page = 4096
 let block = 2 * 1024 * 1024 (* one leaf PT page's coverage *)

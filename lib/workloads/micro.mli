@@ -11,9 +11,6 @@ type contention = Low | High
 
 val contention_name : contention -> string
 
-val region_len : int
-(** 16 KiB, as in the paper. *)
-
 val supported : System.kind -> bench -> bool
 (** NrOS has no demand paging: PF and unmap-virt do not apply. *)
 

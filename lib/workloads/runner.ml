@@ -113,8 +113,6 @@ let run_phases ?(setup = fun () -> ()) ?(prep = fun _ -> ()) ~ncpus ~measure ()
   let b2 = Barrier.make ~total:ncpus in
   let start = Array.make ncpus 0 in
   let finish = Array.make ncpus 0 in
-  let mw0 = Gc.minor_words () in
-  let ct0 = Sys.time () in
   for cpu = 0 to ncpus - 1 do
     Engine.spawn w ~cpu (fun () ->
         if cpu = 0 then setup ();
@@ -130,27 +128,6 @@ let run_phases ?(setup = fun () -> ()) ?(prep = fun _ -> ()) ~ncpus ~measure ()
         finish.(cpu) <- Engine.now ())
   done;
   Engine.run w;
-  (if Sys.getenv_opt "MM_ENGINE_STATS" <> None then
-     let s = Engine.stats w in
-     Printf.eprintf
-       "ENGINE_STATS label=%s ncpus=%d events=%d parks=%d wakes=%d rmws=%d \
-        stalls=%d mwords=%.0f cpu_s=%.3f\n\
-        %!"
-       (current_label ()) ncpus s.Engine.events s.Engine.parks s.Engine.wakes
-       s.Engine.rmws s.Engine.line_stalls
-       (Gc.minor_words () -. mw0)
-       (Sys.time () -. ct0));
   let t0 = Array.fold_left min max_int start in
   let t1 = Array.fold_left max 0 finish in
   t1 - t0
-
-(* Run [f cpu] on each of [ncpus] virtual CPUs with no setup; returns the
-   completion time (max over CPUs, in cycles). Only safe for benchmarks
-   whose world is fresh (no state carried from another world). *)
-let run_threads ~ncpus f =
-  let w = Engine.create ~ncpus in
-  for cpu = 0 to ncpus - 1 do
-    Engine.spawn w ~cpu (fun () -> f cpu)
-  done;
-  Engine.run w;
-  Engine.max_time w

@@ -22,9 +22,6 @@ val run_phases :
     parallel; then, after a barrier, [measure cpu]. Returns the measured
     interval in cycles (barrier release to last completion). *)
 
-val run_threads : ncpus:int -> (int -> unit) -> int
-(** Plain parallel run with no phases (only safe in a fresh world). *)
-
 type result = { ops : int; cycles : int; ops_per_sec : float }
 
 val result : ops:int -> cycles:int -> result

@@ -195,7 +195,6 @@ let touch_range_exn t ~addr ~len ~write =
 
 let fork_exn t = ok_exn (fork t)
 let write_value_exn t ~vaddr ~value = ok_exn (write_value t ~vaddr ~value)
-let read_value_exn t ~vaddr = ok_exn (read_value t ~vaddr)
 
 (* The feature matrix of the paper's Table 2 (claims of the respective
    papers/systems, reproduced verbatim). *)

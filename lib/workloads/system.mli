@@ -154,7 +154,6 @@ val touch_exn : t -> vaddr:int -> write:bool -> unit
 val touch_range_exn : t -> addr:int -> len:int -> write:bool -> unit
 val fork_exn : t -> t
 val write_value_exn : t -> vaddr:int -> value:int -> unit
-val read_value_exn : t -> vaddr:int -> int
 
 val warm : t -> cpu:int -> unit
 (** One throwaway mapping on the calling CPU's fiber, materializing its

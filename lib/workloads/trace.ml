@@ -208,14 +208,6 @@ let profile_name = function
   | Forks -> "forks"
   | Reclaim -> "reclaim"
 
-let profile_of_name = function
-  | "churn" -> Some Churn
-  | "faults" -> Some Faults
-  | "mixed" -> Some Mixed
-  | "forks" -> Some Forks
-  | "reclaim" -> Some Reclaim
-  | _ -> None
-
 let generate ~profile ~ncpus ~ops_per_cpu ~seed =
   let next_id = ref 0 in
   let next_proc = ref 0 in

@@ -35,7 +35,6 @@ val load : string -> t
 type profile = Churn | Faults | Mixed | Forks | Reclaim
 
 val profile_name : profile -> string
-val profile_of_name : string -> profile option
 
 val generate : profile:profile -> ncpus:int -> ops_per_cpu:int -> seed:int -> t
 (** Deterministic synthetic trace: [Churn] = allocator-like
