@@ -18,6 +18,16 @@ dune exec bin/mmrepro.exe -- run fig13 --json /tmp/b.json \
   || { cat /tmp/check_bench.out; exit 1; }
 tail -n 3 /tmp/check_bench.out
 
+echo "== run: --trace leaves the --json results byte-identical =="
+# A traced run records the checker's events too (frames, objects,
+# reclaim); recording must not move a simulated number.
+dune exec bin/mmrepro.exe -- run fig13 --json /tmp/zp_plain.json \
+  > /dev/null 2>&1
+dune exec bin/mmrepro.exe -- run fig13 --json /tmp/zp_traced.json \
+  --trace /tmp/zp_trace.json > /dev/null 2>&1
+cmp /tmp/zp_plain.json /tmp/zp_traced.json \
+  || { echo "run: --trace changed the --json results"; exit 1; }
+
 echo "== run parallel: -j 2 stream and JSON byte-identical to -j 1 =="
 dune exec bin/mmrepro.exe -- run fig1 fig13 --json /tmp/bj.json \
   > /tmp/bench_j1.out 2>/dev/null

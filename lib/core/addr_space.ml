@@ -391,12 +391,8 @@ let lock t ~lo ~hi =
       span;
     Mm_sim.Engine.obs
       (Mm_obs.Event.Cursor_lock
-         { lo; hi; locked = List.length c.locked; span })
+         { asp = t.id; lo; hi; locked = List.length c.locked; span })
   end;
-  if Mm_sim.Monitor.on () && Mm_sim.Engine.in_fiber () then
-    Mm_sim.Monitor.emit
-      (Mm_sim.Monitor.Txn_locked
-         { asp = t.id; cpu = Mm_sim.Engine.cpu_id (); lo; hi });
   c
 
 (* -- Commit (RCursor Drop, Fig 4 L23) -- *)
@@ -414,10 +410,9 @@ let commit c =
      operations after this point, so ending its monitored lifetime here
      keeps the overlap check sound without false positives on legal
      handoffs. *)
-  if Mm_sim.Monitor.on () && Mm_sim.Engine.in_fiber () then
-    Mm_sim.Monitor.emit
-      (Mm_sim.Monitor.Txn_committed
-         { asp = t.id; cpu = Mm_sim.Engine.cpu_id (); lo = c.lo; hi = c.hi });
+  if Mm_obs.Trace.on () && Mm_sim.Engine.in_fiber () then
+    Mm_sim.Engine.obs
+      (Mm_obs.Event.Txn_committed { asp = t.id; lo = c.lo; hi = c.hi });
   (* Frames unmapped under a deferring TLB policy are released only once
      the shootdown that invalidates their translations has actually
      flushed — [Tlb.shootdown]'s [on_flush] hook (async unmap). The
@@ -429,9 +424,9 @@ let commit c =
     List.iter
       (fun (frame : Mm_phys.Frame.t) ->
         Mm_sim.Engine.charge Mm_sim.Cost.page_free;
-        if Mm_sim.Monitor.on () then
-          Mm_sim.Monitor.emit
-            (Mm_sim.Monitor.Frame_freed
+        if Mm_obs.Trace.on () then
+          Mm_sim.Engine.obs
+            (Mm_obs.Event.Frame_freed
                {
                  pfn = frame.Mm_phys.Frame.pfn;
                  pages = 1 lsl frame.Mm_phys.Frame.order;
@@ -690,9 +685,9 @@ let free_or_defer c (frame : Mm_phys.Frame.t) =
   let t = c.asp in
   if Mm_tlb.Tlb.deferring t.tlb then begin
     c.deferred_frames <- frame :: c.deferred_frames;
-    if Mm_sim.Monitor.on () then
-      Mm_sim.Monitor.emit
-        (Mm_sim.Monitor.Frame_deferred
+    if Mm_obs.Trace.on () then
+      Mm_sim.Engine.obs
+        (Mm_obs.Event.Frame_deferred
            {
              pfn = frame.Mm_phys.Frame.pfn;
              pages = 1 lsl frame.Mm_phys.Frame.order;

@@ -64,8 +64,6 @@ let shm ~size = create ~kind:Shm ~size
 
 let page_token t ~page_index = (t.id * 1_000_003) + page_index
 
-let emit ev = if Mm_sim.Monitor.on () then Mm_sim.Monitor.emit ev
-
 (* The content a page (re)faults in with: written-back data wins over the
    pristine token / zero fill. *)
 let backing_contents t ~page_index =
@@ -99,7 +97,9 @@ let get_page t phys ~page_index =
 let lookup_page t ~page_index = Hashtbl.find_opt t.pages page_index
 
 let mark_dirty t ~page_index =
-  emit (Mm_sim.Monitor.Page_dirtied { file = t.id; page = page_index });
+  if Mm_obs.Trace.on () then
+    Mm_sim.Engine.obs
+      (Mm_obs.Event.Page_dirtied { file = t.id; page = page_index });
   Hashtbl.replace t.dirty page_index ()
 
 (* Store one page's contents in the backing store (one device write). *)
@@ -108,7 +108,9 @@ let store_page t ~page_index ~contents =
   t.writebacks <- t.writebacks + 1;
   Hashtbl.replace t.disk page_index contents;
   Hashtbl.remove t.dirty page_index;
-  emit (Mm_sim.Monitor.Reclaim_writeback { file = t.id; page = page_index })
+  if Mm_obs.Trace.on () then
+    Mm_sim.Engine.obs
+      (Mm_obs.Event.Reclaim_writeback { file = t.id; page = page_index })
 
 let writeback t =
   let idxs =
@@ -136,8 +138,9 @@ let drop_page t phys ~page_index =
   match Hashtbl.find_opt t.pages page_index with
   | None -> ()
   | Some f ->
-    emit
-      (Mm_sim.Monitor.Reclaim_drop
+    if Mm_obs.Trace.on () then
+      Mm_sim.Engine.obs
+        (Mm_obs.Event.Reclaim_drop
          { file = t.id; page = page_index; pfn = f.Mm_phys.Frame.pfn });
     Hashtbl.remove t.pages page_index;
     Mm_phys.Phys.free phys f

@@ -492,8 +492,8 @@ let swap_out asp ~vaddr ~dev =
               Addr_space.sync_shootdown c;
               Addr_space.unmap c ~lo:page ~hi:(page + ps);
               Addr_space.set_swapped c ~vaddr:page ~dev ~block ~perm;
-              if Mm_sim.Monitor.on () then
-                Mm_sim.Monitor.emit (Mm_sim.Monitor.Reclaim_page { pfn });
+              if Mm_obs.Trace.on () then
+                Mm_sim.Engine.obs (Mm_obs.Event.Reclaim_page { pfn });
               true
             | _ -> false
           end
@@ -575,8 +575,8 @@ let mlock_r asp ~addr ~len =
                   f.Mm_phys.Frame.wired <- true;
                   kernel.Kernel.wired_pages <-
                     kernel.Kernel.wired_pages + 1;
-                  if Mm_sim.Monitor.on () then
-                    Mm_sim.Monitor.emit (Mm_sim.Monitor.Page_wired { pfn })
+                  if Mm_obs.Trace.on () then
+                    Mm_sim.Engine.obs (Mm_obs.Event.Page_wired { pfn })
                 end
               | _ -> ()
             done);
@@ -602,8 +602,8 @@ let munlock_r asp ~addr ~len =
             if f.Mm_phys.Frame.wired then begin
               f.Mm_phys.Frame.wired <- false;
               kernel.Kernel.wired_pages <- kernel.Kernel.wired_pages - 1;
-              if Mm_sim.Monitor.on () then
-                Mm_sim.Monitor.emit (Mm_sim.Monitor.Page_unwired { pfn })
+              if Mm_obs.Trace.on () then
+                Mm_sim.Engine.obs (Mm_obs.Event.Page_unwired { pfn })
             end
           | _ -> ()
         done);

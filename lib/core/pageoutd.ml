@@ -67,8 +67,6 @@ let register_file t file =
   if not (List.exists (fun f -> f == file) t.files) then
     t.files <- t.files @ [ file ]
 
-let emit ev = if Mm_sim.Monitor.on () then Mm_sim.Monitor.emit ev
-
 let space_of t asp_id =
   List.find_opt (fun a -> Addr_space.id a = asp_id) t.spaces
 
@@ -124,7 +122,9 @@ let reclaim_file_pages t file ~target =
                      [ (page_index, f.Mm_phys.Frame.contents) ]);
                 t.stats.file_written_back <- t.stats.file_written_back + 1
               end;
-              emit (Mm_sim.Monitor.Reclaim_page { pfn = f.Mm_phys.Frame.pfn });
+              if Mm_obs.Trace.on () then
+                Mm_sim.Engine.obs
+                  (Mm_obs.Event.Reclaim_page { pfn = f.Mm_phys.Frame.pfn });
               File.drop_page file phys ~page_index;
               incr dropped;
               t.stats.file_dropped <- t.stats.file_dropped + 1
@@ -228,23 +228,21 @@ let run_once t ~target =
     t.spaces;
   !got
 
-let note_wakeup () =
-  if Mm_obs.Trace.on () then
-    Mm_obs.Metrics.inc (Mm_obs.Metrics.counter "pageoutd.wakeups")
-
 (* Forced reclaim of [target_pages] pages (or until two full passes make
    no progress — everything left is hot, wired, or unknown). *)
 let pressure t ~target_pages =
   if target_pages <= 0 then 0
   else begin
     t.stats.wakeups <- t.stats.wakeups + 1;
-    note_wakeup ();
-    emit
-      (Mm_sim.Monitor.Reclaim_waken
-         {
-           free = Mm_phys.Phys.data_frames t.kernel.Kernel.phys;
-           target = target_pages;
-         });
+    if Mm_obs.Trace.on () then begin
+      Mm_obs.Metrics.inc (Mm_obs.Metrics.counter "pageoutd.wakeups");
+      Mm_sim.Engine.obs
+        (Mm_obs.Event.Reclaim_waken
+           {
+             free = Mm_phys.Phys.data_frames t.kernel.Kernel.phys;
+             target = target_pages;
+           })
+    end;
     let rec go total dry =
       if total >= target_pages || dry >= 2 then total
       else

@@ -20,9 +20,9 @@
    both sides and faults still key off the PTE's COW bit, so all
    simulated costs, TLB traffic and virtual-time behaviour are identical
    to the pre-object-layer code. Object maintenance charges nothing and
-   never parks; monitored and unmonitored runs stay bit-identical
-   (transitions announce themselves through {!Mm_sim.Monitor} only when
-   a checker is installed). *)
+   never parks; observed and unobserved runs stay bit-identical
+   (transitions announce themselves as [Obj_*] events only while the
+   domain has a subscriber). *)
 
 type t = {
   id : int;
@@ -50,8 +50,6 @@ let page_slots o = Hashtbl.length o.pages
 
 let rec depth o = match o.parent with None -> 1 | Some p -> 1 + depth p
 
-let emit ev = if Mm_sim.Monitor.on () then Mm_sim.Monitor.emit ev
-
 let make ~parent =
   let next_id = next_id () in
   incr next_id;
@@ -65,12 +63,10 @@ let make ~parent =
       dead = false;
     }
   in
-  emit
-    (Mm_sim.Monitor.Obj_created
-       {
-         obj = o.id;
-         parent = (match parent with None -> -1 | Some p -> p.id);
-       });
+  if Mm_obs.Trace.on () then
+    Mm_sim.Engine.obs
+      (Mm_obs.Event.Obj_created
+         { obj = o.id; parent = Option.fold ~none:(-1) ~some:id parent });
   o
 
 let create_anon () = make ~parent:None
@@ -82,7 +78,9 @@ let shadow base =
   let s = make ~parent:(Some base) in
   base.refs <- base.refs + 1;
   base.children <- s :: base.children;
-  emit (Mm_sim.Monitor.Obj_ref { obj = base.id; refs = base.refs });
+  if Mm_obs.Trace.on () then
+    Mm_sim.Engine.obs
+      (Mm_obs.Event.Obj_ref { obj = base.id; refs = base.refs });
   s
 
 (* Collapse [o] (refs = 1, whose only referent is its single live shadow
@@ -105,14 +103,18 @@ let collapse_into o s =
   o.children <- [];
   o.refs <- 0;
   o.dead <- true;
-  emit (Mm_sim.Monitor.Obj_collapsed { obj = o.id; into = s.id });
-  emit (Mm_sim.Monitor.Obj_destroyed { obj = o.id })
+  if Mm_obs.Trace.on () then begin
+    Mm_sim.Engine.obs
+      (Mm_obs.Event.Obj_collapsed { obj = o.id; into = s.id });
+    Mm_sim.Engine.obs (Mm_obs.Event.Obj_destroyed { obj = o.id })
+  end
 
 let rec unref o =
   if o.dead then invalid_arg "Vm_object.unref: dead object";
   o.refs <- o.refs - 1;
   if o.refs < 0 then invalid_arg "Vm_object.unref: negative refcount";
-  emit (Mm_sim.Monitor.Obj_unref { obj = o.id; refs = o.refs });
+  if Mm_obs.Trace.on () then
+    Mm_sim.Engine.obs (Mm_obs.Event.Obj_unref { obj = o.id; refs = o.refs });
   if o.refs = 0 then begin
     let p = o.parent in
     (match p with
@@ -121,7 +123,8 @@ let rec unref o =
     o.parent <- None;
     o.dead <- true;
     Hashtbl.reset o.pages;
-    emit (Mm_sim.Monitor.Obj_destroyed { obj = o.id });
+    if Mm_obs.Trace.on () then
+      Mm_sim.Engine.obs (Mm_obs.Event.Obj_destroyed { obj = o.id });
     match p with None -> () | Some gp -> unref gp
   end
   else if o.refs = 1 then

@@ -12,8 +12,9 @@
 
     The object graph is bookkeeping, not mechanism: it charges no
     simulated cycles, never parks, and does not own frame lifetimes
-    (PTE map counts do). State transitions are announced through
-    {!Mm_sim.Monitor} ([Obj_*] events) for the live invariant checker. *)
+    (PTE map counts do). State transitions are announced as
+    [Obj_*] events on the {!Mm_obs.Trace} bus, for traces and the live
+    invariant checker. *)
 
 type t
 

@@ -10,12 +10,20 @@
    what the simulator says they are. *)
 
 let cat = function
-  | Event.Lock_acquire _ | Lock_release _ | Lock_contend _ -> "lock"
-  | Rcu_enter | Rcu_exit | Rcu_defer _ | Rcu_gp _ -> "rcu"
+  | Event.Lock_acquire _ | Lock_release _ | Lock_contend _
+  | Lock_downgrade _ -> "lock"
+  | Rcu_enter | Rcu_exit | Rcu_retire _ | Rcu_fire _ | Rcu_defer _
+  | Rcu_gp _ -> "rcu"
   | Tlb_shootdown _ | Tlb_latr_drain _ -> "tlb"
   | Pt_split _ | Pt_free _ -> "pt"
-  | Cursor_lock _ | Cursor_commit _ | Stale_retry -> "cursor"
+  | Cursor_lock _ | Txn_committed _ | Cursor_commit _ | Stale_retry -> "cursor"
   | Page_fault _ -> "fault"
+  | Frame_allocated _ | Frame_deferred _ | Frame_freed _ -> "frame"
+  | Obj_created _ | Obj_ref _ | Obj_unref _ | Obj_collapsed _
+  | Obj_destroyed _ -> "object"
+  | Page_wired _ | Page_unwired _ | Page_dirtied _ -> "page"
+  | Reclaim_waken _ | Reclaim_page _ | Reclaim_writeback _
+  | Reclaim_drop _ -> "reclaim"
   | Span_begin _ | Span_end _ | Counter _ -> "user"
 
 (* Display name: lock events resolve the registry name so the Perfetto

@@ -84,14 +84,16 @@ let frame t pfn =
     f
 
 (* Allocator observability: splits/merges deltas around the buddy call,
-   recorded only while a trace session is on so untraced runs never touch
-   the metrics registry (PR-1's zero-perturbation rule). *)
-let note_alloc t ~node ~order ~splits0 =
+   recorded only while the domain has a subscriber so unobserved runs
+   never touch the metrics registry (the zero-perturbation rule). *)
+let note_alloc t ~node ~order ~splits0 ~pfn =
   if Mm_obs.Trace.on () then begin
     Mm_obs.Metrics.inc (Mm_obs.Metrics.counter "phys.frame_allocs");
     Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "phys.alloc_order") order;
     let d = Buddy.splits t.buddies.(node) - splits0 in
-    if d > 0 then Mm_obs.Metrics.add (Mm_obs.Metrics.counter "buddy.splits") d
+    if d > 0 then Mm_obs.Metrics.add (Mm_obs.Metrics.counter "buddy.splits") d;
+    Mm_sim.Engine.obs
+      (Mm_obs.Event.Frame_allocated { pfn; pages = 1 lsl order })
   end
 
 let note_free t ~node ~merges0 =
@@ -105,7 +107,7 @@ let alloc t ~kind ?(order = 0) ?(node = 0) () =
   if node < 0 || node >= numa_nodes t then invalid_arg "Phys.alloc: node";
   let splits0 = Buddy.splits t.buddies.(node) in
   let pfn = (node * t.node_span) + Buddy.alloc t.buddies.(node) ~order in
-  note_alloc t ~node ~order ~splits0;
+  note_alloc t ~node ~order ~splits0 ~pfn;
   let n = 1 lsl order in
   t.counts.(kind_index kind) <- t.counts.(kind_index kind) + n;
   (let data =
@@ -121,8 +123,6 @@ let alloc t ~kind ?(order = 0) ?(node = 0) () =
     f.Frame.wired <- false;
     f.Frame.contents <- 0
   done;
-  if Mm_sim.Monitor.on () then
-    Mm_sim.Monitor.emit (Mm_sim.Monitor.Frame_allocated { pfn; pages = n });
   frame t pfn
 
 let free t (f : Frame.t) =

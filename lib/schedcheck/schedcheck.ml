@@ -4,7 +4,7 @@
    munmap / mprotect / touch over a fixed 16-page window, fork-clone,
    promote_huge over the window's 2 MiB region — executed on a world
    whose tie-break policy is controlled ({!Mm_sim.Sched}). During the
-   run a {!Mm_verif.Live} checker consumes {!Mm_sim.Monitor} events and
+   run a {!Mm_verif.Live} checker subscribes to the {!Mm_obs.Trace} bus and
    checks mutual exclusion, the transaction property (P1) and RCU grace
    periods against the protocols as implemented. Afterwards the final
    address-space state is compared page-by-page against a sequential
@@ -24,7 +24,6 @@
 
 module Perm = Mm_hal.Perm
 module Engine = Mm_sim.Engine
-module Monitor = Mm_sim.Monitor
 module Sched = Mm_sim.Sched
 open Cortenmm
 
@@ -221,20 +220,21 @@ let run_once cfg ~sched =
   Fun.protect
     ~finally:(fun () ->
       set_mutant M_none;
-      Monitor.clear ())
+      Mm_obs.Trace.clear_checker ())
   @@ fun () ->
   let live = Mm_verif.Live.create ~ncpus:cfg.cpus in
-  (* Global commit sequence: monitor events are emitted synchronously by
-     the committing fiber, so this numbering is the true execution
-     order. [last_commit.(cpu)] stamps the op a cpu just finished. *)
+  (* Global commit sequence: events are emitted synchronously by the
+     committing fiber, so this numbering is the true execution order.
+     [last_commit.(cpu)] stamps the op a cpu just finished. *)
   let commit_seq = ref 0 in
   let last_commit = Array.make cfg.cpus 0 in
-  Monitor.set (fun ev ->
-      Mm_verif.Live.observe live ev;
-      match ev with
-      | Monitor.Txn_committed { cpu; _ } ->
+  Mm_obs.Trace.set_checker (fun e ->
+      Mm_verif.Live.observe live e;
+      match e.payload with
+      | Txn_committed _ ->
         incr commit_seq;
-        if cpu >= 0 && cpu < cfg.cpus then last_commit.(cpu) <- !commit_seq
+        if e.cpu >= 0 && e.cpu < cfg.cpus then
+          last_commit.(e.cpu) <- !commit_seq
       | _ -> ());
   let sched = sched () in
   let w = Engine.create_sched ~sched ~ncpus:cfg.cpus in
@@ -264,7 +264,7 @@ let run_once cfg ~sched =
   (* Live state is complete; stop observing so the reference replay and
      the probes below stay invisible to the checker. Mutants off too:
      the sequential reference must be the *correct* semantics. *)
-  Monitor.clear ();
+  Mm_obs.Trace.clear_checker ();
   set_mutant M_none;
   let violations = ref (List.rev !op_errors) in
   (match deadlock with

@@ -280,14 +280,15 @@ let cpu_time w cpu = w.cpu_time.(cpu)
 let max_time w = Array.fold_left max 0 w.cpu_time
 let stats w = w.stats
 
-(* Observability bridge: stamp an event with the emitting fiber's virtual
-   time and CPU. Call sites guard with [Mm_obs.Trace.on ()] so the payload
-   is never even allocated when tracing is off; recording never touches
-   [f_time], so traced and untraced runs are bit-identical. *)
+(* The one emit path: stamp an event with the emitting fiber's virtual
+   time and CPU (cpu -1 outside a fiber). Call sites guard with
+   [Mm_obs.Trace.on ()] so the payload is never even allocated while no
+   subscriber listens; emitting never touches [f_time], so observed and
+   unobserved runs are bit-identical. *)
 let obs payload =
   match current () with
   | Some f -> Mm_obs.Trace.emit ~time:f.f_time ~cpu:f.f_cpu payload
-  | None -> ()
+  | None -> Mm_obs.Trace.emit ~time:0 ~cpu:(-1) payload
 
 (* -- Cache-line contention model -- *)
 

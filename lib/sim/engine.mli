@@ -113,10 +113,11 @@ val serialize : unit -> unit
     synchronization primitive calls this before touching its state. *)
 
 val obs : Mm_obs.Event.payload -> unit
-(** Record a trace event stamped with the current fiber's virtual time and
-    CPU; no-op outside a fiber or without an active {!Mm_obs.Trace}
-    session. Guard call sites with [Mm_obs.Trace.on ()] so payloads are not
-    allocated when tracing is off. Never advances virtual time. *)
+(** Emit an event to this domain's {!Mm_obs.Trace} subscribers, stamped
+    with the current fiber's virtual time and CPU, or with time 0 and cpu
+    -1 outside a fiber. Guard call sites with [Mm_obs.Trace.on ()] so
+    payloads are not allocated while nothing subscribes. Never advances
+    virtual time. *)
 
 (** Cache-line contention model. *)
 module Line : sig

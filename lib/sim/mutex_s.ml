@@ -8,10 +8,10 @@
    CortenMM_adv uses this as the per-PT-page lock (paper §4.5).
 
    Observability: each lock carries a cheap integer id; profile entries and
-   trace events are produced only while a session is active ([Trace.on]),
-   and recording never advances virtual time. Wait time is the parked
-   duration (cycles serialized behind the holder), not the line-transfer
-   cost of an uncontended acquire. *)
+   events are produced only while the domain has a subscriber
+   ([Trace.on]), and emitting never advances virtual time. Wait time is
+   the parked duration (cycles serialized behind the holder), not the
+   line-transfer cost of an uncontended acquire. *)
 
 type t = {
   line : Engine.Line.t;
@@ -55,9 +55,7 @@ let note_acquired (f : Engine.fiber) t ~wait =
     Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "lock.wait_cycles") wait;
     Engine.obs
       (Mm_obs.Event.Lock_acquire { lock = t.id; kind = Mm_obs.Event.Mutex; wait })
-  end;
-  if Monitor.on () then
-    Monitor.emit (Monitor.Mutex_acquired { lock = t.id; cpu = t.holder })
+  end
 
 let lock t =
   let f = Engine.fiber () in
@@ -104,8 +102,6 @@ let unlock t =
     Engine.obs
       (Mm_obs.Event.Lock_release { lock = t.id; kind = Mm_obs.Event.Mutex; held })
   end;
-  if Monitor.on () then
-    Monitor.emit (Monitor.Mutex_released { lock = t.id; cpu = t.holder });
   match Queue.take_opt t.waiters with
   | None ->
     t.locked <- false;

@@ -28,6 +28,6 @@ val set_mutant_no_grace_period : bool -> unit
     explorer should ever set this; it must reset it before returning. *)
 
 val reset_ids : unit -> unit
-(** Reset the (domain-local) monitor correlation-id counter; parallel
+(** Reset the (domain-local) callback correlation-id counter; parallel
     drivers call this at task start so reported ids are independent of
     what ran before on the same domain. *)

@@ -16,9 +16,10 @@
    CortenMM_adv (no reader-side shared writes at all).
 
    Observability mirrors {!Mutex_s}: integer id at creation, lazy profile
-   entry, events only while tracing. Wait time is the parked duration; hold
-   time is tracked for the exclusive (writer) side only — readers overlap,
-   so a per-reader hold would need per-fiber state the model doesn't keep. *)
+   entry, events only while the domain has a subscriber. Wait time is the
+   parked duration; hold time is tracked for the exclusive (writer) side
+   only — readers overlap, so a per-reader hold would need per-fiber state
+   the model doesn't keep. *)
 
 type t = {
   line : Engine.Line.t;
@@ -64,19 +65,11 @@ let profile t =
       | Some n -> n
       | None -> Printf.sprintf "rwlock#%d" t.id)
 
-(* [f] is the operating fiber, looked up once per operation. *)
-let note_acquired (f : Engine.fiber) t ~kind ~wait =
+let note_acquired t ~kind ~wait =
   if Mm_obs.Trace.on () then begin
     Mm_obs.Contention.acquired (profile t) ~wait;
     Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "lock.wait_cycles") wait;
     Engine.obs (Mm_obs.Event.Lock_acquire { lock = t.id; kind; wait })
-  end;
-  if Monitor.on () then begin
-    let cpu = f.f_cpu in
-    Monitor.emit
-      (match kind with
-      | Mm_obs.Event.Rw_write -> Monitor.Write_acquired { lock = t.id; cpu }
-      | _ -> Monitor.Read_acquired { lock = t.id; cpu })
   end
 
 let note_contend t ~kind =
@@ -103,14 +96,14 @@ let read_lock t =
     note_contend t ~kind:Mm_obs.Event.Rw_read;
     let t0 = f.f_time in
     Engine.park (fun p -> Queue.push p t.rwait);
-    note_acquired f t ~kind:Mm_obs.Event.Rw_read ~wait:(f.f_time - t0)
+    note_acquired t ~kind:Mm_obs.Event.Rw_read ~wait:(f.f_time - t0)
   end
   else begin
     reader_entry_cost f t;
     t.readers <- t.readers + 1;
     t.reads_since_writer <- t.reads_since_writer + 1;
     maybe_reenable_bravo t;
-    note_acquired f t ~kind:Mm_obs.Event.Rw_read ~wait:0
+    note_acquired t ~kind:Mm_obs.Event.Rw_read ~wait:0
   end
 
 (* [now] is the releasing fiber's clock. *)
@@ -132,8 +125,6 @@ let read_unlock t =
     Engine.obs
       (Mm_obs.Event.Lock_release
          { lock = t.id; kind = Mm_obs.Event.Rw_read; held = 0 });
-  if Monitor.on () then
-    Monitor.emit (Monitor.Read_released { lock = t.id; cpu = f.f_cpu });
   if t.readers = 0 && not t.writer then wake_next_writer t ~now:f.f_time
 
 let write_lock t =
@@ -150,7 +141,7 @@ let write_lock t =
     t.writer <- true;
     t.writer_cpu <- f.f_cpu;
     t.writer_since <- f.f_time;
-    note_acquired f t ~kind:Mm_obs.Event.Rw_write ~wait:0
+    note_acquired t ~kind:Mm_obs.Event.Rw_write ~wait:0
   end
   else begin
     note_contend t ~kind:Mm_obs.Event.Rw_write;
@@ -158,7 +149,7 @@ let write_lock t =
     Engine.park (fun p -> Queue.push p t.wwait);
     (* We resume as the writer: [wake_next_writer] set the state. *)
     t.writer_since <- f.f_time;
-    note_acquired f t ~kind:Mm_obs.Event.Rw_write ~wait:(f.f_time - t0)
+    note_acquired t ~kind:Mm_obs.Event.Rw_write ~wait:(f.f_time - t0)
   end
 
 let wake_reader_phase t ~now =
@@ -207,8 +198,6 @@ let write_unlock t =
   note_writer_release f t;
   t.writer <- false;
   t.writer_cpu <- -1;
-  if Monitor.on () then
-    Monitor.emit (Monitor.Write_released { lock = t.id; cpu = f.f_cpu });
   if not (Queue.is_empty t.rwait) then wake_reader_phase t ~now:f.f_time
   else if
     (not (Queue.is_empty t.wwait)) && not !(mutant_skip_writer_handoff ())
@@ -224,11 +213,8 @@ let downgrade t =
   t.writer <- false;
   t.writer_cpu <- -1;
   t.readers <- t.readers + 1;
-  if Monitor.on () then begin
-    let cpu = f.f_cpu in
-    Monitor.emit (Monitor.Write_released { lock = t.id; cpu });
-    Monitor.emit (Monitor.Read_acquired { lock = t.id; cpu })
-  end;
+  if Mm_obs.Trace.on () then
+    Engine.obs (Mm_obs.Event.Lock_downgrade { lock = t.id });
   (* Phase-fair: the waiting reader phase joins us. *)
   if not (Queue.is_empty t.rwait) then wake_reader_phase t ~now:f.f_time
 

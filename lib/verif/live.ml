@@ -3,8 +3,9 @@
    The model checkers in this library (Rw_model, Adv_model) explore hand
    written abstractions of the two locking protocols; this module checks
    the same safety properties against the *implemented* protocols while
-   they run, by consuming the synchronization events the simulated lock
-   models and the cursor layer emit through Mm_sim.Monitor:
+   they run, by subscribing to the event bus ({!Mm_obs.Trace}) that the
+   simulated lock models, the cursor layer, the frame allocator, the
+   object layer and reclaim emit on:
 
    - mutual exclusion of each simulated mutex, and release-by-holder;
    - writer exclusion and reader counting of each rwlock (phase-fair
@@ -110,34 +111,35 @@ let rw_state t lock =
     Hashtbl.add t.rwlocks lock s;
     s
 
-let observe t (ev : Mm_sim.Monitor.event) =
+let observe t (e : Mm_obs.Event.t) =
   t.events <- t.events + 1;
-  match ev with
-  | Mutex_acquired { lock; cpu } -> (
+  let cpu = e.cpu in
+  match e.payload with
+  | Lock_acquire { lock; kind = Mutex; wait = _ } -> (
     match Hashtbl.find_opt t.mutexes lock with
     | Some holder ->
       violate t "mutex#%d: cpu %d acquired while cpu %d holds it" lock cpu
         holder
     | None -> Hashtbl.replace t.mutexes lock cpu)
-  | Mutex_released { lock; cpu } -> (
+  | Lock_release { lock; kind = Mutex; held = _ } -> (
     match Hashtbl.find_opt t.mutexes lock with
     | Some holder when holder = cpu -> Hashtbl.remove t.mutexes lock
     | Some holder ->
       violate t "mutex#%d: released by cpu %d but held by cpu %d" lock cpu
         holder
     | None -> violate t "mutex#%d: released by cpu %d while free" lock cpu)
-  | Read_acquired { lock; cpu } ->
+  | Lock_acquire { lock; kind = Rw_read; wait = _ } | Lock_downgrade { lock } ->
     let s = rw_state t lock in
     if s.w_cpu >= 0 then
       violate t "rwlock#%d: cpu %d read-acquired while cpu %d writes" lock cpu
         s.w_cpu;
     s.n_readers <- s.n_readers + 1
-  | Read_released { lock; cpu } ->
+  | Lock_release { lock; kind = Rw_read; held = _ } ->
     let s = rw_state t lock in
     if s.n_readers <= 0 then
       violate t "rwlock#%d: cpu %d read-released with no readers" lock cpu
     else s.n_readers <- s.n_readers - 1
-  | Write_acquired { lock; cpu } ->
+  | Lock_acquire { lock; kind = Rw_write; wait = _ } ->
     let s = rw_state t lock in
     if s.w_cpu >= 0 then
       violate t "rwlock#%d: cpu %d write-acquired while cpu %d writes" lock
@@ -146,17 +148,17 @@ let observe t (ev : Mm_sim.Monitor.event) =
       violate t "rwlock#%d: cpu %d write-acquired with %d readers inside"
         lock cpu s.n_readers;
     s.w_cpu <- cpu
-  | Write_released { lock; cpu } ->
+  | Lock_release { lock; kind = Rw_write; held = _ } ->
     let s = rw_state t lock in
     if s.w_cpu <> cpu then
       violate t "rwlock#%d: write-released by cpu %d but writer is %d" lock
         cpu s.w_cpu;
     s.w_cpu <- -1
-  | Rcu_enter { cpu } -> t.rcu_in_rs.(cpu) <- true
-  | Rcu_exit { cpu } ->
+  | Rcu_enter -> t.rcu_in_rs.(cpu) <- true
+  | Rcu_exit ->
     t.rcu_in_rs.(cpu) <- false;
     t.rcu_epoch.(cpu) <- t.rcu_epoch.(cpu) + 1
-  | Rcu_defer { cb; waiting } ->
+  | Rcu_retire { cb; waiting } ->
     let need = ref [] in
     Array.iteri
       (fun cpu w -> if w then need := (cpu, t.rcu_epoch.(cpu)) :: !need)
@@ -175,7 +177,7 @@ let observe t (ev : Mm_sim.Monitor.event) =
               cb cpu)
         need;
       Hashtbl.remove t.rcu_defers cb)
-  | Txn_locked { asp; cpu; lo; hi } ->
+  | Cursor_lock { asp; lo; hi; locked = _; span = _ } ->
     List.iter
       (fun o ->
         if o.t_asp = asp && lo < o.t_hi && o.t_lo < hi then
@@ -185,7 +187,7 @@ let observe t (ev : Mm_sim.Monitor.event) =
             asp cpu lo hi o.t_cpu o.t_lo o.t_hi)
       t.txns;
     t.txns <- { t_asp = asp; t_cpu = cpu; t_lo = lo; t_hi = hi } :: t.txns
-  | Txn_committed { asp; cpu; lo = _; hi = _ } ->
+  | Txn_committed { asp; lo = _; hi = _ } ->
     let found = ref false in
     t.txns <-
       List.filter
@@ -313,6 +315,10 @@ let observe t (ev : Mm_sim.Monitor.event) =
         "file#%d page %d: cache frame dropped while dirty (writeback must \
          precede the drop)"
         file page
+  | Lock_contend _ | Rcu_defer _ | Rcu_gp _ | Tlb_shootdown _
+  | Tlb_latr_drain _ | Pt_split _ | Pt_free _ | Cursor_commit _ | Stale_retry
+  | Page_fault _ | Span_begin _ | Span_end _ | Counter _ ->
+    ()
 
 let violations t = List.rev t.violations
 let ok t = t.violations = []

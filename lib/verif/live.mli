@@ -1,6 +1,6 @@
 (** Runtime invariant checker over live engine state.
 
-    Consumes {!Mm_sim.Monitor} events and checks, against the protocols
+    Subscribes to the {!Mm_obs.Trace} event bus and checks, against the protocols
     *as implemented*, the safety properties the model checkers
     ({!Rw_model}, {!Adv_model}) verify on abstractions: per-lock mutual
     exclusion, rwlock writer exclusion and reader counting, the
@@ -16,9 +16,9 @@
     Typical use:
     {[
       let live = Live.create ~ncpus in
-      Mm_sim.Monitor.set (Live.observe live);
+      Mm_obs.Trace.set_checker (Live.observe live);
       (* ... run the workload ... *)
-      Mm_sim.Monitor.clear ();
+      Mm_obs.Trace.clear_checker ();
       Live.check_quiescent live;
       match Live.violations live with [] -> () | vs -> report vs
     ]} *)
@@ -27,9 +27,10 @@ type t
 
 val create : ncpus:int -> t
 
-val observe : t -> Mm_sim.Monitor.event -> unit
-(** Feed one monitor event. Install with
-    [Mm_sim.Monitor.set (observe t)]. *)
+val observe : t -> Mm_obs.Event.t -> unit
+(** Feed one stamped event; lock, RCU-section and transaction events
+    name their CPU by the stamp. Install with
+    [Mm_obs.Trace.set_checker (observe t)]. *)
 
 val check_quiescent : t -> unit
 (** Call after the run: records violations for locks still held and
@@ -41,5 +42,5 @@ val violations : t -> string list
 val ok : t -> bool
 
 val events_seen : t -> int
-(** Number of monitor events consumed (sanity check that
-    instrumentation was live). *)
+(** Number of events consumed (sanity check that instrumentation was
+    live). *)

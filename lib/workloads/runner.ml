@@ -79,13 +79,13 @@ let result ~ops ~cycles =
    every parallel driver at task start, on the sequential ([-j 1]) path
    too, so outputs stay byte-identical across job counts.
 
-   The one deliberate exception: while a tracing session is active
-   ([Mm_obs.Trace.on ()]), the metrics/contention registries are left
-   alone — [--trace]/[--report] force [-j 1] precisely so one session
-   can accumulate across the whole run, and the session owns those
-   registries (it reset them at [Trace.start]). *)
+   The one deliberate exception: while the ring recorder is open
+   ([Mm_obs.Trace.recording ()]), the metrics/contention registries are
+   left alone — [--trace]/[--report] force [-j 1] precisely so one
+   session can accumulate across the whole run, and the session owns
+   those registries (it reset them at [Trace.start]). *)
 let reset_world_state () =
-  Mm_sim.Monitor.clear ();
+  Mm_obs.Trace.clear_checker ();
   Mm_sim.Rcu_s.reset_ids ();
   Mm_sim.Rcu_s.set_mutant_no_grace_period false;
   Mm_sim.Rwlock_s.set_mutant_skip_writer_handoff false;
@@ -94,7 +94,7 @@ let reset_world_state () =
   Cortenmm.File.reset_ids ();
   Cortenmm.Blockdev.reset_ids ();
   Cortenmm.Vm_object.reset_ids ();
-  if not (Mm_obs.Trace.on ()) then begin
+  if not (Mm_obs.Trace.recording ()) then begin
     Mm_obs.Metrics.reset ();
     Mm_obs.Contention.reset ()
   end;

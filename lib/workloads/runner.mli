@@ -44,9 +44,9 @@ val stop_collecting : unit -> (string * result) list
 
 val reset_world_state : unit -> unit
 (** Reset every piece of domain-local simulator state a world can
-    observe — monitor hook, mutant flags, RCU callback ids, file/device
-    ids, the metrics and contention registries (unless a tracing
-    session is active, which owns them), result collection and the
+    observe — the bus's checker, mutant flags, RCU callback ids,
+    file/device ids, the metrics and contention registries (unless the
+    ring recorder is open, which owns them), result collection and the
     label — so a parallel task's behaviour and reported text are
     independent of what ran before it on the same domain. Every
     parallel driver calls this at task start, including at [-j 1], so

@@ -53,39 +53,42 @@ let test_trace_off_is_noop () =
   Trace.emit ~time:0 ~cpu:0 Event.Rcu_enter;
   check Alcotest.int "nothing recorded" 0 (List.length (Trace.events ()))
 
-(* [Trace.on] and [Monitor.on] first read a process-wide count of open
-   sessions and installed hooks. The count must stay balanced under
-   repeated start/stop and set/clear, and a session or hook opened on
-   one domain must stay invisible on another. *)
+(* [Trace.on] first reads a process-wide count of domains with a
+   subscriber. The count must stay balanced under repeated start/stop and
+   set/clear of the checker, a domain with both subscribers counts once,
+   and a subscriber on one domain must stay invisible on another. *)
 let test_guard_fast_path () =
-  let module Monitor = Mm_sim.Monitor in
   let on_other_domain f = Domain.join (Domain.spawn f) in
-  check Alcotest.int "no sessions" 0 (Trace.sessions ());
-  check Alcotest.int "no hooks" 0 (Monitor.installed ());
+  check Alcotest.int "no sessions" 0 (Trace.domains ());
+  check Alcotest.int "no hooks" 0 (Trace.domains ());
   Trace.start ();
   Trace.start ();
-  check Alcotest.int "restart keeps one session" 1 (Trace.sessions ());
+  check Alcotest.int "restart keeps one session" 1 (Trace.domains ());
   check Alcotest.bool "on here" true (Trace.on ());
   check Alcotest.bool "off elsewhere" false (on_other_domain Trace.on);
   check Alcotest.int "other domain's session counted" 2
     (on_other_domain (fun () ->
          Trace.start ();
-         let n = Trace.sessions () in
+         let n = Trace.domains () in
          ignore (Trace.stop ());
          n));
   ignore (Trace.stop ());
   ignore (Trace.stop ());
-  check Alcotest.int "sessions balanced" 0 (Trace.sessions ());
+  check Alcotest.int "sessions balanced" 0 (Trace.domains ());
   check Alcotest.bool "off after stop" false (Trace.on ());
-  Monitor.set ignore;
-  Monitor.set ignore;
-  check Alcotest.int "re-set keeps one hook" 1 (Monitor.installed ());
-  check Alcotest.bool "hook here" true (Monitor.on ());
-  check Alcotest.bool "no hook elsewhere" false (on_other_domain Monitor.on);
-  Monitor.clear ();
-  Monitor.clear ();
-  check Alcotest.int "hooks balanced" 0 (Monitor.installed ());
-  check Alcotest.bool "no hook after clear" false (Monitor.on ())
+  Trace.set_checker ignore;
+  Trace.set_checker ignore;
+  check Alcotest.int "re-set keeps one hook" 1 (Trace.domains ());
+  check Alcotest.bool "hook here" true (Trace.on ());
+  check Alcotest.bool "no hook elsewhere" false (on_other_domain Trace.on);
+  Trace.start ();
+  check Alcotest.int "session and hook count one domain" 1 (Trace.domains ());
+  ignore (Trace.stop ());
+  check Alcotest.bool "hook outlives the session" true (Trace.on ());
+  Trace.clear_checker ();
+  Trace.clear_checker ();
+  check Alcotest.int "hooks balanced" 0 (Trace.domains ());
+  check Alcotest.bool "no hook after clear" false (Trace.on ())
 
 let run_micro () =
   Micro.run
@@ -130,9 +133,16 @@ let test_tracing_does_not_perturb () =
    [mutex#<id>] / [rwlock#<id>], so the order in which frame descriptors
    reserve lock ids is part of the observable output. The digest pins the
    Chrome JSON of one small traced world per PT-locking system; it was
-   taken while descriptors built both locks eagerly. *)
+   taken while descriptors built both locks eagerly, and while the trace
+   held only the eighteen kinds below, so it covers those. *)
 
 let lock_id_trace_golden = "2dc2d875f07ed917d9217f67b768ec0e"
+
+let golden_kinds =
+  [ "lock-acquire"; "lock-release"; "lock-contend"; "rcu-enter"; "rcu-exit";
+    "rcu-defer"; "rcu-gp"; "tlb-shootdown"; "tlb-latr-drain"; "pt-split";
+    "pt-free"; "cursor-lock"; "cursor-commit"; "stale-retry"; "page-fault";
+    "span-begin"; "span-end"; "counter" ]
 
 let test_lock_id_trace_golden () =
   let buf = Buffer.create (1 lsl 16) in
@@ -143,7 +153,12 @@ let test_lock_id_trace_golden () =
       ignore
         (Micro.run ~kind ~ncpus:2 ~bench:Micro.Pf ~contention:Micro.High
            ~iters:4 ());
-      let text = Json.to_string (Chrome.to_json (Trace.stop ())) in
+      let events =
+        List.filter
+          (fun (e : Event.t) -> List.mem (Event.name e.payload) golden_kinds)
+          (Trace.stop ())
+      in
+      let text = Json.to_string (Chrome.to_json events) in
       check Alcotest.bool
         (System.kind_name kind ^ " trace names PT-page locks by id")
         true (contains ~needle text);
@@ -336,6 +351,75 @@ let test_stale_retries_agree () =
     (Cortenmm.Addr_space.stale_retries asp)
     traced
 
+(* -- Object, frame and reclaim events reach the trace --
+
+   A 2-vCPU CortenMM world under the batched TLB policy: vCPU 1 forks and
+   destroys the child (its shadow collapses), vCPU 0 unmaps the forked
+   region (frees defer behind the batch, which a timer tick flushes), and
+   vCPU 1 pages a fresh region out under pressure. A checker subscribed
+   beside the ring records the running vCPU and clock as each event is
+   delivered; the ring must hold exactly the events delivered inside a
+   fiber, stamped with that vCPU and time. *)
+let test_checker_kinds_traced () =
+  let ps = 4096 and pages = 8 in
+  let len = pages * ps in
+  let sys = System.make (System.Corten Cortenmm.Config.adv) ~ncpus:2 in
+  System.set_shootdown_policy sys
+    (Mm_tlb.Tlb.Batched { window = 10_000; max_batch = 64 });
+  Trace.start ~capacity:(1 lsl 18) ();
+  let delivered = ref [] in
+  Trace.set_checker (fun e ->
+      if Engine.in_fiber () then
+        delivered := (e, Engine.cpu_id (), Engine.now ()) :: !delivered);
+  let w = Engine.create ~ncpus:2 in
+  let b = Runner.Barrier.make ~total:2 in
+  let forked = ref 0 in
+  Engine.spawn w ~cpu:0 (fun () ->
+      forked := System.mmap_exn sys ~len ~perm:Mm_hal.Perm.rw ();
+      for p = 0 to pages - 1 do
+        System.write_value_exn sys ~vaddr:(!forked + (p * ps)) ~value:p
+      done;
+      Runner.Barrier.wait b;
+      Runner.Barrier.wait b;
+      System.munmap_exn sys ~addr:!forked ~len;
+      Engine.tick 20_000;
+      System.timer_tick sys;
+      Runner.Barrier.wait b);
+  Engine.spawn w ~cpu:1 (fun () ->
+      Runner.Barrier.wait b;
+      System.touch_range_exn sys ~addr:!forked ~len ~write:false;
+      System.destroy (System.fork_exn sys);
+      Runner.Barrier.wait b;
+      Runner.Barrier.wait b;
+      let fresh = System.mmap_exn sys ~len ~perm:Mm_hal.Perm.rw () in
+      System.touch_range_exn sys ~addr:fresh ~len ~write:true;
+      ignore (System.pressure sys ~target_pages:pages));
+  Engine.run w;
+  Trace.clear_checker ();
+  let dropped = Trace.dropped () in
+  let events = Trace.stop () in
+  check Alcotest.int "no ring overflow" 0 dropped;
+  let delivered = List.rev !delivered in
+  List.iter
+    (fun ((e : Event.t), cpu, now) ->
+      check Alcotest.int (Event.name e.payload ^ " vCPU") cpu e.cpu;
+      check Alcotest.int (Event.name e.payload ^ " time") now e.time)
+    delivered;
+  check Alcotest.bool "the ring holds every in-fiber event" true
+    (List.map (fun (e, _, _) -> e) delivered = events);
+  List.iter
+    (fun (name, cpu) ->
+      check Alcotest.bool
+        (Printf.sprintf "%s traced on vCPU %d" name cpu)
+        true
+        (List.exists
+           (fun (e : Event.t) -> Event.name e.payload = name && e.cpu = cpu)
+           events))
+    [
+      ("obj-created", 1); ("obj-collapsed", 1); ("frame-deferred", 0);
+      ("frame-freed", 0); ("reclaim-page", 1);
+    ]
+
 (* -- Quantile error bounds --
 
    [Metrics.quantile] documents: for an exact rank-ceil(q*n) value
@@ -435,5 +519,7 @@ let () =
             test_engine_stats_consistency;
           Alcotest.test_case "stale retries agree" `Quick
             test_stale_retries_agree;
+          Alcotest.test_case "checker kinds traced" `Quick
+            test_checker_kinds_traced;
         ] );
     ]

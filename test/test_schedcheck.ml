@@ -5,7 +5,8 @@
 open Mm_schedcheck.Schedcheck
 module Schedule = Mm_schedcheck.Schedule
 module Live = Mm_verif.Live
-module Monitor = Mm_sim.Monitor
+module Event = Mm_obs.Event
+module Trace = Mm_obs.Trace
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -18,14 +19,29 @@ let feed events =
   List.iter (Live.observe live) events;
   live
 
+(* A stamped event as the bus delivers it: [cpu] is the emitting vCPU. *)
+let ev ?(cpu = 0) payload = { Event.seq = 0; time = 0; cpu; payload }
+
+let mutex_acquired ~lock ~cpu =
+  ev ~cpu (Event.Lock_acquire { lock; kind = Event.Mutex; wait = 0 })
+
+let mutex_released ~lock ~cpu =
+  ev ~cpu (Event.Lock_release { lock; kind = Event.Mutex; held = 0 })
+
+let txn_locked ~asp ~cpu ~lo ~hi =
+  ev ~cpu (Event.Cursor_lock { asp; lo; hi; locked = 1; span = 0 })
+
+let txn_committed ~asp ~cpu ~lo ~hi =
+  ev ~cpu (Event.Txn_committed { asp; lo; hi })
+
 let test_live_mutex_clean () =
   let live =
     feed
       [
-        Monitor.Mutex_acquired { lock = 1; cpu = 0 };
-        Monitor.Mutex_released { lock = 1; cpu = 0 };
-        Monitor.Mutex_acquired { lock = 1; cpu = 2 };
-        Monitor.Mutex_released { lock = 1; cpu = 2 };
+        mutex_acquired ~lock:1 ~cpu:0;
+        mutex_released ~lock:1 ~cpu:0;
+        mutex_acquired ~lock:1 ~cpu:2;
+        mutex_released ~lock:1 ~cpu:2;
       ]
   in
   Live.check_quiescent live;
@@ -36,8 +52,8 @@ let test_live_mutex_double_acquire () =
   let live =
     feed
       [
-        Monitor.Mutex_acquired { lock = 1; cpu = 0 };
-        Monitor.Mutex_acquired { lock = 1; cpu = 1 };
+        mutex_acquired ~lock:1 ~cpu:0;
+        mutex_acquired ~lock:1 ~cpu:1;
       ]
   in
   check bool "violation recorded" false (Live.ok live)
@@ -46,8 +62,8 @@ let test_live_txn_overlap () =
   let live =
     feed
       [
-        Monitor.Txn_locked { asp = 1; cpu = 0; lo = 0x1000; hi = 0x5000 };
-        Monitor.Txn_locked { asp = 1; cpu = 1; lo = 0x4000; hi = 0x8000 };
+        txn_locked ~asp:1 ~cpu:0 ~lo:0x1000 ~hi:0x5000;
+        txn_locked ~asp:1 ~cpu:1 ~lo:0x4000 ~hi:0x8000;
       ]
   in
   check bool "P1 violation recorded" false (Live.ok live)
@@ -56,13 +72,13 @@ let test_live_txn_disjoint () =
   let live =
     feed
       [
-        Monitor.Txn_locked { asp = 1; cpu = 0; lo = 0x1000; hi = 0x4000 };
-        Monitor.Txn_locked { asp = 1; cpu = 1; lo = 0x4000; hi = 0x8000 };
-        Monitor.Txn_committed { asp = 1; cpu = 0; lo = 0x1000; hi = 0x4000 };
+        txn_locked ~asp:1 ~cpu:0 ~lo:0x1000 ~hi:0x4000;
+        txn_locked ~asp:1 ~cpu:1 ~lo:0x4000 ~hi:0x8000;
+        txn_committed ~asp:1 ~cpu:0 ~lo:0x1000 ~hi:0x4000;
         (* same range again, now free *)
-        Monitor.Txn_locked { asp = 1; cpu = 2; lo = 0x1000; hi = 0x4000 };
-        Monitor.Txn_committed { asp = 1; cpu = 2; lo = 0x1000; hi = 0x4000 };
-        Monitor.Txn_committed { asp = 1; cpu = 1; lo = 0x4000; hi = 0x8000 };
+        txn_locked ~asp:1 ~cpu:2 ~lo:0x1000 ~hi:0x4000;
+        txn_committed ~asp:1 ~cpu:2 ~lo:0x1000 ~hi:0x4000;
+        txn_committed ~asp:1 ~cpu:1 ~lo:0x4000 ~hi:0x8000;
       ]
   in
   Live.check_quiescent live;
@@ -72,25 +88,29 @@ let test_live_rcu_grace_period () =
   let bad =
     feed
       [
-        Monitor.Rcu_enter { cpu = 1 };
-        Monitor.Rcu_defer { cb = 7; waiting = [| false; true; false; false |] };
-        Monitor.Rcu_fire { cb = 7 };
+        ev ~cpu:1 Event.Rcu_enter;
+        ev
+          (Event.Rcu_retire
+             { cb = 7; waiting = [| false; true; false; false |] });
+        ev (Event.Rcu_fire { cb = 7 });
       ]
   in
   check bool "fire before reader exits is a violation" false (Live.ok bad);
   let good =
     feed
       [
-        Monitor.Rcu_enter { cpu = 1 };
-        Monitor.Rcu_defer { cb = 7; waiting = [| false; true; false; false |] };
-        Monitor.Rcu_exit { cpu = 1 };
-        Monitor.Rcu_fire { cb = 7 };
+        ev ~cpu:1 Event.Rcu_enter;
+        ev
+          (Event.Rcu_retire
+             { cb = 7; waiting = [| false; true; false; false |] });
+        ev ~cpu:1 Event.Rcu_exit;
+        ev (Event.Rcu_fire { cb = 7 });
       ]
   in
   check bool "fire after reader exits is clean" true (Live.ok good)
 
 let test_live_quiescent () =
-  let live = feed [ Monitor.Mutex_acquired { lock = 9; cpu = 3 } ] in
+  let live = feed [ mutex_acquired ~lock:9 ~cpu:3 ] in
   check bool "no violation yet" true (Live.ok live);
   Live.check_quiescent live;
   check bool "held lock flagged at quiescence" false (Live.ok live)
@@ -103,17 +123,17 @@ let test_live_frame_reuse () =
   let bad =
     feed
       [
-        Monitor.Frame_deferred { pfn = 100; pages = 2 };
-        Monitor.Frame_allocated { pfn = 101; pages = 1 };
+        ev (Event.Frame_deferred { pfn = 100; pages = 2 });
+        ev (Event.Frame_allocated { pfn = 101; pages = 1 });
       ]
   in
   check bool "reuse before flush is a violation" false (Live.ok bad);
   let good =
     feed
       [
-        Monitor.Frame_deferred { pfn = 100; pages = 2 };
-        Monitor.Frame_freed { pfn = 100; pages = 2 };
-        Monitor.Frame_allocated { pfn = 100; pages = 2 };
+        ev (Event.Frame_deferred { pfn = 100; pages = 2 });
+        ev (Event.Frame_freed { pfn = 100; pages = 2 });
+        ev (Event.Frame_allocated { pfn = 100; pages = 2 });
       ]
   in
   Live.check_quiescent good;
@@ -121,14 +141,14 @@ let test_live_frame_reuse () =
   let unrelated =
     feed
       [
-        Monitor.Frame_deferred { pfn = 100; pages = 2 };
-        Monitor.Frame_allocated { pfn = 102; pages = 4 };
+        ev (Event.Frame_deferred { pfn = 100; pages = 2 });
+        ev (Event.Frame_allocated { pfn = 102; pages = 4 });
       ]
   in
   check bool "disjoint allocation is fine" true (Live.ok unrelated)
 
 let test_live_frame_quiescence () =
-  let live = feed [ Monitor.Frame_deferred { pfn = 7; pages = 1 } ] in
+  let live = feed [ ev (Event.Frame_deferred { pfn = 7; pages = 1 }) ] in
   check bool "no violation while running" true (Live.ok live);
   Live.check_quiescent live;
   check bool "never-flushed deferral flagged at end" false (Live.ok live)
@@ -142,13 +162,13 @@ let test_live_batched_unmap_clean () =
   let ncpus = 4 in
   let live = Live.create ~ncpus in
   let deferred = ref 0 and freed = ref 0 in
-  Monitor.set (fun ev ->
-      (match ev with
-      | Monitor.Frame_deferred _ -> incr deferred
-      | Monitor.Frame_freed _ -> incr freed
+  Trace.set_checker (fun e ->
+      (match e.payload with
+      | Event.Frame_deferred _ -> incr deferred
+      | Event.Frame_freed _ -> incr freed
       | _ -> ());
-      Live.observe live ev);
-  Fun.protect ~finally:Monitor.clear @@ fun () ->
+      Live.observe live e);
+  Fun.protect ~finally:Trace.clear_checker @@ fun () ->
   let module Engine = Mm_sim.Engine in
   let kernel = Cortenmm.Kernel.create ~ncpus () in
   let asp = Cortenmm.Addr_space.create kernel Cortenmm.Config.adv in
@@ -193,19 +213,19 @@ let test_live_obj_lifecycle_clean () =
   let live =
     feed
       [
-        Monitor.Obj_created { obj = 1; parent = -1 };
-        Monitor.Obj_created { obj = 2; parent = 1 };
-        Monitor.Obj_ref { obj = 1; refs = 2 };
-        Monitor.Obj_created { obj = 3; parent = 1 };
-        Monitor.Obj_ref { obj = 1; refs = 3 };
+        ev (Event.Obj_created { obj = 1; parent = -1 });
+        ev (Event.Obj_created { obj = 2; parent = 1 });
+        ev (Event.Obj_ref { obj = 1; refs = 2 });
+        ev (Event.Obj_created { obj = 3; parent = 1 });
+        ev (Event.Obj_ref { obj = 1; refs = 3 });
         (* space 1 hands its own reference to the shadows *)
-        Monitor.Obj_unref { obj = 1; refs = 2 };
+        ev (Event.Obj_unref { obj = 1; refs = 2 });
         (* sibling 3 exits: base drops to one referent and collapses *)
-        Monitor.Obj_unref { obj = 3; refs = 0 };
-        Monitor.Obj_destroyed { obj = 3 };
-        Monitor.Obj_unref { obj = 1; refs = 1 };
-        Monitor.Obj_collapsed { obj = 1; into = 2 };
-        Monitor.Obj_destroyed { obj = 1 };
+        ev (Event.Obj_unref { obj = 3; refs = 0 });
+        ev (Event.Obj_destroyed { obj = 3 });
+        ev (Event.Obj_unref { obj = 1; refs = 1 });
+        ev (Event.Obj_collapsed { obj = 1; into = 2 });
+        ev (Event.Obj_destroyed { obj = 1 });
       ]
   in
   Live.check_quiescent live;
@@ -218,8 +238,8 @@ let test_live_obj_refcount_lie () =
   let live =
     feed
       [
-        Monitor.Obj_created { obj = 1; parent = -1 };
-        Monitor.Obj_ref { obj = 1; refs = 5 };
+        ev (Event.Obj_created { obj = 1; parent = -1 });
+        ev (Event.Obj_ref { obj = 1; refs = 5 });
       ]
   in
   check bool "reported refcount != tracked is a violation" false
@@ -229,13 +249,13 @@ let test_live_obj_bad_collapse () =
   let live =
     feed
       [
-        Monitor.Obj_created { obj = 1; parent = -1 };
-        Monitor.Obj_created { obj = 2; parent = 1 };
-        Monitor.Obj_ref { obj = 1; refs = 2 };
-        Monitor.Obj_created { obj = 3; parent = 1 };
-        Monitor.Obj_ref { obj = 1; refs = 3 };
+        ev (Event.Obj_created { obj = 1; parent = -1 });
+        ev (Event.Obj_created { obj = 2; parent = 1 });
+        ev (Event.Obj_ref { obj = 1; refs = 2 });
+        ev (Event.Obj_created { obj = 3; parent = 1 });
+        ev (Event.Obj_ref { obj = 1; refs = 3 });
         (* collapsing a base both shadows still reference *)
-        Monitor.Obj_collapsed { obj = 1; into = 2 };
+        ev (Event.Obj_collapsed { obj = 1; into = 2 });
       ]
   in
   check bool "multi-referent collapse is a violation" false (Live.ok live)
@@ -244,10 +264,10 @@ let test_live_obj_use_after_death () =
   let live =
     feed
       [
-        Monitor.Obj_created { obj = 1; parent = -1 };
-        Monitor.Obj_unref { obj = 1; refs = 0 };
-        Monitor.Obj_destroyed { obj = 1 };
-        Monitor.Obj_ref { obj = 1; refs = 1 };
+        ev (Event.Obj_created { obj = 1; parent = -1 });
+        ev (Event.Obj_unref { obj = 1; refs = 0 });
+        ev (Event.Obj_destroyed { obj = 1 });
+        ev (Event.Obj_ref { obj = 1; refs = 1 });
       ]
   in
   check bool "referencing a destroyed object is a violation" false
@@ -257,8 +277,8 @@ let test_live_obj_leak_at_quiescence () =
   let live =
     feed
       [
-        Monitor.Obj_created { obj = 1; parent = -1 };
-        Monitor.Obj_unref { obj = 1; refs = 0 };
+        ev (Event.Obj_created { obj = 1; parent = -1 });
+        ev (Event.Obj_unref { obj = 1; refs = 0 });
         (* dropped to zero refs but its Obj_destroyed never came *)
       ]
   in
@@ -275,14 +295,14 @@ let test_live_obj_fork_world_clean () =
   let ncpus = 2 in
   let live = Live.create ~ncpus in
   let obj_events = ref 0 in
-  Monitor.set (fun ev ->
-      (match ev with
-      | Monitor.Obj_created _ | Monitor.Obj_ref _ | Monitor.Obj_unref _
-      | Monitor.Obj_collapsed _ | Monitor.Obj_destroyed _ ->
+  Trace.set_checker (fun e ->
+      (match e.payload with
+      | Event.Obj_created _ | Event.Obj_ref _ | Event.Obj_unref _
+      | Event.Obj_collapsed _ | Event.Obj_destroyed _ ->
         incr obj_events
       | _ -> ());
-      Live.observe live ev);
-  Fun.protect ~finally:Monitor.clear @@ fun () ->
+      Live.observe live e);
+  Fun.protect ~finally:Trace.clear_checker @@ fun () ->
   let module Engine = Mm_sim.Engine in
   let kernel = Cortenmm.Kernel.create ~ncpus () in
   let asp = Cortenmm.Addr_space.create kernel Cortenmm.Config.adv in
