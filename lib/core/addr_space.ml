@@ -13,13 +13,15 @@
    PTE is absent can carry a mark covering its whole range; creating a
    child under such a slot pushes the mark down. Each array keeps an
    occupancy bitset of its non-invalid slots beside the PT page's own,
-   so scans visit only slots that hold a PTE or metadata. *)
+   so scans visit only slots that hold a PTE or metadata, and stores its
+   slots in 64-entry chunks allocated by the first valid store into
+   each. *)
 
 open Mm_hal
 module Pt = Mm_pt.Pt
 
 type meta = {
-  slots : Status.meta_entry array;
+  slots : Status.meta_entry Mm_util.Chunked.t;
   mutable live : int;
   bits : Bytes.t; (* occupancy: bit [i] set iff [slots.(i)] is not invalid *)
   slab_handle : int; (* where this array lives in the metadata slab *)
@@ -149,7 +151,7 @@ let meta_of t (node : node) =
     let n = entries_per_node t in
     let m =
       {
-        slots = Array.make n Status.M_invalid;
+        slots = Mm_util.Chunked.create n ~absent:Status.M_invalid;
         live = 0;
         bits = Mm_util.Bitset.create n;
         slab_handle = Mm_phys.Slab.alloc t.meta_cache;
@@ -163,20 +165,20 @@ let meta_of t (node : node) =
 let meta_get (node : node) idx =
   match node.Pt.meta with
   | None -> Status.M_invalid
-  | Some m -> m.slots.(idx)
+  | Some m -> Mm_util.Chunked.get m.slots idx
 
 (* Write one slot, keeping [live] and the occupancy bits in step. *)
 let meta_store m idx v =
-  let old = m.slots.(idx) in
-  m.slots.(idx) <- v;
+  let old = Mm_util.Chunked.get m.slots idx in
+  Mm_util.Chunked.set m.slots idx v;
   match (old, v) with
   | Status.M_invalid, Status.M_invalid -> ()
   | Status.M_invalid, _ ->
     m.live <- m.live + 1;
-    Mm_util.Bitset.add m.bits ~off:0 idx
+    Mm_util.Bitset.add m.bits idx
   | _, Status.M_invalid ->
     m.live <- m.live - 1;
-    Mm_util.Bitset.remove m.bits ~off:0 idx
+    Mm_util.Bitset.remove m.bits idx
   | _, _ -> ()
 
 let meta_set t (node : node) idx v =
@@ -515,24 +517,28 @@ let origin_advance origin ~by =
   | Status.O_shm (f, off) -> Status.O_shm (f, off + by)
 
 (* Push a parent-level mark down into a freshly created child: each child
-   slot receives the mark with its file offset advanced to its position. *)
+   slot receives the mark with its file offset advanced to its position.
+   An anonymous mark is the same at every position, so its slots share
+   one record. *)
 let push_down_mark t (parent : node) idx (child : node) =
   match meta_get parent idx with
   | Status.M_invalid -> ()
-  | Status.M_alloc { origin; perm; policy } ->
+  | Status.M_alloc { origin; perm; policy } as mark ->
     (* Bulk fill: one streaming pass over the child's array, not 512
        individually-charged stores. *)
     let child_cov = Pt.entry_coverage t.pt child in
     let m = meta_of t child in
     Mm_sim.Engine.charge Mm_sim.Cost.meta_bulk_fill;
     let n = entries_per_node t in
-    for i = 0 to n - 1 do
-      m.slots.(i) <-
-        Status.M_alloc
-          { origin = origin_advance origin ~by:(i * child_cov); perm; policy }
-    done;
+    (match origin with
+    | Status.O_anon -> Mm_util.Chunked.fill m.slots mark
+    | Status.O_file _ | Status.O_shm _ ->
+      for i = 0 to n - 1 do
+        let origin = origin_advance origin ~by:(i * child_cov) in
+        Mm_util.Chunked.set m.slots i (Status.M_alloc { origin; perm; policy })
+      done);
     m.live <- n;
-    Mm_util.Bitset.fill m.bits ~off:0 ~from:0 ~stop:n;
+    Mm_util.Bitset.fill m.bits ~from:0 ~stop:n;
     meta_set t parent idx Status.M_invalid
   | Status.M_resident _ | Status.M_swapped _ ->
     invariant ~ctx:"push_down_mark" "non-mark metadata on a table slot"
@@ -903,9 +909,9 @@ let rec clear_whole_node c (node : node) =
   match node.Pt.meta with
   | None -> ()
   | Some m ->
-    Array.fill m.slots 0 n Status.M_invalid;
+    Mm_util.Chunked.reset m.slots;
     m.live <- 0;
-    Mm_util.Bitset.clear m.bits ~off:0 ~n
+    Mm_util.Bitset.clear m.bits
 
 (* Recursive range clear: unmap leaves, drop marks, free empty PT pages.
    A partly covered page reads each slot of the range with a charged
@@ -1308,10 +1314,10 @@ let clone_for_fork pc cc =
          occupied slots. *)
       let cm = meta_of ct cn in
       Mm_sim.Engine.charge Mm_sim.Cost.meta_bulk_fill;
-      let i = ref (Mm_util.Bitset.next pm.bits ~off:0 0 ~stop:n) in
+      let i = ref (Mm_util.Bitset.next pm.bits 0 ~stop:n) in
       while !i < n do
         let copied =
-          match pm.slots.(!i) with
+          match Mm_util.Chunked.get pm.slots !i with
           | Status.M_swapped { dev; block; perm } ->
             let contents = Blockdev.read_page dev ~block in
             let nb = Blockdev.alloc_block dev in
@@ -1320,7 +1326,7 @@ let clone_for_fork pc cc =
           | s -> s
         in
         meta_store cm !i copied;
-        i := Mm_util.Bitset.next pm.bits ~off:0 (!i + 1) ~stop:n
+        i := Mm_util.Bitset.next pm.bits (!i + 1) ~stop:n
       done);
     let i = ref (Pt.next_present t.pt pn 0 ~stop:n) in
     while !i < n do
@@ -1521,13 +1527,12 @@ let check_well_formed t =
       | Some m ->
         let pfn = node.Pt.frame.Mm_phys.Frame.pfn in
         let live = ref 0 in
-        Array.iteri
-          (fun idx slot ->
-            let valid = slot <> Status.M_invalid in
-            if valid then incr live;
-            if Mm_util.Bitset.mem m.bits ~off:0 idx <> valid then
-              fail "stale metadata occupancy bit (node %#x idx %d)" pfn idx)
-          m.slots;
+        for idx = 0 to Mm_util.Chunked.length m.slots - 1 do
+          let valid = Mm_util.Chunked.get m.slots idx <> Status.M_invalid in
+          if valid then incr live;
+          if Mm_util.Bitset.mem m.bits idx <> valid then
+            fail "stale metadata occupancy bit (node %#x idx %d)" pfn idx
+        done;
         if !live <> m.live then
           fail "metadata live count %d <> actual %d (node %#x)" m.live !live
             pfn)

@@ -13,10 +13,10 @@ module Pt = Mm_pt.Pt
 
 (** The per-PTE metadata array attached to each PT page (Fig 3): the
     state that cannot live in the MMU. [live] counts the slots that are
-    not [M_invalid], and [bits] (a {!Mm_util.Bitset} at offset [0]) marks
+    not [M_invalid], and [bits] (a {!Mm_util.Bitset}) marks
     exactly those slots. *)
 type meta = {
-  slots : Status.meta_entry array;
+  slots : Status.meta_entry Mm_util.Chunked.t;
   mutable live : int;
   bits : Bytes.t;
   slab_handle : int;

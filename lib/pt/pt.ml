@@ -2,13 +2,21 @@
 
    This is the hardware-level structure every system in the reproduction
    programs: a multi-level radix tree of page-table pages whose entries are
-   raw 64-bit words in the current ISA's format, stored unboxed in one
-   4 KiB byte page per node as hardware stores them. Every write encodes
-   and immediately decodes the stored word into a per-node mirror of
-   [Pte.t] values, so the HAL is genuinely on the access path (as in
-   CortenMM's Rust implementation) while reads serve the mirror — one
-   decode per store instead of one per walk step, with identical results
-   because the mirror always holds [decode (encode pte)].
+   raw 64-bit words in the current ISA's format, stored unboxed as
+   hardware stores them. Every write encodes and immediately decodes the
+   stored word into a mirror of [Pte.t] values, so the HAL is genuinely
+   on the access path (as in CortenMM's Rust implementation) while reads
+   serve the mirror — one decode per store instead of one per walk step,
+   with identical results because the mirror always holds
+   [decode (encode pte)].
+
+   Host storage is sparse: a node's 512 entries are eight 64-entry
+   chunks, each holding its raw words (a 512-byte buffer) and their
+   mirror. A chunk is allocated by the first present store into its
+   stretch; until then the stretch reads the shared [empty_chunk], whose
+   raw words are 0 — [Absent] in every PTE format. Only the host layout
+   is sparse: every read, store and charge is the same as on a dense
+   4 KiB page.
 
    Each node is backed by a physical frame from {!Mm_phys.Phys}; the
    frame's descriptor carries the per-PT-page lock (built on first use)
@@ -21,26 +29,43 @@
    The ['m] parameter is the per-PTE metadata array CortenMM attaches to
    each PT page (paper §3.3); other systems instantiate it with [unit].
 
-   Occupancy: after its entry words, a node's raw buffer holds one bit
-   per entry, set exactly when the entry is present. [store] keeps the
-   bit in step with [present], so scans that skip absent entries (fork,
-   teardown, reclaim, the adv lock DFS) visit only the set bits — a
-   sparse page costs a few word reads instead of 512 decodes. *)
+   Occupancy: a node's 64-byte occupancy buffer holds one bit per entry,
+   set exactly when the entry is present. [store] keeps the bit in step
+   with [present], so scans that skip absent entries (fork, teardown,
+   reclaim, the adv lock DFS) visit only the set bits — a sparse page
+   costs a few word reads instead of 512 decodes. *)
 
 open Mm_hal
 
-(* Raw entry [i] is the little-endian word at byte offset [8 * i]; the
-   occupancy bitset follows the last entry word. *)
-type raw = Bytes.t
+(* One 64-entry stretch of a node: raw entry [j] is the little-endian
+   word at byte offset [8 * j] of [words], and [mirror.(j)] is its
+   decode. *)
+type chunk = { words : Bytes.t; mirror : Pte.t array }
 
-let raw_get (r : raw) idx = Bytes.get_int64_le r (idx * 8)
-let raw_set (r : raw) idx w = Bytes.set_int64_le r (idx * 8) w
+let chunk_bits = 6
+let chunk_entries = 1 lsl chunk_bits
+let slot idx = idx land (chunk_entries - 1)
+
+let new_chunk () =
+  {
+    words = Bytes.make (chunk_entries * 8) '\000';
+    mirror = Array.make chunk_entries Pte.Absent;
+  }
+
+(* Shared by every stretch no present store has reached, and never
+   written: the stores that would write it allocate a chunk instead. *)
+let empty_chunk = new_chunk ()
+
+let raw_get c j = Bytes.get_int64_le c.words (j * 8)
+let raw_set c j w = Bytes.set_int64_le c.words (j * 8) w
+
+type occ = Bytes.t
 
 type 'm node = {
   frame : Mm_phys.Frame.t;
   level : int;
-  raw : raw;
-  decoded : Pte.t array; (* mirror: decoded.(i) = decode (raw_get raw i) *)
+  chunks : chunk array; (* [empty_chunk] until a present store lands *)
+  occ : occ; (* bit [i] set iff entry [i] is present *)
   mutable present : int; (* number of present entries *)
   mutable parent : ('m node * int) option;
   mutable base : int; (* base vaddr of the node's coverage, set at link *)
@@ -53,7 +78,6 @@ type 'm t = {
   isa : Isa.t;
   mutable root : 'm node;
   nodes : (int, 'm node) Hashtbl.t; (* pfn -> node *)
-  occ_off : int; (* byte offset of the occupancy bits in a node's raw *)
   mutable pt_page_count : int;
   mutable pt_pages_freed : int;
 }
@@ -69,8 +93,8 @@ let make_node isa frame ~level =
   {
     frame;
     level;
-    raw = Bytes.make ((n * 8) + Mm_util.Bitset.bytes_for n) '\000';
-    decoded = Array.make n Pte.Absent;
+    chunks = Array.make ((n + chunk_entries - 1) lsr chunk_bits) empty_chunk;
+    occ = Mm_util.Bitset.create n;
     present = 0;
     parent = None;
     base = 0;
@@ -95,7 +119,6 @@ let create phys isa =
       isa;
       root;
       nodes = Hashtbl.create 256;
-      occ_off = Geometry.entries isa.Isa.geo * 8;
       pt_page_count = 1;
       pt_pages_freed = 0;
     }
@@ -114,11 +137,24 @@ let entries_per_node t = Geometry.entries t.isa.Isa.geo
 
 (* -- Raw entry access -- *)
 
+let mirror node idx = node.chunks.(idx lsr chunk_bits).mirror.(slot idx)
+
+(* The chunk of [idx] that a store may write: allocated on first use. *)
+let own_chunk node idx =
+  let k = idx lsr chunk_bits in
+  let c = node.chunks.(k) in
+  if c != empty_chunk then c
+  else begin
+    let c = new_chunk () in
+    node.chunks.(k) <- c;
+    c
+  end
+
 let get _t node idx =
   (match Mm_sim.Engine.current () with
   | Some f -> walk_step_on f node
   | None -> ());
-  node.decoded.(idx)
+  mirror node idx
 
 (* A store's charges: the write cost plus an exclusive line access, which
    serializes — the fiber may yield to others before the store lands. *)
@@ -129,21 +165,28 @@ let charge_store node =
     Mm_sim.Engine.Line.write_on f node.frame.Mm_phys.Frame.line
   | None -> ()
 
+(* Storing word 0 into an unallocated stretch changes nothing: the
+   stretch already reads word 0, decoded. *)
 let store t node idx pte =
-  let old = node.decoded.(idx) in
   let raw = Isa.encode t.isa ~level:node.level pte in
-  raw_set node.raw idx raw;
-  (* Re-decode the stored word rather than caching [pte] itself, so reads
-     observe exactly what the raw encoding preserves. *)
-  node.decoded.(idx) <- Isa.decode t.isa ~level:node.level raw;
-  match (Pte.is_present old, Pte.is_present node.decoded.(idx)) with
-  | false, true ->
-    node.present <- node.present + 1;
-    Mm_util.Bitset.add node.raw ~off:t.occ_off idx
-  | true, false ->
-    node.present <- node.present - 1;
-    Mm_util.Bitset.remove node.raw ~off:t.occ_off idx
-  | _ -> ()
+  if Int64.equal raw 0L && node.chunks.(idx lsr chunk_bits) == empty_chunk
+  then ()
+  else begin
+    let c = own_chunk node idx and j = slot idx in
+    let old = c.mirror.(j) in
+    raw_set c j raw;
+    (* Re-decode the stored word rather than caching [pte] itself, so
+       reads observe exactly what the raw encoding preserves. *)
+    c.mirror.(j) <- Isa.decode t.isa ~level:node.level raw;
+    match (Pte.is_present old, Pte.is_present c.mirror.(j)) with
+    | false, true ->
+      node.present <- node.present + 1;
+      Mm_util.Bitset.add node.occ idx
+    | true, false ->
+      node.present <- node.present - 1;
+      Mm_util.Bitset.remove node.occ idx
+    | _ -> ()
+  end
 
 let set t node idx pte =
   charge_store node;
@@ -157,7 +200,7 @@ let get_atomic = get
 (* Uncharged read, for whole-node scans that are charged in bulk with
    [charge_node_scan] (streaming a 4 KiB PT page is a linear pass over its
    cache lines, not 512 independent walk steps). *)
-let get_uncharged _t node idx = node.decoded.(idx)
+let get_uncharged _t node idx = mirror node idx
 
 let charge_node_scan t =
   Mm_sim.Engine.charge (entries_per_node t / 8 * Mm_sim.Cost.cache_hit)
@@ -178,21 +221,22 @@ let charge_gets _t node k =
 
 (* -- Occupancy -- *)
 
-let occupied t node idx = Mm_util.Bitset.mem node.raw ~off:t.occ_off idx
+let occupied node idx = Mm_util.Bitset.mem node.occ idx
 
-let next_present t node i ~stop =
-  Mm_util.Bitset.next node.raw ~off:t.occ_off i ~stop
+let next_present _t node i ~stop = Mm_util.Bitset.next node.occ i ~stop
 
-let next_present_or t node extra i ~stop =
-  Mm_util.Bitset.next_union node.raw ~aoff:t.occ_off extra ~boff:0 i ~stop
+let next_present_or _t node extra i ~stop =
+  Mm_util.Bitset.next_union node.occ extra i ~stop
 
 let iter_present t node f =
-  Mm_util.Bitset.iter node.raw ~off:t.occ_off ~from:0
-    ~stop:(entries_per_node t) f
+  Mm_util.Bitset.iter node.occ ~from:0 ~stop:(entries_per_node t) f
 
-let corrupt_occupancy t node idx =
-  if occupied t node idx then Mm_util.Bitset.remove node.raw ~off:t.occ_off idx
-  else Mm_util.Bitset.add node.raw ~off:t.occ_off idx
+let corrupt_occupancy _t node idx =
+  if occupied node idx then Mm_util.Bitset.remove node.occ idx
+  else Mm_util.Bitset.add node.occ idx
+
+let corrupt_mirror _t node idx pte =
+  (own_chunk node idx).mirror.(slot idx) <- pte
 
 let child t node idx =
   match get t node idx with
@@ -232,14 +276,15 @@ let ensure_child t node idx =
 (* Hardware sets the accessed bit for free during a walk; model that as an
    uncharged in-place update of the raw entry. *)
 let set_accessed t node idx =
-  match node.decoded.(idx) with
+  match mirror node idx with
   | Pte.Leaf { pfn; perm; accessed = false; dirty; global } ->
     let raw =
       Isa.encode t.isa ~level:node.level
         (Pte.Leaf { pfn; perm; accessed = true; dirty; global })
     in
-    raw_set node.raw idx raw;
-    node.decoded.(idx) <- Isa.decode t.isa ~level:node.level raw
+    let c = node.chunks.(idx lsr chunk_bits) and j = slot idx in
+    raw_set c j raw;
+    c.mirror.(j) <- Isa.decode t.isa ~level:node.level raw
   | Pte.Leaf _ | Pte.Absent | Pte.Table _ -> ()
 
 (* Linux's ptep_test_and_clear_young, charged as a [set]: the entry is
@@ -247,7 +292,7 @@ let set_accessed t node idx =
    transaction that changed it while this fiber waited is never undone. *)
 let clear_accessed t node idx =
   charge_store node;
-  match node.decoded.(idx) with
+  match mirror node idx with
   | Pte.Leaf ({ accessed = true; _ } as l) ->
     store t node idx (Pte.Leaf { l with accessed = false })
   | Pte.Leaf _ | Pte.Absent | Pte.Table _ -> ()
@@ -397,7 +442,7 @@ let rec iter_subtree t node f =
     let n = entries_per_node t in
     let i = ref (next_present t node 0 ~stop:n) in
     while !i < n do
-      (match node.decoded.(!i) with
+      (match mirror node !i with
       | Pte.Table { pfn } -> (
         match node_of_pfn t pfn with
         | Some c -> iter_subtree t c f
@@ -417,7 +462,7 @@ let rec iter_leaves t node f =
   let n = entries_per_node t in
   let i = ref (next_present t node 0 ~stop:n) in
   while !i < n do
-    (match node.decoded.(!i) with
+    (match mirror node !i with
     | Pte.Absent -> ()
     | Pte.Leaf _ as pte -> f (base + (!i * per)) node.level pte
     | Pte.Table { pfn } -> (
@@ -441,44 +486,47 @@ let check_well_formed t =
     if node.frame.Mm_phys.Frame.kind <> Mm_phys.Frame.Pt_page then
       fail "node %#x frame is not a PT page" node.frame.Mm_phys.Frame.pfn;
     let present = ref 0 in
-    Array.iteri
-      (fun idx mirror ->
-        let pte = Isa.decode t.isa ~level:node.level (raw_get node.raw idx) in
-        if pte <> mirror then
-          fail "stale decode mirror (node %#x idx %d)"
+    for idx = 0 to entries_per_node t - 1 do
+      let chunk = node.chunks.(idx lsr chunk_bits) in
+      let decoded = chunk.mirror.(slot idx) in
+      let pte =
+        Isa.decode t.isa ~level:node.level (raw_get chunk (slot idx))
+      in
+      if pte <> decoded then
+        fail "stale decode mirror (node %#x idx %d)"
+          node.frame.Mm_phys.Frame.pfn idx;
+      if occupied node idx <> Pte.is_present decoded then
+        fail "stale occupancy bit (node %#x idx %d)"
+          node.frame.Mm_phys.Frame.pfn idx;
+      match pte with
+      | Pte.Absent -> ()
+      | Pte.Leaf _ ->
+        incr present;
+        if node.level > 3 then
+          fail "huge leaf at level %d (node %#x idx %d)" node.level
+            node.frame.Mm_phys.Frame.pfn idx
+      | Pte.Table { pfn } -> (
+        incr present;
+        if node.level = 1 then
+          fail "table entry at leaf level (node %#x idx %d)"
             node.frame.Mm_phys.Frame.pfn idx;
-        if occupied t node idx <> Pte.is_present mirror then
-          fail "stale occupancy bit (node %#x idx %d)"
-            node.frame.Mm_phys.Frame.pfn idx;
-        match pte with
-        | Pte.Absent -> ()
-        | Pte.Leaf _ ->
-          incr present;
-          if node.level > 3 then
-            fail "huge leaf at level %d (node %#x idx %d)" node.level
-              node.frame.Mm_phys.Frame.pfn idx
-        | Pte.Table { pfn } -> (
-          incr present;
-          if node.level = 1 then
-            fail "table entry at leaf level (node %#x idx %d)"
-              node.frame.Mm_phys.Frame.pfn idx;
-          match node_of_pfn t pfn with
-          | None ->
-            fail "entry points to unknown PT page %#x (node %#x idx %d)" pfn
-              node.frame.Mm_phys.Frame.pfn idx
-          | Some c ->
-            (* Child level relation: exactly one below (Fig 12 L22). *)
-            if c.level <> node.level - 1 then
-              fail "child level %d under level %d" c.level node.level;
-            (match c.parent with
-            | Some (p, pidx)
-              when p == node && pidx = idx ->
-              ()
-            | _ -> fail "child %#x has wrong parent link" pfn);
-            if c.base <> node.base + (idx * entry_coverage t node) then
-              fail "child %#x has stale base %#x" pfn c.base;
-            go c))
-      node.decoded;
+        match node_of_pfn t pfn with
+        | None ->
+          fail "entry points to unknown PT page %#x (node %#x idx %d)" pfn
+            node.frame.Mm_phys.Frame.pfn idx
+        | Some c ->
+          (* Child level relation: exactly one below (Fig 12 L22). *)
+          if c.level <> node.level - 1 then
+            fail "child level %d under level %d" c.level node.level;
+          (match c.parent with
+          | Some (p, pidx)
+            when p == node && pidx = idx ->
+            ()
+          | _ -> fail "child %#x has wrong parent link" pfn);
+          if c.base <> node.base + (idx * entry_coverage t node) then
+            fail "child %#x has stale base %#x" pfn c.base;
+          go c)
+    done;
     if !present <> node.present then
       fail "present count %d <> actual %d (node %#x)" node.present !present
         node.frame.Mm_phys.Frame.pfn

@@ -1,19 +1,27 @@
 (** Radix page-table engine over simulated physical memory, with raw
     per-ISA PTE encodings on the access path. ['m] is the per-PTE metadata
-    array type CortenMM attaches to PT pages; other systems use [unit]. *)
+    array type CortenMM attaches to PT pages; other systems use [unit].
+    A node's host storage is allocated in 64-entry chunks on the first
+    present store into each; reads, stores and their charges are those
+    of a dense page. *)
 
 open Mm_hal
 
-type raw
-(** A node's raw hardware words, unboxed (one 4 KiB page), followed by
-    its occupancy bitset: one bit per entry, set exactly when the entry
+type chunk
+(** 64 of a node's entries: their raw hardware words, unboxed, and the
+    decoded mirror of those words. A stretch no present store has
+    reached shares one empty chunk, whose raw words are 0 ([Absent] in
+    every PTE format). *)
+
+type occ
+(** A node's occupancy bits: one per entry, set exactly when the entry
     is present. *)
 
 type 'm node = {
   frame : Mm_phys.Frame.t;
   level : int;
-  raw : raw;
-  decoded : Pte.t array; (* mirror of the decoded raw words *)
+  chunks : chunk array; (* allocated by the first present store *)
+  occ : occ;
   mutable present : int;
   mutable parent : ('m node * int) option;
   mutable base : int; (* base vaddr of the node's coverage, set at link *)
@@ -120,7 +128,7 @@ val next_present : 'm t -> 'm node -> int -> stop:int -> int
 
 val next_present_or : 'm t -> 'm node -> Bytes.t -> int -> stop:int -> int
 (** {!next_present} over the union of the node's occupancy bits and a
-    caller's {!Mm_util.Bitset} of the same size (at offset [0]). *)
+    caller's {!Mm_util.Bitset} of the same size. *)
 
 val iter_present : 'm t -> 'm node -> (int -> unit) -> unit
 (** [f idx] for each present entry, in ascending order. *)
@@ -133,6 +141,10 @@ val iter_present_range :
 val corrupt_occupancy : 'm t -> 'm node -> int -> unit
 (** Flip occupancy bit [idx] and nothing else — for tests that show
     {!check_well_formed} catches a stale bitmap. *)
+
+val corrupt_mirror : 'm t -> 'm node -> int -> Pte.t -> unit
+(** Overwrite the decoded mirror of entry [idx] and nothing else — for
+    tests that show {!check_well_formed} catches a stale mirror. *)
 
 val walk_create : 'm t -> ?from:'m node -> to_level:int -> int -> 'm node
 val walk_opt : 'm t -> ?from:'m node -> to_level:int -> int -> 'm node

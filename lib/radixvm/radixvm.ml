@@ -18,11 +18,13 @@
    so there is no contended PTE cache line.
 
    Every radix node keeps an occupancy bitset of its non-empty slots, so
-   fork and destroy visit only those. *)
+   fork and destroy visit only those, and stores its slots in 64-entry
+   chunks allocated by the first non-empty store into each. *)
 
 open Mm_hal
 module Pt = Mm_pt.Pt
 module Va_alloc = Cortenmm.Va_alloc
+module Chunked = Mm_util.Chunked
 
 type fault_outcome = Handled | Sigsegv
 
@@ -33,8 +35,8 @@ type rx_entry =
 
 type rx_node = {
   level : int; (* 1 = leaf node holding per-page entries *)
-  entries : rx_entry array; (* used at level 1 *)
-  children : rx_node option array; (* used above level 1 *)
+  entries : rx_entry Chunked.t; (* used at level 1 *)
+  children : rx_node option Chunked.t; (* used above level 1 *)
   occ : Bytes.t; (* bit [i] set iff slot [i] is not [R_empty] / [None] *)
   lock : Mm_sim.Mutex_s.t;
   line : Mm_sim.Engine.Line.t;
@@ -58,11 +60,18 @@ let fanout = 1 lsl fanout_bits
 let levels = 4
 let radix_node_bytes = fanout * 8
 
+(* The unused table of a node: leaves have no children, interior nodes
+   no entries. *)
+let no_entries = Chunked.create 0 ~absent:R_empty
+let no_children = Chunked.create 0 ~absent:None
+
 let make_node ~level =
   {
     level;
-    entries = (if level = 1 then Array.make fanout R_empty else [||]);
-    children = (if level > 1 then Array.make fanout None else [||]);
+    entries =
+      (if level = 1 then Chunked.create fanout ~absent:R_empty else no_entries);
+    children =
+      (if level > 1 then Chunked.create fanout ~absent:None else no_children);
     occ = Mm_util.Bitset.create fanout;
     lock = Mm_sim.Mutex_s.make ~name:"radixvm.node_lock" ();
     line = Mm_sim.Engine.Line.make ();
@@ -71,17 +80,17 @@ let make_node ~level =
 
 (* Slot writes, keeping the occupancy bits in step. *)
 let set_entry node idx e =
-  node.entries.(idx) <- e;
+  Chunked.set node.entries idx e;
   match e with
-  | R_empty -> Mm_util.Bitset.remove node.occ ~off:0 idx
-  | R_reserved _ | R_mapped _ -> Mm_util.Bitset.add node.occ ~off:0 idx
+  | R_empty -> Mm_util.Bitset.remove node.occ idx
+  | R_reserved _ | R_mapped _ -> Mm_util.Bitset.add node.occ idx
 
 let set_child node idx c =
-  node.children.(idx) <- Some c;
-  Mm_util.Bitset.add node.occ ~off:0 idx
+  Chunked.set node.children idx (Some c);
+  Mm_util.Bitset.add node.occ idx
 
 let iter_occupied node f =
-  Mm_util.Bitset.iter node.occ ~off:0 ~from:0 ~stop:fanout f
+  Mm_util.Bitset.iter node.occ ~from:0 ~stop:fanout f
 
 let va_lo = 0x1000_0000
 
@@ -129,7 +138,7 @@ let leaf_opt t ~vpn =
     | None -> ());
     if node.level = 1 then Some node
     else
-      match node.children.(index ~level:node.level ~vpn) with
+      match Chunked.get node.children (index ~level:node.level ~vpn) with
       | Some c -> go c
       | None -> None
   in
@@ -143,12 +152,12 @@ let leaf_create t ~vpn =
     if node.level = 1 then node
     else
       let idx = index ~level:node.level ~vpn in
-      match node.children.(idx) with
+      match Chunked.get node.children idx with
       | Some c -> go c
       | None ->
         Mm_sim.Mutex_s.lock node.lock;
         let c =
-          match node.children.(idx) with
+          match Chunked.get node.children idx with
           | Some c -> c
           | None ->
             Mm_sim.Engine.charge Mm_sim.Cost.page_alloc;
@@ -191,9 +200,9 @@ let mmap t ?addr ~len ~perm () =
     let in_this_leaf = min (npages - !i) (fanout - entry_idx ~vpn) in
     for k = 0 to in_this_leaf - 1 do
       Mm_sim.Engine.charge Mm_sim.Cost.meta_write;
-      leaf.entries.(entry_idx ~vpn + k) <- reserved
+      Chunked.set leaf.entries (entry_idx ~vpn + k) reserved
     done;
-    Mm_util.Bitset.fill leaf.occ ~off:0 ~from:(entry_idx ~vpn)
+    Mm_util.Bitset.fill leaf.occ ~from:(entry_idx ~vpn)
       ~stop:(entry_idx ~vpn + in_this_leaf);
     Mm_sim.Mutex_s.unlock leaf.lock;
     i := !i + in_this_leaf
@@ -216,13 +225,13 @@ let page_fault t ~vaddr ~write =
   | None -> Sigsegv
   | Some leaf -> (
     let idx = entry_idx ~vpn in
-    match leaf.entries.(idx) with
+    match Chunked.get leaf.entries idx with
     | R_empty -> Sigsegv
     | R_reserved perm when not (Perm.allows perm ~write) -> Sigsegv
     | R_mapped { perm; _ } when not (Perm.allows perm ~write) -> Sigsegv
     | R_reserved perm ->
       Mm_sim.Mutex_s.lock leaf.lock;
-      (match leaf.entries.(idx) with
+      (match Chunked.get leaf.entries idx with
       | R_reserved _ ->
         Mm_sim.Engine.charge (Mm_sim.Cost.page_alloc + Mm_sim.Cost.page_zero);
         let frame = Mm_phys.Phys.alloc t.phys ~kind:Mm_phys.Frame.Anon () in
@@ -267,7 +276,7 @@ let munmap t ~addr ~len =
       let vpns = ref [] in
       for k = 0 to in_this_leaf - 1 do
         let idx = entry_idx ~vpn + k in
-        match leaf.entries.(idx) with
+        match Chunked.get leaf.entries idx with
         | R_mapped { pfn; _ } ->
           set_entry leaf idx R_empty;
           vpns := (vpn + k) :: !vpns;
@@ -363,14 +372,14 @@ let page_state t ~vaddr =
   let rec go node =
     if node.level = 1 then Some node
     else
-      match node.children.(index ~level:node.level ~vpn) with
+      match Chunked.get node.children (index ~level:node.level ~vpn) with
       | Some c -> go c
       | None -> None
   in
   match go t.root with
   | None -> `Unmapped
   | Some leaf -> (
-    match leaf.entries.(entry_idx ~vpn) with
+    match Chunked.get leaf.entries (entry_idx ~vpn) with
     | R_empty -> `Unmapped
     | R_reserved perm -> `Lazy perm.Perm.write
     | R_mapped { perm; _ } -> `Resident perm.Perm.write)
@@ -400,7 +409,7 @@ let fork t =
     if node.level = 1 then begin
       Mm_sim.Mutex_s.lock node.lock;
       iter_occupied node (fun idx ->
-        match node.entries.(idx) with
+        match Chunked.get node.entries idx with
         | R_empty -> ()
         | R_reserved _ as e ->
           let vpn = vpn_base + idx in
@@ -422,7 +431,7 @@ let fork t =
     else
       let span = 1 lsl (fanout_bits * (node.level - 1)) in
       iter_occupied node (fun i ->
-          match node.children.(i) with
+          match Chunked.get node.children i with
           | Some c -> copy c ~vpn_base:(vpn_base + (i * span))
           | None -> ())
   in
@@ -454,7 +463,7 @@ let destroy t =
   let rec sweep node =
     if node.level = 1 then
       iter_occupied node (fun idx ->
-        match node.entries.(idx) with
+        match Chunked.get node.entries idx with
         | R_mapped { pfn; _ } ->
           set_entry node idx R_empty;
           let f = Mm_phys.Phys.frame t.phys pfn in
@@ -467,7 +476,7 @@ let destroy t =
         | R_empty -> ())
     else
       iter_occupied node (fun i ->
-          match node.children.(i) with Some c -> sweep c | None -> ())
+          match Chunked.get node.children i with Some c -> sweep c | None -> ())
   in
   sweep t.root;
   Mm_phys.Phys.kernel_free_bytes t.phys
@@ -490,7 +499,7 @@ let with_pfn t ~vaddr f =
   match leaf_opt t ~vpn with
   | None -> raise (Fault vaddr)
   | Some leaf -> (
-    match leaf.entries.(entry_idx ~vpn) with
+    match Chunked.get leaf.entries (entry_idx ~vpn) with
     | R_mapped { pfn; _ } -> f (Mm_phys.Phys.frame t.phys pfn)
     | R_empty | R_reserved _ -> raise (Fault vaddr))
 

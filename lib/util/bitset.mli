@@ -1,37 +1,33 @@
-(** Fixed-size occupancy bitsets packed into a byte buffer at a byte
-    offset, so a bitmap can share a buffer its owner already allocates.
-    Indices run from [0]; the caller keeps them below the size the
-    buffer was laid out for. Iteration is by {!next}: a scan re-reads
-    the live words on every call, so bits set or cleared between calls
-    are seen exactly as an index loop would see them. *)
-
-val bytes_for : int -> int
-(** Bytes needed for [n] bits (a whole number of 32-bit words). *)
+(** Fixed-size occupancy bitsets packed into a byte buffer. Indices run
+    from [0]; the caller keeps them below the size the buffer was
+    created for. Iteration is by {!next}: a scan re-reads the live
+    words on every call, so bits set or cleared between calls are seen
+    exactly as an index loop would see them. *)
 
 val create : int -> Bytes.t
-(** A fresh, empty bitset of [n] bits at offset [0]. *)
+(** A fresh, empty bitset of [n] bits (a whole number of 32-bit
+    words). *)
 
-val mem : Bytes.t -> off:int -> int -> bool
-val add : Bytes.t -> off:int -> int -> unit
-val remove : Bytes.t -> off:int -> int -> unit
+val mem : Bytes.t -> int -> bool
+val add : Bytes.t -> int -> unit
+val remove : Bytes.t -> int -> unit
 
-val clear : Bytes.t -> off:int -> n:int -> unit
-(** Clear all [n] bits. *)
+val clear : Bytes.t -> unit
+(** Clear every bit. *)
 
-val fill : Bytes.t -> off:int -> from:int -> stop:int -> unit
+val fill : Bytes.t -> from:int -> stop:int -> unit
 (** Set every bit in [[from, stop)]: one call for a run of slots that
     all become occupied. *)
 
-val next : Bytes.t -> off:int -> int -> stop:int -> int
-(** [next b ~off i ~stop] is the first set index in [[i, stop)], or
-    [stop] if there is none. It reads only the words holding bits
+val next : Bytes.t -> int -> stop:int -> int
+(** [next b i ~stop] is the first set index in [[i, stop)], or [stop] if
+    there is none. It reads only the words holding bits
     [i .. stop - 1]. *)
 
-val next_union :
-  Bytes.t -> aoff:int -> Bytes.t -> boff:int -> int -> stop:int -> int
+val next_union : Bytes.t -> Bytes.t -> int -> stop:int -> int
 (** {!next} over the union of two bitsets. *)
 
-val iter : Bytes.t -> off:int -> from:int -> stop:int -> (int -> unit) -> unit
+val iter : Bytes.t -> from:int -> stop:int -> (int -> unit) -> unit
 (** [f i] for each set [i] in [[from, stop)], in ascending order. The
     words are re-read after each call, so a bit [f] sets or clears
     further on is seen exactly as an index loop testing each bit as it

@@ -8,6 +8,7 @@
 
 open Cortenmm
 module Bitset = Mm_util.Bitset
+module Chunked = Mm_util.Chunked
 module Rng = Mm_util.Rng
 module Engine = Mm_sim.Engine
 module Pt = Mm_pt.Pt
@@ -22,7 +23,7 @@ let ints = Alcotest.(list int)
 (* Every set index of [b] below [stop], found with [next]. *)
 let collect ?(from = 0) b ~stop =
   let rec go i acc =
-    let j = Bitset.next b ~off:0 i ~stop in
+    let j = Bitset.next b i ~stop in
     if j >= stop then List.rev acc else go (j + 1) (j :: acc)
   in
   go from []
@@ -31,25 +32,25 @@ let test_bitset_single_bits () =
   let n = 512 in
   for i = 0 to n - 1 do
     let b = Bitset.create n in
-    Bitset.add b ~off:0 i;
+    Bitset.add b i;
     check ints (Printf.sprintf "bit %d alone" i) [ i ] (collect b ~stop:n);
-    check Alcotest.bool "mem" true (Bitset.mem b ~off:0 i);
-    check Alcotest.int "past it" n (Bitset.next b ~off:0 (i + 1) ~stop:n);
-    check Alcotest.int "below stop" i (Bitset.next b ~off:0 0 ~stop:(i + 1));
-    check Alcotest.int "not below [i]" i (Bitset.next b ~off:0 0 ~stop:i);
-    Bitset.remove b ~off:0 i;
+    check Alcotest.bool "mem" true (Bitset.mem b i);
+    check Alcotest.int "past it" n (Bitset.next b (i + 1) ~stop:n);
+    check Alcotest.int "below stop" i (Bitset.next b 0 ~stop:(i + 1));
+    check Alcotest.int "not below [i]" i (Bitset.next b 0 ~stop:i);
+    Bitset.remove b i;
     check ints "removed" [] (collect b ~stop:n)
   done
 
-let test_bitset_offset_and_union () =
-  (* A bitset after 40 bytes of unrelated data, as in a PT node's raw. *)
-  let buf = Bytes.make (40 + Bitset.bytes_for 100) '\255' in
-  Bitset.clear buf ~off:40 ~n:100;
-  List.iter (Bitset.add buf ~off:40) [ 3; 31; 32; 63; 64; 99 ];
-  check Alcotest.bool "prefix untouched" true (Bytes.get buf 39 = '\255');
+let test_bitset_clear_and_union () =
+  let buf = Bitset.create 100 in
+  Bitset.fill buf ~from:0 ~stop:100;
+  Bitset.clear buf;
+  check ints "cleared" [] (collect buf ~stop:100);
+  List.iter (Bitset.add buf) [ 3; 31; 32; 63; 64; 99 ];
   let walk ~stop =
     let rec go i acc =
-      let j = Bitset.next buf ~off:40 i ~stop in
+      let j = Bitset.next buf i ~stop in
       if j >= stop then List.rev acc else go (j + 1) (j :: acc)
     in
     go 0 []
@@ -57,10 +58,10 @@ let test_bitset_offset_and_union () =
   check ints "all" [ 3; 31; 32; 63; 64; 99 ] (walk ~stop:100);
   check ints "clipped" [ 3; 31; 32 ] (walk ~stop:33);
   let other = Bitset.create 100 in
-  List.iter (Bitset.add other ~off:0) [ 0; 31; 70 ];
+  List.iter (Bitset.add other) [ 0; 31; 70 ];
   let union ~from ~stop =
     let rec go i acc =
-      let j = Bitset.next_union buf ~aoff:40 other ~boff:0 i ~stop in
+      let j = Bitset.next_union buf other i ~stop in
       if j >= stop then List.rev acc else go (j + 1) (j :: acc)
     in
     go from []
@@ -74,11 +75,11 @@ let test_bitset_fill () =
     let a = Rng.int rng 513 and b = Rng.int rng 513 in
     let from = min a b and stop = max a b in
     let filled = Bitset.create 512 and added = Bitset.create 512 in
-    Bitset.add filled ~off:0 (Rng.int rng 512);
+    Bitset.add filled (Rng.int rng 512);
     Bytes.blit filled 0 added 0 (Bytes.length filled);
-    Bitset.fill filled ~off:0 ~from ~stop;
+    Bitset.fill filled ~from ~stop;
     for i = from to stop - 1 do
-      Bitset.add added ~off:0 i
+      Bitset.add added i
     done;
     check ints
       (Printf.sprintf "fill [%d, %d)" from stop)
@@ -410,10 +411,10 @@ let test_pt_stale_occupancy () =
       Pt.check_well_formed pt)
     [ present; absent ];
   (* The decode mirror's own check, alongside. *)
-  let saved = node.Pt.decoded.(present) in
-  node.Pt.decoded.(present) <- Pte.Absent;
+  let saved = Pt.get_uncharged pt node present in
+  Pt.corrupt_mirror pt node present Pte.Absent;
   ill_formed "stale mirror caught" (fun () -> Pt.check_well_formed pt);
-  node.Pt.decoded.(present) <- saved;
+  Pt.corrupt_mirror pt node present saved;
   Pt.check_well_formed pt
 
 let test_meta_stale_occupancy () =
@@ -436,14 +437,14 @@ let test_meta_stale_occupancy () =
     Option.get !found
   in
   let flip idx =
-    if Bitset.mem m.Addr_space.bits ~off:0 idx then
-      Bitset.remove m.Addr_space.bits ~off:0 idx
-    else Bitset.add m.Addr_space.bits ~off:0 idx
+    if Bitset.mem m.Addr_space.bits idx then
+      Bitset.remove m.Addr_space.bits idx
+    else Bitset.add m.Addr_space.bits idx
   in
-  let live = Bitset.next m.Addr_space.bits ~off:0 0 ~stop:512 in
+  let live = Bitset.next m.Addr_space.bits 0 ~stop:512 in
   let dead =
     List.find
-      (fun i -> m.Addr_space.slots.(i) = Status.M_invalid)
+      (fun i -> Chunked.get m.Addr_space.slots i = Status.M_invalid)
       (List.init 512 Fun.id)
   in
   List.iter
@@ -466,8 +467,8 @@ let () =
       ( "bitset",
         [
           Alcotest.test_case "single bits" `Quick test_bitset_single_bits;
-          Alcotest.test_case "offset and union" `Quick
-            test_bitset_offset_and_union;
+          Alcotest.test_case "clear and union" `Quick
+            test_bitset_clear_and_union;
           Alcotest.test_case "fill runs" `Quick test_bitset_fill;
         ] );
       ( "occupancy",

@@ -1,5 +1,5 @@
 (* Tests for mm_util: RNG determinism, statistics, alignment arithmetic,
-   table formatting. *)
+   chunked tables, table formatting. *)
 
 open Mm_util
 
@@ -94,6 +94,66 @@ let align_prop =
       && Align.is_aligned (Align.up x a) a
       && Align.up x a - Align.down x a < 2 * a)
 
+(* Chunked tables against plain arrays: random get/set/fill/reset
+   sequences at sizes around the 64-entry chunk, with indices one past
+   each end, which both must reject. [0] is the absent value. *)
+type chunked_op = Get of int | Set of int * int | Fill of int | Reset
+
+let chunked_prop =
+  let gen =
+    QCheck.Gen.(
+      let* n = oneofl [ 0; 1; 63; 64; 65; 512 ] in
+      let idx = int_range (-1) n and value = int_bound 3 in
+      let op =
+        frequency
+          [
+            (4, map (fun i -> Get i) idx);
+            (4, map2 (fun i v -> Set (i, v)) idx value);
+            (1, map (fun v -> Fill v) value);
+            (1, return Reset);
+          ]
+      in
+      let* ops = list_size (int_bound 300) op in
+      return (n, ops))
+  in
+  let print (n, ops) =
+    Printf.sprintf "n=%d: %s" n
+      (String.concat "; "
+         (List.map
+            (function
+              | Get i -> Printf.sprintf "get %d" i
+              | Set (i, v) -> Printf.sprintf "set %d %d" i v
+              | Fill v -> Printf.sprintf "fill %d" v
+              | Reset -> "reset")
+            ops))
+  in
+  (* Both raise [Invalid_argument], or both return equal results. *)
+  let agree f g =
+    match f () with
+    | a -> ( match g () with b -> a = b | exception Invalid_argument _ -> false)
+    | exception Invalid_argument _ -> (
+      match g () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  QCheck.Test.make ~name:"Chunked matches a plain array" ~count:500
+    (QCheck.make ~print gen) (fun (n, ops) ->
+      let t = Chunked.create n ~absent:0 and a = Array.make n 0 in
+      List.for_all
+        (function
+          | Get i -> agree (fun () -> Chunked.get t i) (fun () -> a.(i))
+          | Set (i, v) ->
+            agree (fun () -> Chunked.set t i v) (fun () -> a.(i) <- v)
+          | Fill v ->
+            Chunked.fill t v;
+            Array.fill a 0 n v;
+            true
+          | Reset ->
+            Chunked.reset t;
+            Array.fill a 0 n 0;
+            true)
+        ops
+      && Chunked.length t = n
+      && List.for_all (fun i -> Chunked.get t i = a.(i)) (List.init n Fun.id))
+
 let test_tablefmt_render () =
   let s =
     Tablefmt.render ~header:[ "name"; "value" ]
@@ -146,6 +206,7 @@ let () =
             test_align_rejects_non_pow2;
           QCheck_alcotest.to_alcotest align_prop;
         ] );
+      ("chunked", [ QCheck_alcotest.to_alcotest chunked_prop ]);
       ( "tablefmt",
         [
           Alcotest.test_case "render" `Quick test_tablefmt_render;
