@@ -12,7 +12,9 @@
    index instead of a hash probe. A one-entry chunk cache covers the
    spatial locality of buddy-allocated pfns. Descriptors are still
    created on first access, so creation order (and the deterministic lock
-   ids each descriptor reserves) is unchanged. *)
+   ids each descriptor reserves) is unchanged. A slot whose descriptor is
+   not yet created holds the shared [unmade] sentinel rather than an
+   option, so a created descriptor is one pointer away from its chunk. *)
 
 let chunk_bits = 10
 let chunk_mask = (1 lsl chunk_bits) - 1
@@ -20,9 +22,9 @@ let chunk_mask = (1 lsl chunk_bits) - 1
 type t = {
   buddies : Buddy.t array; (* one per NUMA node *)
   node_span : int; (* pfns per node *)
-  chunks : (int, Frame.t option array) Hashtbl.t; (* chunk index -> slots *)
+  chunks : (int, Frame.t array) Hashtbl.t; (* chunk index -> slots *)
   mutable cached_cidx : int; (* last chunk touched, -1 for none *)
-  mutable cached_chunk : Frame.t option array;
+  mutable cached_chunk : Frame.t array;
   page_size : int;
   mutable counts : int array; (* frames per Frame.kind *)
   mutable extra_bytes : int array; (* sub-page kernel allocations per kind *)
@@ -37,6 +39,24 @@ let kind_index : Frame.kind -> int = function
   | Frame.Kernel -> 4
 
 let nkinds = 5
+
+(* Marks a frame-table slot whose descriptor is not yet created. Built
+   directly, not by [Frame.make], so it reserves no lock ids; [frame]
+   never returns it. *)
+let unmade : Frame.t =
+  {
+    Frame.pfn = -1;
+    kind = Frame.Free;
+    order = 0;
+    lock_id = -1;
+    pt_lock = None;
+    pt_rwlock = None;
+    line = Mm_sim.Engine.Line.make ();
+    stale = false;
+    map_count = 0;
+    wired = false;
+    contents = 0;
+  }
 
 let create ?(nframes = 1 lsl 40) ?(page_size = 4096) ?(numa_nodes = 1) () =
   if numa_nodes < 1 then invalid_arg "Phys.create: numa_nodes";
@@ -64,7 +84,7 @@ let chunk t cidx =
       match Hashtbl.find_opt t.chunks cidx with
       | Some c -> c
       | None ->
-        let c = Array.make (chunk_mask + 1) None in
+        let c = Array.make (chunk_mask + 1) unmade in
         Hashtbl.replace t.chunks cidx c;
         c
     in
@@ -76,12 +96,13 @@ let chunk t cidx =
 let frame t pfn =
   let c = chunk t (pfn lsr chunk_bits) in
   let slot = pfn land chunk_mask in
-  match c.(slot) with
-  | Some f -> f
-  | None ->
+  let f = c.(slot) in
+  if f != unmade then f
+  else begin
     let f = Frame.make ~pfn in
-    c.(slot) <- Some f;
+    c.(slot) <- f;
     f
+  end
 
 (* Allocator observability: splits/merges deltas around the buddy call,
    recorded only while the domain has a subscriber so unobserved runs
