@@ -10,8 +10,9 @@
                                  array of {id, seconds_seq, seconds_par,
                                  speedup, cells}, per-cell seconds that
                                  sum to the entry seconds, the seq/par
-                                 totals and the critical-path summary
-                                 (max_cell_seconds_seq/_par) *)
+                                 totals, the critical-path summary
+                                 (max_cell_seconds_seq/_par) and the
+                                 host's nproc and peak_rss_mb *)
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
 
@@ -46,6 +47,12 @@ let check_wallclock json =
   | Some (Int j) when j >= 1 -> ()
   | Some _ -> fail "jobs is not a positive integer"
   | None -> fail "no jobs field");
+  (match member "nproc" json with
+  | Some (Int n) when n >= 1 -> ()
+  | Some _ -> fail "nproc is not a positive integer"
+  | None -> fail "no nproc field");
+  if not (as_float (member "peak_rss_mb" json) > 0.) then
+    fail "missing or non-positive \"peak_rss_mb\"";
   List.iter
     (fun field ->
       if not (number (member field json)) then

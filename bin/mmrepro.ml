@@ -156,16 +156,38 @@ let max_cell tasks =
         acc t.Driver.t_cells)
     ("", 0.0) tasks
 
+(* This process's peak resident set (VmHWM) in MiB, where the kernel
+   reports it in /proc/self/status (Linux). *)
+let peak_rss_mb () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+    let rec find () =
+      match input_line ic with
+      | line when String.starts_with ~prefix:"VmHWM:" line ->
+        Scanf.sscanf line "VmHWM: %d kB" (fun kb ->
+            Some (float_of_int kb /. 1024.0))
+      | _ -> find ()
+      | exception End_of_file -> None
+    in
+    Fun.protect ~finally:(fun () -> close_in ic) find
+
 let write_wallclock_json ~path ~jobs ~elapsed_seq ~elapsed_par
     ~(seq : Driver.task_result list) ~(par : Driver.task_result list) =
   let open Mm_obs in
   let speedup = if elapsed_par > 0. then elapsed_seq /. elapsed_par else 1.0 in
   let max_cell_label, max_cell_seq = max_cell seq in
   let _, max_cell_par = max_cell par in
+  let nproc = Domain.recommended_domain_count () in
+  let peak_rss = peak_rss_mb () in
   Json.write_file ~path
     (Json.Obj
        [
          ("jobs", Json.Int jobs);
+         (* The host the timings come from. *)
+         ("nproc", Json.Int nproc);
+         ( "peak_rss_mb",
+           match peak_rss with Some mb -> Json.Float mb | None -> Json.Null );
          ( "wallclock",
            Json.List
              (List.map2
@@ -219,6 +241,10 @@ let write_wallclock_json ~path ~jobs ~elapsed_seq ~elapsed_par
     elapsed_seq elapsed_par speedup;
   Printf.printf "  critical path: %.3fs in %s (max cell vs %.3fs total)\n"
     max_cell_seq max_cell_label elapsed_seq;
+  Printf.printf "  host: nproc %d, peak RSS %s\n" nproc
+    (match peak_rss with
+    | Some mb -> Printf.sprintf "%.1f MiB" mb
+    | None -> "unknown");
   Printf.printf "wrote wall-clock timings to %s\n%!" path
 
 let run_cmd =
