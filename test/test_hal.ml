@@ -117,6 +117,8 @@ let table_roundtrip_prop (isa : Isa.t) =
       let raw = Isa.encode isa ~level pte in
       Pte.equal (Isa.decode isa ~level raw) pte)
 
+(* Word 0 decodes to [Absent] at every level of every format: a PT
+   page's untouched chunks share one all-zero chunk and rely on it. *)
 let test_absent_is_zero () =
   List.iter
     (fun isa ->
