@@ -2,6 +2,9 @@
    mmrepro run --json/--trace/--wallclock and serve --json outputs).
 
      jsoncheck FILE              parse FILE, exit 0 iff well-formed
+     jsoncheck --results FILE    additionally require the mmrepro run
+                                 --json shape: a "results" array of
+                                 {id, cell, ops, cycles, ops_per_sec}
      jsoncheck --chrome FILE     additionally require Chrome trace_event
                                  shape: a top-level "traceEvents" array
                                  whose entries carry name/ph/pid/tid
@@ -34,6 +37,31 @@ let check_chrome json =
             [ "name"; "ph"; "pid"; "tid" ])
         items;
       Printf.printf "ok: %d trace events\n" (List.length items))
+
+let check_results json =
+  let open Mm_obs.Json in
+  match Option.bind (member "results" json) to_list_opt with
+  | None -> fail "no \"results\" array"
+  | Some items ->
+    List.iteri
+      (fun i item ->
+        List.iter
+          (fun field ->
+            match member field item with
+            | Some (String _) -> ()
+            | _ -> fail "results[%d] missing string %S" i field)
+          [ "id"; "cell" ];
+        List.iter
+          (fun field ->
+            match member field item with
+            | Some (Int _) -> ()
+            | _ -> fail "results[%d] missing integer %S" i field)
+          [ "ops"; "cycles" ];
+        match member "ops_per_sec" item with
+        | Some (Int _ | Float _) -> ()
+        | _ -> fail "results[%d] missing or non-numeric \"ops_per_sec\"" i)
+      items;
+    Printf.printf "ok: %d results\n" (List.length items)
 
 let check_wallclock json =
   let open Mm_obs.Json in
@@ -119,8 +147,9 @@ let () =
     match Array.to_list Sys.argv with
     | [ _; "--chrome"; p ] -> (`Chrome, p)
     | [ _; "--wallclock"; p ] -> (`Wallclock, p)
+    | [ _; "--results"; p ] -> (`Results, p)
     | [ _; p ] -> (`Plain, p)
-    | _ -> fail "usage: jsoncheck [--chrome|--wallclock] FILE"
+    | _ -> fail "usage: jsoncheck [--chrome|--wallclock|--results] FILE"
   in
   match Mm_obs.Json.parse_file path with
   | Error msg -> fail "%s: invalid JSON: %s" path msg
@@ -128,4 +157,5 @@ let () =
     match mode with
     | `Chrome -> check_chrome json
     | `Wallclock -> check_wallclock json
+    | `Results -> check_results json
     | `Plain -> Printf.printf "ok: %s parses\n" path)

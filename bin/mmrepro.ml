@@ -116,24 +116,31 @@ let list_cmd =
 
 (* -- run: the experiments, their results and their host timings -- *)
 
-let write_results_json ~path results =
+(* One result per line, each with its entry id and its plan cell's
+   label, so a diff of two files names the cells that moved. *)
+let write_results_json ~path (tasks : Driver.task_result list) =
   let open Mm_obs in
-  Json.write_file ~path
-    (Json.Obj
-       [
-         ( "results",
-           Json.List
-             (List.map
-                (fun (label, (r : Mm_workloads.Runner.result)) ->
-                  Json.Obj
-                    [
-                      ("id", Json.String label);
-                      ("ops", Json.Int r.ops);
-                      ("cycles", Json.Int r.cycles);
-                      ("ops_per_sec", Json.Float r.ops_per_sec);
-                    ])
-                results) );
-       ])
+  let lines =
+    List.concat_map
+      (fun (c : Driver.cell_time) ->
+        List.map
+          (fun (id, (r : Mm_workloads.Runner.result)) ->
+            Json.to_string
+              (Json.Obj
+                 [
+                   ("id", Json.String id);
+                   ("cell", Json.String c.Driver.ct_label);
+                   ("ops", Json.Int r.ops);
+                   ("cycles", Json.Int r.cycles);
+                   ("ops_per_sec", Json.Float r.ops_per_sec);
+                 ]))
+          c.Driver.ct_results)
+      (List.concat_map (fun t -> t.Driver.t_cells) tasks)
+  in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc "{\"results\":[\n";
+      output_string oc (String.concat ",\n" lines);
+      output_string oc "\n]}\n")
 
 (* Wall-clock timing (--wallclock) is host-side only: it never touches
    the simulated (deterministic) outputs. Per-entry seconds come from
@@ -316,8 +323,7 @@ let run_cmd =
     in
     (match json with
     | Some path ->
-      write_results_json ~path
-        (List.concat_map (fun t -> t.Driver.t_results) results);
+      write_results_json ~path results;
       Printf.printf "wrote results to %s\n%!" path
     | None -> ());
     match wallclock with

@@ -28,45 +28,71 @@ dune exec bin/mmrepro.exe -- run fig13 --json /tmp/zp_traced.json \
 cmp /tmp/zp_plain.json /tmp/zp_traced.json \
   || { echo "run: --trace changed the --json results"; exit 1; }
 
+echo "== trajectory: every entry at -j 2 reproduces BENCH_cycles.json =="
+# The committed trajectory holds each result's simulated ops and cycles,
+# one per line with its entry id and plan cell. fig14 runs its
+# MM_FIG14_SUBSET subset: the whole sweep does not fit in 8 GB yet. A
+# change that moves a simulated number must commit the new file; the
+# diff names the cells that moved.
+all_ids=$(dune exec bin/mmrepro.exe -- list | grep -v '^backends:' \
+  | cut -d' ' -f1)
+MM_FIG14_SUBSET=1 dune exec bin/mmrepro.exe -- run $all_ids \
+  --json /tmp/cycles.json -j 2 > /tmp/all_j2.out 2>/dev/null
+if ! cmp -s BENCH_cycles.json /tmp/cycles.json; then
+  echo "trajectory: simulated totals differ from BENCH_cycles.json" \
+    "(< committed, > this tree):"
+  diff BENCH_cycles.json /tmp/cycles.json | grep '^[<>]' | head -n 40
+  exit 1
+fi
+
+# The byte-identity gates below compare -j 1 runs of a few entries with
+# their slice of the -j 2 trajectory run: each cell starts from a reset
+# world, so an entry's stream and results do not depend on the other
+# entries in the run.
+slice_out() { # FILE ID...: the named entries' printed blocks, in order
+  f=$1; shift
+  awk -v want=" $* " '/^=== [^ ]*: / { id = $2; sub(/:$/, "", id);
+    keep = index(want, " " id " ") > 0 } keep' "$f" \
+    | sed '/^wrote results to /d'
+}
+slice_json() { # FILE ID...: the named entries' result lines, in order
+  f=$1; shift
+  awk -F'"' -v want=" $* " '/^\{"id":/ && index(want, " " $4 " ") > 0 {
+    sub(/,$/, ""); print }' "$f"
+}
+same_as_j2() { # NAME OUT JSON ID...: a -j 1 run vs its -j 2 slice
+  name=$1 out=$2 json=$3; shift 3
+  sed '/^wrote results to /d' "$out" > /tmp/j1_stream.out
+  slice_out /tmp/all_j2.out "$@" > /tmp/j2_stream.out
+  cmp /tmp/j1_stream.out /tmp/j2_stream.out \
+    || { echo "run: $name -j 2 stdout differs from -j 1"; exit 1; }
+  awk '/^\{"id":/ { sub(/,$/, ""); print }' "$json" > /tmp/j1_results.json
+  slice_json /tmp/cycles.json "$@" > /tmp/j2_results.json
+  cmp /tmp/j1_results.json /tmp/j2_results.json \
+    || { echo "run: $name -j 2 --json differs from -j 1"; exit 1; }
+}
+
 echo "== run parallel: -j 2 stream and JSON byte-identical to -j 1 =="
 dune exec bin/mmrepro.exe -- run fig1 fig13 --json /tmp/bj.json \
   > /tmp/bench_j1.out 2>/dev/null
-cp /tmp/bj.json /tmp/bj_seq.json
-dune exec bin/mmrepro.exe -- run fig1 fig13 --json /tmp/bj.json -j 2 \
-  > /tmp/bench_j2.out 2>/dev/null
-cmp /tmp/bench_j1.out /tmp/bench_j2.out \
-  || { echo "run: -j 2 stdout differs from -j 1"; exit 1; }
-cmp /tmp/bj_seq.json /tmp/bj.json \
-  || { echo "run: -j 2 --json differs from -j 1"; exit 1; }
+same_as_j2 "fig1 fig13" /tmp/bench_j1.out /tmp/bj.json fig1 fig13
 
 echo "== run: the seven Run entries, -j 2 stream and JSON byte-identical to -j 1 =="
 # Each print-as-you-go entry runs as a plan of one printing cell; at
-# -j 2 the seven single-cell plans share the pool with each other.
+# -j 2 the single-cell plans share the pool with every other cell.
 run_ids="tab2 fig18 fig22 tab4 tab5 ext-thp ext-swapd"
 dune exec bin/mmrepro.exe -- run $run_ids --json /tmp/rj.json \
   > /tmp/run_j1.out 2>/dev/null
-cp /tmp/rj.json /tmp/rj_seq.json
-dune exec bin/mmrepro.exe -- run $run_ids --json /tmp/rj.json -j 2 \
-  > /tmp/run_j2.out 2>/dev/null
-cmp /tmp/run_j1.out /tmp/run_j2.out \
-  || { echo "run: Run entries -j 2 stdout differs from -j 1"; exit 1; }
-cmp /tmp/rj_seq.json /tmp/rj.json \
-  || { echo "run: Run entries -j 2 --json differs from -j 1"; exit 1; }
+same_as_j2 "Run entries" /tmp/run_j1.out /tmp/rj.json $run_ids
 
 echo "== run cells: reduced fig14 -j 2 stream and JSON byte-identical to -j 1 =="
-# MM_FIG14_SUBSET shrinks the sweep to a seconds-long subset; unlike the
-# fig1/fig13 gate above, fig14 decomposes into per-(contention, bench,
-# cores, system) cells that run on separate domains at -j 2, so this
-# exercises the intra-entry cell pool rather than entry-level parallelism.
+# MM_FIG14_SUBSET shrinks the sweep to a seconds-long subset; fig14
+# decomposes into per-(contention, bench, cores, system) cells that run
+# on separate domains at -j 2, so this exercises the intra-entry cell
+# pool rather than entry-level parallelism.
 MM_FIG14_SUBSET=1 dune exec bin/mmrepro.exe -- run fig14 \
   --json /tmp/f14.json > /tmp/f14_j1.out 2>/dev/null
-cp /tmp/f14.json /tmp/f14_seq.json
-MM_FIG14_SUBSET=1 dune exec bin/mmrepro.exe -- run fig14 \
-  --json /tmp/f14.json -j 2 > /tmp/f14_j2.out 2>/dev/null
-cmp /tmp/f14_j1.out /tmp/f14_j2.out \
-  || { echo "run: fig14 cells -j 2 stdout differs from -j 1"; exit 1; }
-cmp /tmp/f14_seq.json /tmp/f14.json \
-  || { echo "run: fig14 cells -j 2 --json differs from -j 1"; exit 1; }
+same_as_j2 "fig14 cells" /tmp/f14_j1.out /tmp/f14.json fig14
 
 echo "== run parallel: --wallclock two-pass self-gate at -j 2 =="
 dune exec bin/mmrepro.exe -- run fig13 \
@@ -249,7 +275,8 @@ dune exec bin/mmrepro.exe -- run fig13 --wallclock > /dev/null 2>&1 \
   || { echo "run: --wallclock to the default path failed"; exit 1; }
 
 echo "== validate JSON outputs =="
-dune exec bin/jsoncheck.exe -- /tmp/b.json
+dune exec bin/jsoncheck.exe -- --results /tmp/b.json
+dune exec bin/jsoncheck.exe -- --results /tmp/cycles.json
 dune exec bin/jsoncheck.exe -- --chrome /tmp/t.json
 dune exec bin/jsoncheck.exe -- --wallclock /tmp/wallclock.json
 dune exec bin/jsoncheck.exe -- --wallclock /tmp/wallclock2.json

@@ -29,13 +29,14 @@ module Par = Mm_par.Par
 type cell_time = {
   ct_label : string;
   ct_seconds : float; (* wall-clock of this cell on its worker domain *)
+  ct_results : (string * Runner.result) list; (* labeled (run --json) *)
 }
 
 type task_result = {
   t_id : string;
   t_title : string;
   t_output : string; (* captured stdout: header, experiment, blank line *)
-  t_results : (string * Runner.result) list; (* labeled (run --json) *)
+  t_results : (string * Runner.result) list; (* its cells' [ct_results] *)
   t_seconds : float; (* sum of the entry's cell seconds *)
   t_cells : cell_time list; (* per-cell wall-clock, declaration order *)
 }
@@ -114,7 +115,11 @@ let assemble (p : prepared) (pieces : piece Par.timed list) =
     t_cells =
       List.map
         (fun ((c : Plan.cell), t) ->
-          { ct_label = c.Plan.c_label; ct_seconds = t.Par.seconds })
+          {
+            ct_label = c.Plan.c_label;
+            ct_seconds = t.Par.seconds;
+            ct_results = t.Par.value.results;
+          })
         cells;
   }
 

@@ -11,6 +11,9 @@
 type cell_time = {
   ct_label : string;  (** the cell's declared label (entry id for [Run]) *)
   ct_seconds : float;  (** wall-clock of this cell on its worker domain *)
+  ct_results : (string * Mm_workloads.Runner.result) list;
+      (** the labeled results collected while this cell ran (run --json
+          writes each with the cell's label) *)
 }
 
 type task_result = {
@@ -21,7 +24,8 @@ type task_result = {
           line included — replay with [print_string] *)
   t_results : (string * Mm_workloads.Runner.result) list;
       (** labeled results collected while the entry's cells ran, in cell
-          declaration order (run --json) *)
+          declaration order: the concatenation of the cells'
+          [ct_results] *)
   t_seconds : float;
       (** sum of the entry's cell seconds (rendering, which is
           microseconds of pure formatting, is not counted) *)
