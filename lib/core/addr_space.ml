@@ -33,6 +33,7 @@ type t = {
   kernel : Kernel.t;
   cfg : Config.t;
   pt : meta Pt.t;
+  page_size : int;
   tlb : Mm_tlb.Tlb.t;
   va : Va_alloc.t;
   cpu_mask : bool array; (* CPUs that have used this address space *)
@@ -47,9 +48,9 @@ type t = {
 
 exception Bad_range of string
 
-(* A broken *kernel* invariant — the page table or its metadata arrays
-   contradict themselves (dangling table entry, resident metadata under
-   an absent PTE, ...). Distinct from [Bad_range]/[Invalid_argument]
+(* A broken *kernel* invariant — the metadata arrays contradict the page
+   table (resident metadata under an absent PTE, ...; a dangling table
+   entry is [Pt.Ill_formed]). Distinct from [Bad_range]/[Invalid_argument]
    (caller contract) and from the typed [Errno.t] results (user-visible
    outcomes): an [Invariant] means the simulated kernel itself is wrong,
    so it carries the operation and the violated fact for the report. *)
@@ -88,6 +89,7 @@ let create ?va kernel (cfg : Config.t) =
     kernel;
     cfg;
     pt = Pt.create kernel.Kernel.phys kernel.Kernel.isa;
+    page_size;
     tlb =
       Mm_tlb.Tlb.create ~ncpus:kernel.Kernel.ncpus
         ~strategy:cfg.Config.tlb_strategy ();
@@ -125,7 +127,7 @@ let config t = t.cfg
 let pt t = t.pt
 let tlb t = t.tlb
 let va_allocator t = t.va
-let page_size t = Kernel.page_size t.kernel
+let page_size t = t.page_size
 let stale_retries t = t.stale_retries
 let vm_object t = t.obj
 
@@ -243,36 +245,26 @@ type cursor = {
 
 let sync_shootdown c = c.sync_shootdown <- true
 
-(* The unique child slot of [node] that entirely covers [lo, hi), if the
-   node is not a leaf-level page. *)
-let covering_slot t (node : node) ~lo ~hi =
-  if node.Pt.level <= 1 then None
-  else
-    let idx = Pt.index t.pt ~level:node.Pt.level ~vaddr:lo in
-    if Pt.entry_covers t.pt node idx ~lo ~hi then Some idx else None
-
 (* -- CortenMM_rw locking protocol (Fig 5) -- *)
 
 let rw_lock t ~lo ~hi =
   let rec descend (cur : node) path =
-    match covering_slot t cur ~lo ~hi with
-    | Some idx -> (
+    let idx = Pt.covering_slot t.pt cur ~lo ~hi in
+    if idx < 0 then begin
+      Mm_sim.Rwlock_s.write_lock (Mm_phys.Frame.rwlock cur.Pt.frame);
+      (cur, List.rev path)
+    end
+    else begin
       Mm_sim.Rwlock_s.read_lock (Mm_phys.Frame.rwlock cur.Pt.frame);
-      match
-        match Pt.get t.pt cur idx with
-        | Pte.Table { pfn } -> Pt.node_of_pfn t.pt pfn
-        | Pte.Absent | Pte.Leaf _ -> None
-      with
-      | Some child -> descend child (cur :: path)
-      | None ->
+      match Pt.get t.pt cur idx with
+      | Pte.Table _ -> descend (Pt.child t.pt cur idx) (cur :: path)
+      | Pte.Absent | Pte.Leaf _ ->
         (* [cur] is the lowest existing covering page: trade the reader
            lock for the writer lock (Fig 5 L7-8). *)
         Mm_sim.Rwlock_s.read_unlock (Mm_phys.Frame.rwlock cur.Pt.frame);
         Mm_sim.Rwlock_s.write_lock (Mm_phys.Frame.rwlock cur.Pt.frame);
-        (cur, List.rev path))
-    | None ->
-      Mm_sim.Rwlock_s.write_lock (Mm_phys.Frame.rwlock cur.Pt.frame);
-      (cur, List.rev path)
+        (cur, List.rev path)
+    end
   in
   let covering, read_path = descend (Pt.root t.pt) [] in
   {
@@ -299,16 +291,12 @@ let adv_lock t ~lo ~hi =
     Mm_sim.Rcu_s.read_lock rcu;
     (* Traversal phase: lock-free descent to the covering PT page. *)
     let rec descend (cur : node) =
-      match covering_slot t cur ~lo ~hi with
-      | Some idx -> (
-        match
-          match Pt.get_atomic t.pt cur idx with
-          | Pte.Table { pfn } -> Pt.node_of_pfn t.pt pfn
-          | Pte.Absent | Pte.Leaf _ -> None
-        with
-        | Some child -> descend child
-        | None -> cur)
-      | None -> cur
+      let idx = Pt.covering_slot t.pt cur ~lo ~hi in
+      if idx < 0 then cur
+      else
+        match Pt.get_atomic t.pt cur idx with
+        | Pte.Table _ -> descend (Pt.child t.pt cur idx)
+        | Pte.Absent | Pte.Leaf _ -> cur
     in
     let cover = descend (Pt.root t.pt) in
     Mm_sim.Mutex_s.lock (Mm_phys.Frame.lock cover.Pt.frame);
@@ -336,13 +324,11 @@ let adv_lock t ~lo ~hi =
           let i = ref (Pt.next_present t.pt node 0 ~stop:n) in
           while !i < n do
             (match Pt.get_uncharged t.pt node !i with
-            | Pte.Table { pfn } -> (
-              match Pt.node_of_pfn t.pt pfn with
-              | Some child ->
-                Mm_sim.Mutex_s.lock (Mm_phys.Frame.lock child.Pt.frame);
-                locked := child :: !locked;
-                dfs child
-              | None -> invariant ~ctx:"adv_lock" "dangling table entry")
+            | Pte.Table _ ->
+              let child = Pt.child t.pt node !i in
+              Mm_sim.Mutex_s.lock (Mm_phys.Frame.lock child.Pt.frame);
+              locked := child :: !locked;
+              dfs child
             | Pte.Absent | Pte.Leaf _ -> ());
             i := Pt.next_present t.pt node (!i + 1) ~stop:n
           done
@@ -548,9 +534,9 @@ let push_down_mark t (parent : node) idx (child : node) =
    traversal cannot slip under our transaction). *)
 let ensure_child c (parent : node) idx =
   let t = c.asp in
-  match Pt.child t.pt parent idx with
-  | Some child -> child
-  | None ->
+  match Pt.get t.pt parent idx with
+  | Pte.Table _ -> Pt.child t.pt parent idx
+  | Pte.Absent | Pte.Leaf _ ->
     let child = Pt.ensure_child t.pt parent idx in
     (match t.cfg.Config.protocol with
     | Config.Adv ->
@@ -791,8 +777,7 @@ let split_huge c (node : node) idx (l : Pte.t) =
     (* The huge frame head loses its single mapping. *)
     let head = Mm_phys.Phys.frame t.kernel.Kernel.phys pfn in
     head.Mm_phys.Frame.map_count <- head.Mm_phys.Frame.map_count - 1;
-    Pt.link_child t.pt node idx child;
-    Pt.set t.pt node idx (Pte.Table { pfn = child.Pt.frame.Mm_phys.Frame.pfn });
+    Pt.set_child t.pt node idx child;
     child
   | Pte.Absent | Pte.Table _ -> invalid_arg "split_huge: not a leaf"
 
@@ -805,15 +790,9 @@ let query c vaddr : Status.t =
     let idx = Pt.index t.pt ~level:cur.Pt.level ~vaddr in
     match Pt.get t.pt cur idx with
     | Pte.Leaf { pfn; perm; _ } ->
-      let geo = t.kernel.Kernel.isa.Isa.geo in
-      let off =
-        (vaddr mod Geometry.coverage geo ~level:cur.Pt.level) / page_size t
-      in
+      let off = (vaddr mod Pt.entry_coverage t.pt cur) / page_size t in
       Status.Mapped { pfn = pfn + off; perm }
-    | Pte.Table { pfn } -> (
-      match Pt.node_of_pfn t.pt pfn with
-      | Some child -> go child
-      | None -> invariant ~ctx:"query" "dangling table entry")
+    | Pte.Table _ -> go (Pt.child t.pt cur idx)
     | Pte.Absent -> (
       match meta_get cur idx with
       | Status.M_invalid -> Status.Invalid
@@ -891,12 +870,10 @@ let rec clear_whole_node c (node : node) =
     let idx = !i in
     (match Pt.get_uncharged t.pt node idx with
     | Pte.Leaf { pfn; perm; _ } -> unmap_leaf c node idx (pfn, perm)
-    | Pte.Table { pfn } -> (
-      match Pt.node_of_pfn t.pt pfn with
-      | Some child ->
-        clear_whole_node c child;
-        free_child c node idx child
-      | None -> invariant ~ctx:"clear_whole_node" "dangling table entry")
+    | Pte.Table _ ->
+      let child = Pt.child t.pt node idx in
+      clear_whole_node c child;
+      free_child c node idx child
     | Pte.Absent -> (
       match meta_get node idx with
       | Status.M_swapped { dev; block; _ } -> Blockdev.free_block dev ~block
@@ -946,12 +923,10 @@ and clear_slot c (node : node) ~lo ~hi idx =
     else
       let child = split_huge c node idx (Pt.get t.pt node idx) in
       clear_range c child ~lo:sub_lo ~hi:sub_hi
-  | Pte.Table { pfn } -> (
-    match Pt.node_of_pfn t.pt pfn with
-    | Some child ->
-      clear_range c child ~lo:sub_lo ~hi:sub_hi;
-      if node_is_empty child then free_child c node idx child
-    | None -> invariant ~ctx:"clear_range" "dangling table entry")
+  | Pte.Table _ ->
+    let child = Pt.child t.pt node idx in
+    clear_range c child ~lo:sub_lo ~hi:sub_hi;
+    if node_is_empty child then free_child c node idx child
   | Pte.Absent -> (
     match meta_get node idx with
     | Status.M_invalid -> ()
@@ -986,14 +961,11 @@ let rec mark_range c (node : node) ~lo ~hi ~base ~origin ~perm ~policy =
            one metadata entry can stand for the entire slot coverage. *)
         (match Pt.get t.pt node idx with
         | Pte.Leaf { pfn; perm; _ } -> unmap_leaf c node idx (pfn, perm)
-        | Pte.Table { pfn } -> (
-          match Pt.node_of_pfn t.pt pfn with
-          | Some child ->
-            clear_range c child ~lo:sub_lo ~hi:sub_hi;
-            if node_is_empty child then free_child c node idx child
-            else
-              invariant ~ctx:"mark" "child not empty after full-range clear"
-          | None -> invariant ~ctx:"mark" "dangling table entry")
+        | Pte.Table _ ->
+          let child = Pt.child t.pt node idx in
+          clear_range c child ~lo:sub_lo ~hi:sub_hi;
+          if node_is_empty child then free_child c node idx child
+          else invariant ~ctx:"mark" "child not empty after full-range clear"
         | Pte.Absent -> (
           match meta_get node idx with
           | Status.M_swapped { dev; block; _ } ->
@@ -1008,11 +980,9 @@ let rec mark_range c (node : node) ~lo ~hi ~base ~origin ~perm ~policy =
         | Pte.Leaf _ as l ->
           let child = split_huge c node idx l in
           mark_range c child ~lo:sub_lo ~hi:sub_hi ~base ~origin ~perm ~policy
-        | Pte.Table { pfn } -> (
-          match Pt.node_of_pfn t.pt pfn with
-          | Some child ->
-            mark_range c child ~lo:sub_lo ~hi:sub_hi ~base ~origin ~perm ~policy
-          | None -> invariant ~ctx:"mark" "dangling table entry")
+        | Pte.Table _ ->
+          mark_range c (Pt.child t.pt node idx) ~lo:sub_lo ~hi:sub_hi ~base
+            ~origin ~perm ~policy
         | Pte.Absent ->
           let child = ensure_child c node idx in
           mark_range c child ~lo:sub_lo ~hi:sub_hi ~base ~origin ~perm ~policy)
@@ -1039,10 +1009,9 @@ let rec set_policy_range c (node : node) ~lo ~hi policy =
       let e_hi = e_lo + Pt.entry_coverage t.pt node in
       let full = sub_lo = e_lo && sub_hi = e_hi in
       match Pt.get t.pt node idx with
-      | Pte.Table { pfn } -> (
-        match Pt.node_of_pfn t.pt pfn with
-        | Some child -> set_policy_range c child ~lo:sub_lo ~hi:sub_hi policy
-        | None -> invariant ~ctx:"set_policy" "dangling table entry")
+      | Pte.Table _ ->
+        set_policy_range c (Pt.child t.pt node idx) ~lo:sub_lo ~hi:sub_hi
+          policy
       | Pte.Leaf _ -> () (* already resident: no migration *)
       | Pte.Absent -> (
         match meta_get node idx with
@@ -1065,10 +1034,7 @@ let policy_at c vaddr =
   let rec go (cur : node) =
     let idx = Pt.index t.pt ~level:cur.Pt.level ~vaddr in
     match Pt.get_uncharged t.pt cur idx with
-    | Pte.Table { pfn } -> (
-      match Pt.node_of_pfn t.pt pfn with
-      | Some child -> go child
-      | None -> Numa.Default)
+    | Pte.Table _ -> go (Pt.child t.pt cur idx)
     | Pte.Leaf _ -> Numa.Default
     | Pte.Absent -> (
       match meta_get cur idx with
@@ -1097,10 +1063,8 @@ let rec protect_range c (node : node) ~lo ~hi perm =
         else
           let child = split_huge c node idx (Pt.get t.pt node idx) in
           protect_range c child ~lo:sub_lo ~hi:sub_hi perm
-      | Pte.Table { pfn } -> (
-        match Pt.node_of_pfn t.pt pfn with
-        | Some child -> protect_range c child ~lo:sub_lo ~hi:sub_hi perm
-        | None -> invariant ~ctx:"protect" "dangling table entry")
+      | Pte.Table _ ->
+        protect_range c (Pt.child t.pt node idx) ~lo:sub_lo ~hi:sub_hi perm
       | Pte.Absent -> (
         match meta_get node idx with
         | Status.M_invalid -> ()
@@ -1131,10 +1095,7 @@ let record_toucher c ~vaddr =
     let rec go (cur : node) =
       let idx = Pt.index t.pt ~level:cur.Pt.level ~vaddr in
       match Pt.get t.pt cur idx with
-      | Pte.Table { pfn } -> (
-        match Pt.node_of_pfn t.pt pfn with
-        | Some child -> go child
-        | None -> ())
+      | Pte.Table _ -> go (Pt.child t.pt cur idx)
       | Pte.Leaf _ -> cur.Pt.touched <- cur.Pt.touched lor mask
       | Pte.Absent -> ()
     in
@@ -1195,10 +1156,7 @@ let iter_slots c ~lo ~hi f =
     | Pte.Leaf { pfn; perm; _ } ->
       f e_lo (Pt.entry_coverage t.pt node)
         (Status.Mapped { pfn; perm })
-    | Pte.Table { pfn } -> (
-      match Pt.node_of_pfn t.pt pfn with
-      | Some child -> go child ~lo:sub_lo ~hi:sub_hi
-      | None -> invariant ~ctx:"iter_slots" "dangling table entry")
+    | Pte.Table _ -> go (Pt.child t.pt node idx) ~lo:sub_lo ~hi:sub_hi
     | Pte.Absent -> (
       match meta_get node idx with
       | Status.M_invalid -> ()
@@ -1333,20 +1291,16 @@ let clone_for_fork pc cc =
       let idx = !i in
       (match Pt.get_uncharged t.pt pn idx with
       | Pte.Absent -> ()
-      | Pte.Table { pfn } -> (
-        match Pt.node_of_pfn t.pt pfn with
-        | Some pchild ->
-          let cchild = Pt.alloc_node ct.pt ~level:(cn.Pt.level - 1) in
-          (match ct.cfg.Config.protocol with
-          | Config.Adv ->
-            Mm_sim.Mutex_s.lock (Mm_phys.Frame.lock cchild.Pt.frame);
-            cc.locked <- cchild :: cc.locked
-          | Config.Rw -> ());
-          Pt.link_child ct.pt cn idx cchild;
-          Pt.set ct.pt cn idx
-            (Pte.Table { pfn = cchild.Pt.frame.Mm_phys.Frame.pfn });
-          clone pchild cchild
-        | None -> invariant ~ctx:"clone_for_fork" "dangling table entry")
+      | Pte.Table _ ->
+        let pchild = Pt.child t.pt pn idx in
+        let cchild = Pt.alloc_node ct.pt ~level:(cn.Pt.level - 1) in
+        (match ct.cfg.Config.protocol with
+        | Config.Adv ->
+          Mm_sim.Mutex_s.lock (Mm_phys.Frame.lock cchild.Pt.frame);
+          cc.locked <- cchild :: cc.locked
+        | Config.Rw -> ());
+        Pt.set_child ct.pt cn idx cchild;
+        clone pchild cchild
       | Pte.Leaf { pfn; perm; accessed; dirty; global } ->
         let vaddr = Pt.node_base t.pt pn + (idx * Pt.entry_coverage t.pt pn) in
         let frame = Mm_phys.Phys.frame phys pfn in
@@ -1409,12 +1363,8 @@ let promote_huge c ~vaddr =
   let pidx = Pt.index t.pt ~level:2 ~vaddr in
   match Pt.get t.pt parent pidx with
   | Pte.Absent | Pte.Leaf _ -> false (* nothing to promote / already huge *)
-  | Pte.Table { pfn } ->
-    let child =
-      match Pt.node_of_pfn t.pt pfn with
-      | Some n -> n
-      | None -> invariant ~ctx:"promote_huge" "dangling table entry"
-    in
+  | Pte.Table _ ->
+    let child = Pt.child t.pt parent pidx in
     let n = entries_per_node t in
     if child.Pt.present <> n then false
     else begin
@@ -1485,10 +1435,7 @@ let origin_at c vaddr =
   let rec go (cur : node) =
     let idx = Pt.index t.pt ~level:cur.Pt.level ~vaddr in
     match Pt.get t.pt cur idx with
-    | Pte.Table { pfn } -> (
-      match Pt.node_of_pfn t.pt pfn with
-      | Some child -> go child
-      | None -> invariant ~ctx:"origin_at" "dangling table entry")
+    | Pte.Table _ -> go (Pt.child t.pt cur idx)
     | Pte.Leaf _ | Pte.Absent -> meta_get cur idx
   in
   go c.covering

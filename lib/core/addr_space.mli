@@ -29,9 +29,9 @@ type t
 exception Bad_range of string
 
 exception Invariant of { ctx : string; what : string }
-(** A broken kernel invariant: the page table or its metadata arrays
-    contradict themselves (e.g. a dangling table entry, or resident
-    metadata under an absent PTE). [ctx] names the operation that
+(** A broken kernel invariant: the metadata arrays contradict the page
+    table (e.g. resident metadata under an absent PTE); a dangling table
+    entry raises {!Mm_pt.Pt.Ill_formed}. [ctx] names the operation that
     noticed; [what] the violated fact. Distinct from {!Bad_range} and
     [Invalid_argument] (caller contract) and from typed [Errno.t]
     results (user-visible outcomes). *)

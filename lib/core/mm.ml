@@ -336,10 +336,7 @@ let touch_r asp ~vaddr ~write =
       let idx = Pt.index pt ~level:node.Pt.level ~vaddr in
       match Pt.get pt node idx with
       | Pte.Leaf { pfn; perm; _ } when Perm.allows perm ~write ->
-        let geo = (Addr_space.kernel asp).Kernel.isa.Isa.geo in
-        let off =
-          (vaddr mod Geometry.coverage geo ~level:node.Pt.level) / ps
-        in
+        let off = (vaddr mod Pt.entry_coverage pt node) / ps in
         (* COW pages are mapped read-only; a write access must fault. *)
         if write && perm.Perm.cow then `Miss
         else if pkru_denies perm.Perm.mpk_key then `Pkru
@@ -352,10 +349,7 @@ let touch_r asp ~vaddr ~write =
           `Hit
         end
       | Pte.Leaf _ -> `Miss
-      | Pte.Table { pfn } -> (
-        match Pt.node_of_pfn pt pfn with
-        | Some child -> walk child
-        | None -> `Miss)
+      | Pte.Table _ -> walk (Pt.child pt node idx)
       | Pte.Absent -> `Miss
     in
     (match walk (Pt.root pt) with

@@ -123,10 +123,7 @@ let clear_pt_range t ~lo ~hi =
           Mm_sim.Mutex_s.unlock (Mm_phys.Frame.lock node.Pt.frame)
         | Pte.Leaf _ ->
           failwith "linux baseline: huge leaves not used"
-        | Pte.Table { pfn } -> (
-          match Pt.node_of_pfn t.pt pfn with
-          | Some child -> walk child ~lo:sub_lo ~hi:sub_hi
-          | None -> failwith "clear_pt_range: dangling entry")
+        | Pte.Table _ -> walk (Pt.child t.pt node idx) ~lo:sub_lo ~hi:sub_hi
         | Pte.Absent -> ())
   in
   walk (Pt.root t.pt) ~lo ~hi;
@@ -142,15 +139,13 @@ let free_empty_pt_pages t ~lo ~hi =
       Pt.charge_range_scan t.pt node ~lo ~hi;
       Pt.iter_present_range t.pt node ~lo ~hi (fun idx sub_lo sub_hi ->
           match Pt.get_uncharged t.pt node idx with
-          | Pte.Table { pfn } -> (
-            match Pt.node_of_pfn t.pt pfn with
-            | Some child ->
-              prune child ~lo:sub_lo ~hi:sub_hi;
-              if child.Pt.present = 0 then begin
-                let detached = Pt.detach_child t.pt node idx in
-                Pt.free_node t.pt detached
-              end
-            | None -> failwith "free_empty_pt_pages: dangling entry")
+          | Pte.Table _ ->
+            let child = Pt.child t.pt node idx in
+            prune child ~lo:sub_lo ~hi:sub_hi;
+            if child.Pt.present = 0 then begin
+              let detached = Pt.detach_child t.pt node idx in
+              Pt.free_node t.pt detached
+            end
           | Pte.Absent | Pte.Leaf _ -> ())
     end
   in
@@ -208,10 +203,7 @@ let mprotect t ~addr ~len ~perm =
           Mm_sim.Mutex_s.unlock (Mm_phys.Frame.lock node.Pt.frame);
           vpns := (sub_lo / ps) :: !vpns
         | Pte.Leaf _ -> failwith "linux baseline: huge leaves not used"
-        | Pte.Table { pfn } -> (
-          match Pt.node_of_pfn t.pt pfn with
-          | Some child -> walk child ~lo:sub_lo ~hi:sub_hi
-          | None -> failwith "mprotect: dangling entry")
+        | Pte.Table _ -> walk (Pt.child t.pt node idx) ~lo:sub_lo ~hi:sub_hi
         | Pte.Absent -> ())
   in
   walk (Pt.root t.pt) ~lo ~hi;
@@ -248,14 +240,16 @@ let page_fault t ~vaddr ~write =
         if node.Pt.level = 1 then node
         else
           let idx = Pt.index t.pt ~level:node.Pt.level ~vaddr in
-          match Pt.child t.pt node idx with
-          | Some c -> down c
-          | None ->
+          match Pt.get t.pt node idx with
+          | Pte.Table _ -> down (Pt.child t.pt node idx)
+          | Pte.Absent | Pte.Leaf _ ->
             Mm_sim.Mutex_s.lock t.page_table_lock;
             let c =
-              match Pt.child t.pt node idx with
-              | Some c -> c (* raced: someone else allocated it *)
-              | None -> Pt.ensure_child t.pt node idx
+              match Pt.get t.pt node idx with
+              | Pte.Table _ ->
+                (* raced: someone else allocated it *)
+                Pt.child t.pt node idx
+              | Pte.Absent | Pte.Leaf _ -> Pt.ensure_child t.pt node idx
             in
             Mm_sim.Mutex_s.unlock t.page_table_lock;
             down c
@@ -346,10 +340,7 @@ let touch t ~vaddr ~write =
           ~writable:(perm.Perm.write && not perm.Perm.cow) ();
         Some ()
       | Pte.Leaf _ -> None
-      | Pte.Table { pfn } -> (
-        match Pt.node_of_pfn t.pt pfn with
-        | Some child -> walk child
-        | None -> None)
+      | Pte.Table _ -> walk (Pt.child t.pt node idx)
       | Pte.Absent -> None
     in
     (match walk (Pt.root t.pt) with
@@ -405,15 +396,11 @@ let fork t =
     Pt.iter_present t.pt pn (fun idx ->
       match Pt.get_uncharged t.pt pn idx with
       | Pte.Absent -> ()
-      | Pte.Table { pfn } -> (
-        match Pt.node_of_pfn t.pt pfn with
-        | Some pchild ->
-          let cchild = Pt.alloc_node child.pt ~level:(cn.Pt.level - 1) in
-          Pt.link_child child.pt cn idx cchild;
-          Pt.set child.pt cn idx
-            (Pte.Table { pfn = cchild.Pt.frame.Mm_phys.Frame.pfn });
-          clone_pt pchild cchild
-        | None -> failwith "fork: dangling table entry")
+      | Pte.Table _ ->
+        let pchild = Pt.child t.pt pn idx in
+        let cchild = Pt.alloc_node child.pt ~level:(cn.Pt.level - 1) in
+        Pt.set_child child.pt cn idx cchild;
+        clone_pt pchild cchild
       | Pte.Leaf { pfn; perm; accessed; dirty; global } ->
         let p =
           if perm.Perm.write || perm.Perm.cow then begin
@@ -484,9 +471,9 @@ let page_state t ~vaddr =
           `Resident (perm.Perm.write || perm.Perm.cow)
         | Pte.Absent | Pte.Table _ -> `Lazy vma.Vma.perm.Perm.write
       else
-        match Pt.child t.pt node idx with
-        | Some c -> down c
-        | None -> `Lazy vma.Vma.perm.Perm.write
+        match Pt.get t.pt node idx with
+        | Pte.Table _ -> down (Pt.child t.pt node idx)
+        | Pte.Absent | Pte.Leaf _ -> `Lazy vma.Vma.perm.Perm.write
     in
     down (Pt.root t.pt)
 

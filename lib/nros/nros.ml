@@ -306,13 +306,10 @@ let teardown_pt t pt =
   let rec go node =
     Pt.iter_present pt node (fun idx ->
       match Pt.get_uncharged pt node idx with
-      | Pte.Table { pfn } -> (
-        match Pt.node_of_pfn pt pfn with
-        | Some _ ->
-          let c = Pt.detach_child pt node idx in
-          go c;
-          Pt.free_node pt c
-        | None -> ())
+      | Pte.Table _ ->
+        let c = Pt.detach_child pt node idx in
+        go c;
+        Pt.free_node pt c
       | Pte.Leaf { pfn; _ } ->
         Pt.set pt node idx Pte.Absent;
         let f = Mm_phys.Phys.frame t.phys pfn in

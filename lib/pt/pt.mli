@@ -3,7 +3,10 @@
     array type CortenMM attaches to PT pages; other systems use [unit].
     A node's host storage is allocated in 64-entry chunks on the first
     present store into each; reads, stores and their charges are those
-    of a dense page. *)
+    of a dense page.
+
+    A walk step is [get] on a node, then {!child} on a [Table] entry:
+    [Pt] alone maps a table entry to its node and computes slots. *)
 
 open Mm_hal
 
@@ -27,6 +30,11 @@ type 'm node = {
   mutable base : int; (* base vaddr of the node's coverage, set at link *)
   mutable meta : 'm option;
   mutable touched : int; (* bitmask of CPUs that installed translations *)
+  mutable kid_slot : int;
+  mutable kid : 'm node;
+      (* [Pt]'s own memo of the last child {!child} resolved and its
+         slot: -1 and the node itself when none. Callers never write
+         them. *)
 }
 
 type 'm t
@@ -35,9 +43,6 @@ exception Ill_formed of string
 
 val create : Mm_phys.Phys.t -> Isa.t -> 'm t
 val root : 'm t -> 'm node
-val isa : 'm t -> Isa.t
-val geometry : 'm t -> Geometry.t
-val node_of_pfn : 'm t -> int -> 'm node option
 val entries_per_node : 'm t -> int
 
 val pt_page_count : 'm t -> int
@@ -72,7 +77,8 @@ val charge_walk : 'm t -> 'm node list -> unit
 
 val set : 'm t -> 'm node -> int -> Pte.t -> unit
 (** Encode and store entry [idx]; charges an exclusive line access, which
-    serializes concurrent writers to the same PT page. *)
+    serializes concurrent writers to the same PT page. Raises
+    [Invalid_argument] on a [Table] entry: {!set_child} writes those. *)
 
 val set_accessed : 'm t -> 'm node -> int -> unit
 (** Set a leaf's accessed bit, as MMU hardware does during a walk (free). *)
@@ -82,15 +88,25 @@ val clear_accessed : 'm t -> 'm node -> int -> unit
     the entry is tested after the store's serialization point, so an
     entry a concurrent transaction changed meanwhile is left alone. *)
 
-val child : 'm t -> 'm node -> int -> 'm node option
+val child : 'm t -> 'm node -> int -> 'm node
+(** [child t node idx] is the PT page that table entry [idx] of [node]
+    names. Uncharged: the caller has read the entry ({!get} or
+    {!get_uncharged}) and found a [Table]. Allocates nothing and, when
+    [idx] is the slot [node] last resolved, probes nothing. Raises
+    [Invalid_argument] if the entry is not a table entry, and
+    {!Ill_formed} if it names no PT page of [t] (a dangling entry). *)
+
 val ensure_child : 'm t -> 'm node -> int -> 'm node
+(** The child under entry [idx] ({!get}, then {!child}), or a new PT
+    page linked there with {!set_child} when the entry is absent. *)
 
 val alloc_node : 'm t -> level:int -> 'm node
-(** Allocate an unlinked PT page (callers link it via [set]). *)
+(** Allocate an unlinked PT page (callers link it with {!set_child}). *)
 
-val link_child : 'm t -> 'm node -> int -> 'm node -> unit
-(** Set [child]'s parent link to [(parent, idx)] and its cached base
-    address. Callers still write the table entry themselves via [set]. *)
+val set_child : 'm t -> 'm node -> int -> 'm node -> unit
+(** [set_child t parent idx c] sets [c]'s parent link to [(parent, idx)]
+    and its cached base address, then stores the table entry naming [c]
+    with {!set}'s charges. The only writer of table entries. *)
 
 val detach_child : 'm t -> 'm node -> int -> 'm node
 (** Atomically clear the table entry and unlink the child (the caller
@@ -99,11 +115,19 @@ val detach_child : 'm t -> 'm node -> int -> 'm node
 val free_node : 'm t -> 'm node -> unit
 (** Free an unlinked node's frame. Raises if still linked. *)
 
+(** {2 Slots}
+
+    Arithmetic on per-level shifts the tree derives from its ISA
+    geometry at {!create}; each equals {!Mm_hal.Geometry}'s. *)
+
 val index : 'm t -> level:int -> vaddr:int -> int
 val entry_coverage : 'm t -> 'm node -> int
 val node_coverage : 'm t -> 'm node -> int
 val node_base : 'm t -> 'm node -> int
-val entry_covers : 'm t -> 'm node -> int -> lo:int -> hi:int -> bool
+
+val covering_slot : 'm t -> 'm node -> lo:int -> hi:int -> int
+(** The slot of [node] whose entry covers all of [lo, hi), or -1 when no
+    single entry does or [node] is at the leaf level. *)
 
 val first_slot : 'm t -> 'm node -> lo:int -> int
 val last_slot : 'm t -> 'm node -> hi:int -> int
@@ -146,6 +170,11 @@ val corrupt_mirror : 'm t -> 'm node -> int -> Pte.t -> unit
 (** Overwrite the decoded mirror of entry [idx] and nothing else — for
     tests that show {!check_well_formed} catches a stale mirror. *)
 
+val corrupt_memo : 'm t -> 'm node -> int -> 'm node -> unit
+(** Make [node] remember [kid] as its child at slot [idx] and nothing
+    else — for tests that show {!check_well_formed} catches a stale
+    memo. *)
+
 val walk_create : 'm t -> ?from:'m node -> to_level:int -> int -> 'm node
 val walk_opt : 'm t -> ?from:'m node -> to_level:int -> int -> 'm node
 
@@ -181,4 +210,5 @@ val check_well_formed : 'm t -> unit
 (** The paper's Fig 12 invariant: every present entry is a last-level leaf
     or points to a valid PT page exactly one level down with a correct
     parent link; present counts and occupancy bits match the decoded
-    entries; no node is reachable twice. Raises {!Ill_formed} otherwise. *)
+    entries; no node is reachable twice; each node's remembered child is
+    the node its slot's entry names. Raises {!Ill_formed} otherwise. *)

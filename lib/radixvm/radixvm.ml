@@ -444,13 +444,10 @@ let free_pt_pages pt =
   let rec go node =
     Pt.iter_present pt node (fun idx ->
       match Pt.get_uncharged pt node idx with
-      | Mm_hal.Pte.Table { pfn } -> (
-        match Pt.node_of_pfn pt pfn with
-        | Some _ ->
-          let c = Pt.detach_child pt node idx in
-          go c;
-          Pt.free_node pt c
-        | None -> ())
+      | Mm_hal.Pte.Table _ ->
+        let c = Pt.detach_child pt node idx in
+        go c;
+        Pt.free_node pt c
       | Mm_hal.Pte.Leaf _ -> Pt.set pt node idx Mm_hal.Pte.Absent
       | Mm_hal.Pte.Absent -> ())
   in

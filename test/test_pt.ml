@@ -3,8 +3,10 @@
    visits, also when the callback fills or clears later slots), the
    folded charge for a run of reads and the remembered descent (each
    must charge exactly what the reads or walks it stands for charge),
-   and the well-formedness checks that catch a stale occupancy bit in a
-   PT page or a metadata array. *)
+   the walk step (the child a table entry names, through each node's
+   remembered child, and slot arithmetic equal to the geometry's), and
+   the well-formedness checks that catch a stale occupancy bit in a PT
+   page or a metadata array and a stale remembered child. *)
 
 open Cortenmm
 module Bitset = Mm_util.Bitset
@@ -383,6 +385,190 @@ let test_descent_exact () =
         ranges)
     populations
 
+(* -- The walk step -- *)
+
+(* Random link, detach, free and huge-leaf operations on eight slots of
+   one level-2 page, against a model of what each slot holds. After
+   every operation each table entry's child must be the node the entry's
+   pfn names, read through [Pt.child] (twice: a miss, then the node's
+   remembered child), [Pt.child] must refuse every other entry, and the
+   tree must be well-formed. *)
+type slot_op =
+  | Ensure of int (* [ensure_child] *)
+  | Link of int (* [alloc_node] then [set_child] *)
+  | Lookup of int (* [child] on a table entry *)
+  | Detach of int (* [detach_child]; the node waits to be freed *)
+  | Free (* [free_node] on the oldest detached node *)
+  | Relink of int (* detach, free, and link a new page at the same slot *)
+  | Huge of int (* overwrite a table entry with a huge leaf *)
+  | Clear of int (* store [Absent] over a huge leaf *)
+
+type slot_state = Empty | Kid of unit Pt.node | Huge_leaf
+
+let slot_ops_prop =
+  let slots = 8 in
+  let gen =
+    QCheck.Gen.(
+      let i = int_bound (slots - 1) in
+      list_size (int_bound 200)
+        (frequency
+           [
+             (3, map (fun i -> Ensure i) i);
+             (2, map (fun i -> Link i) i);
+             (4, map (fun i -> Lookup i) i);
+             (2, map (fun i -> Detach i) i);
+             (1, return Free);
+             (2, map (fun i -> Relink i) i);
+             (1, map (fun i -> Huge i) i);
+             (1, map (fun i -> Clear i) i);
+           ]))
+  in
+  let print ops =
+    String.concat "; "
+      (List.map
+         (function
+           | Ensure i -> Printf.sprintf "ensure %d" i
+           | Link i -> Printf.sprintf "link %d" i
+           | Lookup i -> Printf.sprintf "lookup %d" i
+           | Detach i -> Printf.sprintf "detach %d" i
+           | Free -> "free"
+           | Relink i -> Printf.sprintf "relink %d" i
+           | Huge i -> Printf.sprintf "huge %d" i
+           | Clear i -> Printf.sprintf "clear %d" i)
+         ops)
+  in
+  QCheck.Test.make ~name:"child is the node its entry names" ~count:100
+    (QCheck.make ~print gen) (fun ops ->
+      let phys = Mm_phys.Phys.create () in
+      let pt : unit Pt.t = Pt.create phys Mm_hal.Isa.x86_64 in
+      let p = Pt.walk_create pt ~to_level:2 0 in
+      let model = Array.make slots Empty and detached = Queue.create () in
+      let detach i =
+        let c = Pt.detach_child pt p i in
+        model.(i) <- Empty;
+        c
+      in
+      let agrees () =
+        Pt.check_well_formed pt;
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun i state ->
+               match (state, Pt.get_uncharged pt p i) with
+               | Kid c, Pte.Table { pfn } ->
+                 pfn = c.Pt.frame.Mm_phys.Frame.pfn
+                 && Pt.child pt p i == c
+                 && Pt.child pt p i == c
+               | Huge_leaf, Pte.Leaf _ | Empty, Pte.Absent -> (
+                 match Pt.child pt p i with
+                 | _ -> false
+                 | exception Invalid_argument _ -> true)
+               | _ -> false)
+             model)
+      in
+      List.for_all
+        (fun op ->
+          (match (op, model) with
+          | Ensure i, _ when model.(i) <> Huge_leaf ->
+            let c = Pt.ensure_child pt p i in
+            (match model.(i) with
+            | Kid k -> assert (k == c)
+            | Empty | Huge_leaf -> ());
+            model.(i) <- Kid c
+          | Link i, _ when model.(i) = Empty ->
+            let c = Pt.alloc_node pt ~level:1 in
+            Pt.set_child pt p i c;
+            model.(i) <- Kid c
+          | Lookup i, _ -> (
+            match model.(i) with
+            | Kid c -> assert (Pt.child pt p i == c)
+            | Empty | Huge_leaf -> ())
+          | Detach i, _ when (match model.(i) with Kid _ -> true | _ -> false)
+            ->
+            Queue.add (detach i) detached
+          | Free, _ when not (Queue.is_empty detached) ->
+            Pt.free_node pt (Queue.pop detached)
+          | Relink i, _ when (match model.(i) with Kid _ -> true | _ -> false)
+            ->
+            (* A new page on the old page's freed frame, at the same
+               slot: allocate until that pfn comes back. *)
+            let old = detach i in
+            let pfn = old.Pt.frame.Mm_phys.Frame.pfn in
+            Pt.free_node pt old;
+            let rec same_pfn spares =
+              let c = Pt.alloc_node pt ~level:1 in
+              if c.Pt.frame.Mm_phys.Frame.pfn = pfn then (c, spares)
+              else same_pfn (c :: spares)
+            in
+            let c, spares = same_pfn [] in
+            List.iter (Pt.free_node pt) spares;
+            Pt.set_child pt p i c;
+            model.(i) <- Kid c
+          | Huge i, _ when (match model.(i) with Kid _ -> true | _ -> false)
+            ->
+            let c = match model.(i) with Kid c -> c | _ -> assert false in
+            Pt.set pt p i (Pte.leaf ~pfn:0x200 ~perm:Perm.rw ());
+            c.Pt.parent <- None;
+            Pt.free_node pt c;
+            model.(i) <- Huge_leaf
+          | Clear i, _ when model.(i) = Huge_leaf ->
+            Pt.set pt p i Pte.Absent;
+            model.(i) <- Empty
+          | _ -> ());
+          agrees ())
+        ops)
+
+(* [Pt]'s slot arithmetic against the geometry's, at every level of
+   every ISA, at random addresses and ranges around each node. *)
+let test_slots_match_geometry () =
+  let rng = Rng.create ~seed:5 in
+  List.iter
+    (fun (isa : Mm_hal.Isa.t) ->
+      let geo = isa.Mm_hal.Isa.geo in
+      let module G = Mm_hal.Geometry in
+      let phys = Mm_phys.Phys.create () in
+      let pt : unit Pt.t = Pt.create phys isa in
+      let limit = G.va_limit geo in
+      for _ = 1 to 200 do
+        let vaddr = Rng.int rng limit in
+        for level = 1 to geo.G.levels do
+          let node = Pt.walk_create pt ~to_level:level vaddr in
+          let name what =
+            Printf.sprintf "%s: %s at level %d, %#x" isa.Mm_hal.Isa.name what
+              level vaddr
+          in
+          check Alcotest.int (name "index")
+            (G.index geo ~level ~vaddr)
+            (Pt.index pt ~level ~vaddr);
+          check Alcotest.int (name "entry coverage")
+            (G.coverage geo ~level)
+            (Pt.entry_coverage pt node);
+          (* A range inside one entry, one crossing into the next, and
+             one past the node. *)
+          let cov = G.coverage geo ~level in
+          let lo = vaddr - (vaddr mod G.page_size geo) in
+          List.iter
+            (fun hi ->
+              let expected =
+                if level <= 1 then -1
+                else
+                  let idx = G.index geo ~level ~vaddr:lo in
+                  let e_lo = node.Pt.base + (idx * cov) in
+                  if e_lo <= lo && hi <= e_lo + cov then idx else -1
+              in
+              check Alcotest.int
+                (name (Printf.sprintf "covering slot of [%#x, %#x)" lo hi))
+                expected
+                (Pt.covering_slot pt node ~lo ~hi))
+            [
+              lo + G.page_size geo;
+              lo - (lo mod cov) + cov;
+              lo - (lo mod cov) + cov + G.page_size geo;
+              lo + (cov * 3);
+            ]
+        done
+      done)
+    Mm_hal.Isa.all
+
 (* -- Well-formedness catches stale occupancy bits -- *)
 
 let ill_formed name f =
@@ -415,6 +601,28 @@ let test_pt_stale_occupancy () =
   Pt.corrupt_mirror pt node present Pte.Absent;
   ill_formed "stale mirror caught" (fun () -> Pt.check_well_formed pt);
   Pt.corrupt_mirror pt node present saved;
+  Pt.check_well_formed pt
+
+(* A remembered child that is not the node its slot's entry names — or
+   a forgotten one still holding a node — is caught. *)
+let test_stale_memo () =
+  let phys = Mm_phys.Phys.create () in
+  let pt = Pt.create phys Mm_hal.Isa.x86_64 in
+  let p = Pt.walk_create pt ~to_level:2 0 in
+  let c0 = Pt.ensure_child pt p 0 and c1 = Pt.ensure_child pt p 1 in
+  Pt.check_well_formed pt;
+  Pt.corrupt_memo pt p 0 c1;
+  ill_formed "another slot's child caught" (fun () -> Pt.check_well_formed pt);
+  Pt.corrupt_memo pt p 5 c0;
+  ill_formed "child at an absent slot caught" (fun () ->
+      Pt.check_well_formed pt);
+  Pt.corrupt_memo pt p (-1) c0;
+  ill_formed "forgotten memo holding a node caught" (fun () ->
+      Pt.check_well_formed pt);
+  Pt.corrupt_memo pt p 0 c0;
+  Pt.check_well_formed pt;
+  check Alcotest.bool "child through the memo" true (Pt.child pt p 0 == c0);
+  check Alcotest.bool "child past the memo" true (Pt.child pt p 1 == c1);
   Pt.check_well_formed pt
 
 let test_meta_stale_occupancy () =
@@ -485,11 +693,18 @@ let () =
           Alcotest.test_case "remembered descent equals walks" `Quick
             test_descent_exact;
         ] );
+      ( "walk step",
+        [
+          QCheck_alcotest.to_alcotest slot_ops_prop;
+          Alcotest.test_case "slots match the geometry" `Quick
+            test_slots_match_geometry;
+        ] );
       ( "well-formed",
         [
           Alcotest.test_case "stale PT occupancy bit" `Quick
             test_pt_stale_occupancy;
           Alcotest.test_case "stale metadata bit and live count" `Quick
             test_meta_stale_occupancy;
+          Alcotest.test_case "stale remembered child" `Quick test_stale_memo;
         ] );
     ]
