@@ -7,11 +7,13 @@
    queue of parked fibers, and a [line_transfer] handoff latency.
    CortenMM_adv uses this as the per-PT-page lock (paper §4.5).
 
-   Observability: each lock carries a cheap integer id; profile entries and
-   events are produced only while the domain has a subscriber
-   ([Trace.on]), and emitting never advances virtual time. Wait time is
-   the parked duration (cycles serialized behind the holder), not the
-   line-transfer cost of an uncontended acquire. *)
+   Observability: each lock carries a cheap integer id; events are
+   produced only while the domain has a subscriber ([Trace.on]), and the
+   contention profile and lock histograms only while it records a ring
+   ([Trace.recording]), since only ring readers consume them; emitting
+   never advances virtual time. Wait time is the parked duration (cycles
+   serialized behind the holder), not the line-transfer cost of an
+   uncontended acquire. *)
 
 type t = {
   line : Engine.Line.t;
@@ -51,8 +53,10 @@ let profile t =
 let note_acquired (f : Engine.fiber) t ~wait =
   t.acquired_at <- f.f_time;
   if Mm_obs.Trace.on () then begin
-    Mm_obs.Contention.acquired (profile t) ~wait;
-    Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "lock.wait_cycles") wait;
+    if Mm_obs.Trace.recording () then begin
+      Mm_obs.Contention.acquired (profile t) ~wait;
+      Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "lock.wait_cycles") wait
+    end;
     Engine.obs
       (Mm_obs.Event.Lock_acquire { lock = t.id; kind = Mm_obs.Event.Mutex; wait })
   end
@@ -97,8 +101,10 @@ let unlock t =
   Engine.tick_on f Cost.cache_hit;
   if Mm_obs.Trace.on () then begin
     let held = f.f_time - t.acquired_at in
-    Mm_obs.Contention.released (profile t) ~held;
-    Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "lock.hold_cycles") held;
+    if Mm_obs.Trace.recording () then begin
+      Mm_obs.Contention.released (profile t) ~held;
+      Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "lock.hold_cycles") held
+    end;
     Engine.obs
       (Mm_obs.Event.Lock_release { lock = t.id; kind = Mm_obs.Event.Mutex; held })
   end;

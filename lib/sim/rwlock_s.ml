@@ -16,7 +16,8 @@
    CortenMM_adv (no reader-side shared writes at all).
 
    Observability mirrors {!Mutex_s}: integer id at creation, lazy profile
-   entry, events only while the domain has a subscriber. Wait time is the
+   entry, events only while the domain has a subscriber, profile and
+   histograms only while it records a ring. Wait time is the
    parked duration; hold time is tracked for the exclusive (writer) side
    only — readers overlap, so a per-reader hold would need per-fiber state
    the model doesn't keep. *)
@@ -67,8 +68,10 @@ let profile t =
 
 let note_acquired t ~kind ~wait =
   if Mm_obs.Trace.on () then begin
-    Mm_obs.Contention.acquired (profile t) ~wait;
-    Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "lock.wait_cycles") wait;
+    if Mm_obs.Trace.recording () then begin
+      Mm_obs.Contention.acquired (profile t) ~wait;
+      Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "lock.wait_cycles") wait
+    end;
     Engine.obs (Mm_obs.Event.Lock_acquire { lock = t.id; kind; wait })
   end
 
@@ -167,8 +170,10 @@ let wake_reader_phase t ~now =
 let note_writer_release (f : Engine.fiber) t =
   if Mm_obs.Trace.on () then begin
     let held = f.f_time - t.writer_since in
-    Mm_obs.Contention.released (profile t) ~held;
-    Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "lock.hold_cycles") held;
+    if Mm_obs.Trace.recording () then begin
+      Mm_obs.Contention.released (profile t) ~held;
+      Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "lock.hold_cycles") held
+    end;
     Engine.obs
       (Mm_obs.Event.Lock_release
          { lock = t.id; kind = Mm_obs.Event.Rw_write; held })
