@@ -83,15 +83,25 @@ let unregistered name =
     max_v = 0;
   }
 
+(* floor (log2 v), found by halving the width searched six times; 0 for
+   [v <= 0]. At most 61 (for [max_int]), so always below [nbuckets]. *)
 let bucket_of v =
   if v <= 0 then 0
-  else
-    let rec go b v = if v = 0 then b else go (b + 1) (v lsr 1) in
-    min (nbuckets - 1) (go (-1) v)
+  else begin
+    let b = ref 0 and v = ref v in
+    if !v lsr 32 <> 0 then begin b := 32; v := !v lsr 32 end;
+    if !v lsr 16 <> 0 then begin b := !b + 16; v := !v lsr 16 end;
+    if !v lsr 8 <> 0 then begin b := !b + 8; v := !v lsr 8 end;
+    if !v lsr 4 <> 0 then begin b := !b + 4; v := !v lsr 4 end;
+    if !v lsr 2 <> 0 then begin b := !b + 2; v := !v lsr 2 end;
+    if !v lsr 1 <> 0 then b := !b + 1;
+    !b
+  end
 
 let observe h v =
-  let v = max 0 v in
-  h.buckets.(bucket_of v) <- h.buckets.(bucket_of v) + 1;
+  let v = if v < 0 then 0 else v in
+  let b = bucket_of v in
+  h.buckets.(b) <- h.buckets.(b) + 1;
   h.n <- h.n + 1;
   h.sum <- h.sum + v;
   if v < h.min_v then h.min_v <- v;

@@ -23,6 +23,10 @@ val unregistered : string -> histogram
 
 val observe : histogram -> int -> unit
 
+val bucket_of : int -> int
+(** The log2 bucket a value lands in: [floor (log2 v)] for [v >= 1], 0
+    for [v <= 0]. *)
+
 val mean : histogram -> float
 val samples : histogram -> int
 val total : histogram -> int

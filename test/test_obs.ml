@@ -467,6 +467,35 @@ let test_quantile_bounds () =
          let base = Mm_util.Rng.int rng 1000 in
          if Mm_util.Rng.int rng 100 < 2 then base * 1000 else base))
 
+(* [Metrics.bucket_of] against the bit-by-bit loop it replaced, on 0,
+   negatives, every power of two and its neighbours, [max_int] and
+   random values. *)
+let bucket_of_prop =
+  let loop v =
+    if v <= 0 then 0
+    else
+      let rec go b v = if v = 0 then b else go (b + 1) (v lsr 1) in
+      min 62 (go (-1) v)
+  in
+  let edges =
+    List.concat_map
+      (fun b -> [ (1 lsl b) - 1; 1 lsl b; (1 lsl b) + 1 ])
+      (List.init 62 Fun.id)
+  in
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          oneofl ([ 0; -1; min_int; max_int; max_int - 1 ] @ edges);
+          int_range min_int (-1);
+          int_range 0 max_int;
+          map (fun b -> 1 lsl b) (int_bound 61);
+        ])
+  in
+  QCheck.Test.make ~name:"bucket_of matches the bit loop" ~count:2000
+    (QCheck.make ~print:string_of_int gen) (fun v ->
+      Metrics.bucket_of v = loop v)
+
 let test_quantile_registry_independence () =
   (* unregistered histograms with one name do not share state, and never
      appear in the global enumeration. *)
@@ -508,6 +537,7 @@ let () =
           Alcotest.test_case "metrics" `Quick test_metrics;
           Alcotest.test_case "quantile error bounds" `Quick
             test_quantile_bounds;
+          QCheck_alcotest.to_alcotest bucket_of_prop;
           Alcotest.test_case "unregistered histograms independent" `Quick
             test_quantile_registry_independence;
           Alcotest.test_case "contention ranking" `Quick
