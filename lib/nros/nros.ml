@@ -96,9 +96,8 @@ let log_append t op =
   t.log.(t.log_len) <- op;
   t.log_len <- t.log_len + 1
 
-(* Apply one log entry to a replica. The replica lock is held and the
-   entry adds no PT page outside its own walks and removes none, so one
-   remembered descent serves the whole entry. *)
+(* Apply one log entry to a replica (its lock is held), walking from the
+   root for each page. *)
 let apply_op t (rep : replica) op =
   let ps = page_size t in
   match op with
@@ -114,10 +113,9 @@ let apply_op t (rep : replica) op =
             f.Mm_phys.Frame.map_count <- 1;
             f.Mm_phys.Frame.pfn)
     end;
-    let d = Pt.descent rep.pt ~create:true in
     for i = 0 to npages - 1 do
       let vaddr = m.lo + (i * ps) in
-      let node = Pt.descend rep.pt d vaddr in
+      let node = Pt.walk_create rep.pt ~to_level:1 vaddr in
       Pt.set rep.pt node
         (Pt.index rep.pt ~level:1 ~vaddr)
         (Pte.leaf ~pfn:m.pfns.(i) ~perm:m.perm ())
@@ -126,10 +124,9 @@ let apply_op t (rep : replica) op =
     let first = not u.applied in
     u.applied <- true;
     let npages = u.len / ps in
-    let d = Pt.descent rep.pt ~create:false in
     for i = 0 to npages - 1 do
       let vaddr = u.lo + (i * ps) in
-      let node = Pt.descend rep.pt d vaddr in
+      let node = Pt.walk_opt rep.pt ~to_level:1 vaddr in
       if node.Pt.level = 1 then begin
         match Pt.get rep.pt node (Pt.index rep.pt ~level:1 ~vaddr) with
         | Pte.Leaf { pfn; _ } ->
@@ -273,11 +270,6 @@ let fork t =
       cpu_mask = Array.make t.ncpus false;
     }
   in
-  (* The child's replicas are private until fork returns: one remembered
-     descent per replica serves the whole copy. *)
-  let descents =
-    Array.map (fun crep -> Pt.descent crep.pt ~create:true) child.replicas
-  in
   with_replica t ~cpu (fun rep ->
       Pt.iter_leaves rep.pt (Pt.root rep.pt) (fun vaddr _level pte ->
           match pte with
@@ -288,9 +280,9 @@ let fork t =
             let f = Mm_phys.Phys.alloc t.phys ~kind:Mm_phys.Frame.Anon () in
             f.Mm_phys.Frame.contents <- src.Mm_phys.Frame.contents;
             f.Mm_phys.Frame.map_count <- 1;
-            Array.iteri
-              (fun r crep ->
-                let node = Pt.descend crep.pt descents.(r) vaddr in
+            Array.iter
+              (fun crep ->
+                let node = Pt.walk_create crep.pt ~to_level:1 vaddr in
                 Pt.set crep.pt node
                   (Pt.index crep.pt ~level:1 ~vaddr)
                   (Pte.leaf ~pfn:f.Mm_phys.Frame.pfn ~perm ()))

@@ -1,12 +1,12 @@
 (* Tests for page-table occupancy: the bitset helper, iteration over
    present entries (it must visit exactly what an ascending index loop
    visits, also when the callback fills or clears later slots), the
-   folded charge for a run of reads and the remembered descent (each
-   must charge exactly what the reads or walks it stands for charge),
-   the walk step (the child a table entry names, through each node's
-   remembered child, and slot arithmetic equal to the geometry's), and
-   the well-formedness checks that catch a stale occupancy bit in a PT
-   page or a metadata array and a stale remembered child. *)
+   folded charge for a run of reads and the walks (each must charge
+   exactly what the reads or steps it stands for charge), the walk step
+   (the child a table entry names, through each node's remembered
+   child, and slot arithmetic equal to the geometry's), and the
+   well-formedness checks that catch a stale occupancy bit in a PT page
+   or a metadata array and a stale remembered child. *)
 
 open Cortenmm
 module Bitset = Mm_util.Bitset
@@ -262,12 +262,14 @@ let test_folded_charge_outside_fiber () =
   check Alcotest.int "no line effect" (-1)
     (Engine.Line.owner node.Pt.frame.Mm_phys.Frame.line)
 
-(* -- The remembered descent --
+(* -- The walks --
 
    A per-page loop over [lo, hi) as NrOS runs it: walk to level 1, then
    store a leaf (the [walk_create] form) or clear a present one (the
-   [walk_opt] form). Run once with a real walk per page and once through
-   one [Pt.descent]; everything simulated must come out the same. *)
+   [walk_opt] form). Run once through [Pt.walk_create]/[walk_opt] and
+   once through a descent built from [Pt.get], [Pt.child] and
+   [Pt.ensure_child], one level at a time; everything simulated must
+   come out the same. *)
 
 let block = 1 lsl 21
 let gib = 1 lsl 30
@@ -289,11 +291,26 @@ let populated pages ~state =
         put_line_in state node.Pt.frame.Mm_phys.Frame.line);
   pt
 
+(* The walk to level 1 that [Pt.walk_create] (with [create]) or
+   [Pt.walk_opt] stands for: [ensure_child], or [get] then [child] on a
+   table entry, at each level from the root. *)
+let stepwise_walk pt ~create vaddr =
+  let rec go node =
+    if node.Pt.level = 1 then node
+    else
+      let idx = Pt.index pt ~level:node.Pt.level ~vaddr in
+      if create then go (Pt.ensure_child pt node idx)
+      else
+        match Pt.get pt node idx with
+        | Pte.Table _ -> go (Pt.child pt node idx)
+        | Pte.Absent | Pte.Leaf _ -> node
+  in
+  go (Pt.root pt)
+
 (* The loop's fiber clock, the (level, base) each walk returned, every
    node's (level, base, present, avail, owner) and every leaf. *)
-let descent_run ~pages ~state ~start ~create ~lo ~hi ~memo =
+let walk_run ~pages ~state ~start ~create ~lo ~hi ~stepwise =
   let pt = populated pages ~state in
-  let d = Pt.descent pt ~create in
   let found = ref [] and clock = ref 0 in
   in_world ~cpu:0 (fun () ->
       Engine.tick start;
@@ -301,7 +318,7 @@ let descent_run ~pages ~state ~start ~create ~lo ~hi ~memo =
       while !v < hi do
         let vaddr = !v in
         let node =
-          if memo then Pt.descend pt d vaddr
+          if stepwise then stepwise_walk pt ~create vaddr
           else if create then Pt.walk_create pt ~to_level:1 vaddr
           else Pt.walk_opt pt ~to_level:1 vaddr
         in
@@ -329,7 +346,7 @@ let descent_run ~pages ~state ~start ~create ~lo ~hi ~memo =
       leaves := Printf.sprintf "%#x/%d %s" v level (Pte.to_string pte) :: !leaves);
   (!clock, List.rev !found, List.rev !nodes, List.rev !leaves)
 
-let test_descent_exact () =
+let test_walks_exact () =
   let p = 4096 in
   (* Start and end inside one leaf page; cross a 2 MiB boundary; cross
      a 1 GiB boundary and the 2 MiB one after it. *)
@@ -366,8 +383,8 @@ let test_descent_exact () =
                           (if create then "walk_create" else "walk_opt")
                           lo hi pi (line_state_name state) start
                       in
-                      let run memo =
-                        descent_run ~pages ~state ~start ~create ~lo ~hi ~memo
+                      let run stepwise =
+                        walk_run ~pages ~state ~start ~create ~lo ~hi ~stepwise
                       in
                       let c0, f0, n0, l0 = run false
                       and c1, f1, n1, l1 = run true in
@@ -690,8 +707,8 @@ let () =
           Alcotest.test_case "equals k gets" `Quick test_folded_charge_exact;
           Alcotest.test_case "outside a fiber" `Quick
             test_folded_charge_outside_fiber;
-          Alcotest.test_case "remembered descent equals walks" `Quick
-            test_descent_exact;
+          Alcotest.test_case "walks equal get-per-level descents" `Quick
+            test_walks_exact;
         ] );
       ( "walk step",
         [
