@@ -36,7 +36,7 @@ let () =
       Printf.printf "   value after swap-in: %d, status %s\n" value status;
 
       Printf.printf "\n== private file mapping (COW against the page cache) ==\n";
-      let file = File.regular ~name:"libc.so" ~size:(64 * 1024) in
+      let file = File.regular ~name:"libc.so" in
       let m =
         ok
           (Mm.mmap_r asp ~backing:(Mm.File_private (file, 0)) ~len:(16 * 1024)
@@ -53,7 +53,7 @@ let () =
         | None -> false);
 
       Printf.printf "\n== shared mapping + msync ==\n";
-      let log = File.regular ~name:"journal.dat" ~size:(16 * 1024) in
+      let log = File.regular ~name:"journal.dat" in
       let s =
         ok
           (Mm.mmap_r asp ~backing:(Mm.Shared (log, 0)) ~len:(16 * 1024)

@@ -13,8 +13,6 @@ type t = {
   blocks : (int, int) Hashtbl.t; (* block -> stored contents *)
   mutable next_block : int;
   free_blocks : int Queue.t;
-  mutable writes : int;
-  mutable reads : int;
 }
 
 (* Domain-local, reset per parallel task, like [File.next_id]. *)
@@ -32,8 +30,6 @@ let create ?(nblocks = 1 lsl 20) ~name () =
     blocks = Hashtbl.create 64;
     next_block = 0;
     free_blocks = Queue.create ();
-    writes = 0;
-    reads = 0;
   }
 
 exception Device_full
@@ -49,12 +45,10 @@ let alloc_block t =
 
 let write_page t ~block ~contents =
   Mm_sim.Engine.charge write_cost;
-  t.writes <- t.writes + 1;
   Hashtbl.replace t.blocks block contents
 
 let read_page t ~block =
   Mm_sim.Engine.charge read_cost;
-  t.reads <- t.reads + 1;
   match Hashtbl.find_opt t.blocks block with
   | Some c -> c
   | None -> invalid_arg "Blockdev.read_page: block never written"
@@ -66,6 +60,4 @@ let free_block t ~block =
 let has_block t ~block = Hashtbl.mem t.blocks block
 
 let used_blocks t = Hashtbl.length t.blocks
-let writes t = t.writes
-let reads t = t.reads
 let name t = t.name

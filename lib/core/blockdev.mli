@@ -17,7 +17,5 @@ val read_page : t -> block:int -> int
 val free_block : t -> block:int -> unit
 val has_block : t -> block:int -> bool
 val used_blocks : t -> int
-val writes : t -> int
-val reads : t -> int
 val name : t -> string
 val reset_ids : unit -> unit

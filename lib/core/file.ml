@@ -26,7 +26,6 @@ type mapper = Pager.mapping = {
 type t = {
   id : int;
   kind : kind;
-  mutable size : int;
   pages : (int, Mm_phys.Frame.t) Hashtbl.t; (* page index -> cache frame *)
   disk : (int, int) Hashtbl.t; (* page index -> written-back contents *)
   lock : Mm_sim.Mutex_s.t;
@@ -44,13 +43,12 @@ let reset_ids () = next_id () := 0
 
 let io_read_cost = 8_000 (* first touch of a cache page: read from disk *)
 
-let create ~kind ~size =
+let create ~kind =
   let next_id = next_id () in
   incr next_id;
   {
     id = !next_id;
     kind;
-    size;
     pages = Hashtbl.create 16;
     disk = Hashtbl.create 16;
     lock = Mm_sim.Mutex_s.make ~name:"file.lock" ();
@@ -59,8 +57,8 @@ let create ~kind ~size =
     writebacks = 0;
   }
 
-let regular ~name ~size = create ~kind:(Regular name) ~size
-let shm ~size = create ~kind:Shm ~size
+let regular ~name = create ~kind:(Regular name)
+let shm () = create ~kind:Shm
 
 let page_token t ~page_index = (t.id * 1_000_003) + page_index
 
@@ -173,9 +171,7 @@ let needs_writeback t ~page_index =
          match t.kind with
          | Regular _ -> page_token t ~page_index
          | Shm -> 0))
-let dirty_pages t = Hashtbl.length t.dirty
 let id t = t.id
-let size t = t.size
 
 let name t =
   match t.kind with Regular n -> n | Shm -> Printf.sprintf "shm:%d" t.id

@@ -14,17 +14,12 @@ type mapper = Pager.mapping = {
 
 type t
 
-val create : kind:kind -> size:int -> t
-val regular : name:string -> size:int -> t
-val shm : size:int -> t
+val create : kind:kind -> t
+val regular : name:string -> t
+val shm : unit -> t
 
 val page_token : t -> page_index:int -> int
 (** The deterministic content token of a file page (for verification). *)
-
-val get_page : t -> Mm_phys.Phys.t -> page_index:int -> Mm_phys.Frame.t
-(** Page-cache frame for the index; first use reads it from "disk"
-    (regular files) or zeroes it (shm); written-back pages refault with
-    their stored contents. *)
 
 val lookup_page : t -> page_index:int -> Mm_phys.Frame.t option
 val mark_dirty : t -> page_index:int -> unit
@@ -53,10 +48,8 @@ val needs_writeback : t -> page_index:int -> bool
 (** Would dropping this cache page lose data? True when it is
     dirty-marked or its contents differ from the backing store. *)
 
-val dirty_pages : t -> int
 val id : t -> int
 val reset_ids : unit -> unit
-val size : t -> int
 val name : t -> string
 
 val pager : t -> Mm_phys.Phys.t -> Pager.ops

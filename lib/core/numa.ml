@@ -12,16 +12,6 @@ type policy =
   | Preferred of int (* prefer this node (same as Bind in the model) *)
   | Interleave of int list (* round-robin by page index *)
 
-let to_string = function
-  | Default -> "default"
-  | Bind n -> Printf.sprintf "bind(%d)" n
-  | Preferred n -> Printf.sprintf "preferred(%d)" n
-  | Interleave ns ->
-    Printf.sprintf "interleave(%s)"
-      (String.concat "," (List.map string_of_int ns))
-
-let equal a b = a = b
-
 (* The node a fault at page [vpn] should allocate from, for a CPU on
    [local_node], on a machine with [nnodes] nodes. *)
 let choose ~policy ~local_node ~vpn ~nnodes =

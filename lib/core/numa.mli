@@ -8,9 +8,6 @@ type policy =
   | Preferred of int
   | Interleave of int list (* round-robin by page index *)
 
-val to_string : policy -> string
-val equal : policy -> policy -> bool
-
 val choose : policy:policy -> local_node:int -> vpn:int -> nnodes:int -> int
 (** The node a fault at page [vpn] should allocate from (out-of-range
     nodes fall back to the local one). *)

@@ -54,7 +54,6 @@ let create kernel ~dev () =
   { kernel; dev; spaces = []; files = []; stats = fresh_stats () }
 
 let stats t = t.stats
-let dev t = t.dev
 
 let register_space t asp =
   if not (List.exists (fun a -> a == asp) t.spaces) then

@@ -23,7 +23,6 @@ val create : Kernel.t -> dev:Blockdev.t -> unit -> t
 (** A daemon swapping to [dev]. *)
 
 val stats : t -> stats
-val dev : t -> Blockdev.t
 
 val register_space : t -> Addr_space.t -> unit
 val unregister_space : t -> Addr_space.t -> unit

@@ -38,11 +38,7 @@ module Mapper_set = struct
         t.items
 
   let to_list t = t.items
-  let count t = List.length t.items
   let is_empty t = t.items = []
-  let iter t f = List.iter f t.items
-  let exists t f = List.exists f t.items
-  let clear t = t.items <- []
 end
 
 (* The pager operations record. [page_index] is the provider's stable

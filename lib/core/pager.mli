@@ -24,11 +24,7 @@ module Mapper_set : sig
   (** Drop every record matching the [(asp_id, map_vaddr)] key. *)
 
   val to_list : t -> mapping list
-  val count : t -> int
   val is_empty : t -> bool
-  val iter : t -> (mapping -> unit) -> unit
-  val exists : t -> (mapping -> bool) -> bool
-  val clear : t -> unit
 end
 
 type ops = {

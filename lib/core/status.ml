@@ -27,23 +27,6 @@ let perm = function
   | Swapped { perm; _ } ->
     Some perm
 
-let equal a b =
-  match (a, b) with
-  | Invalid, Invalid -> true
-  | Mapped a, Mapped b -> a.pfn = b.pfn && Perm.equal a.perm b.perm
-  | Private_anon p, Private_anon q -> Perm.equal p q
-  | Private_file a, Private_file b ->
-    File.id a.file = File.id b.file
-    && a.offset = b.offset && Perm.equal a.perm b.perm
-  | Shared_anon a, Shared_anon b ->
-    File.id a.shm = File.id b.shm
-    && a.offset = b.offset && Perm.equal a.perm b.perm
-  | Swapped a, Swapped b ->
-    a.block = b.block && Perm.equal a.perm b.perm
-  | (Invalid | Mapped _ | Private_anon _ | Private_file _ | Shared_anon _
-    | Swapped _), _ ->
-    false
-
 let to_string = function
   | Invalid -> "invalid"
   | Mapped { pfn; perm } ->
@@ -58,8 +41,6 @@ let to_string = function
   | Swapped { dev; block; perm } ->
     Printf.sprintf "swapped(%s@%d,%s)" (Blockdev.name dev) block
       (Perm.to_string perm)
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 (* -- The per-PTE metadata entry (internal representation) --
 

@@ -12,9 +12,7 @@ type t =
   | Swapped of { dev : Blockdev.t; block : int; perm : Perm.t }
 
 val perm : t -> Perm.t option
-val equal : t -> t -> bool
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 (** {2 Per-PTE metadata entries}
 

@@ -22,10 +22,6 @@ val create_anon : unit -> t
 (** A fresh chain-bottom anonymous object with one reference (the
     creating address space). *)
 
-val shadow : t -> t
-(** [shadow base] is a fresh empty object whose lookups fall through to
-    [base]; takes one new reference on [base]. *)
-
 val fork_push : t -> t * t
 (** [fork_push top] implements fork on the object graph: two fresh
     shadows over [top], which loses the forking space's direct
@@ -50,7 +46,6 @@ val promote : t -> vpn:int -> unit
 (** Move the youngest record for [vpn] to the chain top — a COW fault
     resolved in place, so the page is now exclusively the top's. *)
 
-val id : t -> int
 val refs : t -> int
 val parent : t -> t option
 val depth : t -> int

@@ -14,6 +14,8 @@ type t =
 
 exception Error of t
 
+let ok_exn = function Ok v -> v | Error e -> raise (Error e)
+
 let to_string = function
   | EINVAL -> "EINVAL"
   | ENOMEM -> "ENOMEM"
@@ -35,8 +37,6 @@ let label = function
   | SIGSEGV _ -> "SIGSEGV"
 
 let same_class a b = label a = label b
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 let () =
   Printexc.register_printer (function

@@ -13,16 +13,14 @@ type t =
   | SIGSEGV of int  (** access faulted; carries the faulting vaddr *)
 
 exception Error of t
-(** Bridge for callers that prefer exceptions ({!System} [_exn]
-    wrappers raise this). *)
+
+val ok_exn : ('a, t) result -> 'a
+(** The [Ok] value, or raise {!Error} with the error — for drivers that
+    treat a failed operation as fatal. *)
 
 val to_string : t -> string
 
-val label : t -> string
-(** Constructor name without payloads — [SIGSEGV _] compares equal
-    across backends whose VA allocators place regions differently. *)
-
 val same_class : t -> t -> bool
-(** [same_class a b] compares by {!label}. *)
-
-val pp : Format.formatter -> t -> unit
+(** [same_class a b] compares errors by constructor, without payloads:
+    [SIGSEGV _] compares equal across backends whose VA allocators place
+    regions differently. *)

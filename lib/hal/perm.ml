@@ -45,8 +45,6 @@ let r =
 
 let none = { r with read = false }
 let rw = { r with write = true }
-let rx = { r with execute = true }
-let rwx = { rw with execute = true }
 
 let equal a b =
   a.read = b.read && a.write = b.write && a.execute = b.execute
@@ -68,5 +66,3 @@ let to_string t =
     (if t.user then 'u' else 'k')
     (if t.cow then "+cow" else "")
     (if t.mpk_key <> 0 then Printf.sprintf "+pk%d" t.mpk_key else "")
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

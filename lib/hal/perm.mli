@@ -23,8 +23,6 @@ val make :
 val none : t
 val r : t
 val rw : t
-val rx : t
-val rwx : t
 val equal : t -> t -> bool
 val with_write : t -> bool -> t
 val with_cow : t -> bool -> t
@@ -35,4 +33,3 @@ val allows : t -> write:bool -> bool
     is permitted. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

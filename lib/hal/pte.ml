@@ -19,12 +19,6 @@ let leaf ?(accessed = false) ?(dirty = false) ?(global = false) ~pfn ~perm () =
   Leaf { pfn; perm; accessed; dirty; global }
 
 let is_present = function Absent -> false | Table _ | Leaf _ -> true
-let is_leaf = function Leaf _ -> true | Absent | Table _ -> false
-
-let pfn = function
-  | Absent -> None
-  | Table { pfn } -> Some pfn
-  | Leaf { pfn; _ } -> Some pfn
 
 let equal a b =
   match (a, b) with

@@ -22,8 +22,6 @@ val leaf :
   t
 
 val is_present : t -> bool
-val is_leaf : t -> bool
-val pfn : t -> int option
 val equal : t -> t -> bool
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

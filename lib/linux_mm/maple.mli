@@ -5,8 +5,6 @@
 
 type 'a t
 
-val cap : int
-
 val create : start:('a -> int) -> stop:('a -> int) -> 'a t
 val count : 'a t -> int
 val height : 'a t -> int

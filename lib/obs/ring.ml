@@ -15,7 +15,6 @@ let create ~capacity =
   if capacity <= 0 then invalid_arg "Ring.create: capacity";
   { data = Array.make capacity None; capacity; pushed = 0 }
 
-let capacity t = t.capacity
 
 let push t v =
   t.data.(t.pushed mod t.capacity) <- Some v;
@@ -32,8 +31,6 @@ let to_list t =
       match t.data.((first + i) mod t.capacity) with
       | Some v -> v
       | None -> assert false)
-
-let iter t f = List.iter f (to_list t)
 
 let clear t =
   Array.fill t.data 0 t.capacity None;

@@ -4,7 +4,6 @@
 type 'a t
 
 val create : capacity:int -> 'a t
-val capacity : 'a t -> int
 val push : 'a t -> 'a -> unit
 
 val length : 'a t -> int
@@ -16,5 +15,4 @@ val dropped : 'a t -> int
 val to_list : 'a t -> 'a list
 (** Oldest first. *)
 
-val iter : 'a t -> ('a -> unit) -> unit
 val clear : 'a t -> unit

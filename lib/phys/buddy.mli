@@ -6,7 +6,6 @@ type t
 
 exception Out_of_memory
 
-val max_order : int
 val create : nframes:int -> t
 
 val alloc : t -> order:int -> int

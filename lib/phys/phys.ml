@@ -199,8 +199,6 @@ let usage t =
 let allocated_frames t =
   Array.fold_left (fun acc b -> acc + Buddy.allocated_frames b) 0 t.buddies
 
-let buddy t = t.buddies.(0)
-
 let peak_data_bytes t = t.peak_data_frames * t.page_size
 
 (* Resident user data (anon + page-cache) frames right now, not the

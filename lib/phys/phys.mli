@@ -34,8 +34,6 @@ type usage = {
 
 val usage : t -> usage
 val allocated_frames : t -> int
-val buddy : t -> Buddy.t
-(** Node 0's buddy allocator (for allocator-level statistics). *)
 
 val peak_data_bytes : t -> int
 (** High-water mark of user data (anon + page-cache) bytes, for the

@@ -23,6 +23,7 @@ module System = Mm_workloads.System
 module Backend = Mm_workloads.Backend
 module Runner = Mm_workloads.Runner
 module Perm = Mm_hal.Perm
+module Errno = Mm_hal.Errno
 
 (* -- Shootdown-policy registry -- *)
 
@@ -160,7 +161,7 @@ let run ?isa ~backend ~mix ~policy_name ~policy ~ncpus ~sessions ~seed () =
         if not mix.Mix.fork then sys
         else begin
           let t0 = f.f_time in
-          let child = System.fork_exn sys in
+          let child = Errno.ok_exn (System.fork sys) in
           Metrics.observe h_fork (f.f_time - t0);
           (* The child's TLB is fresh: re-arm the run's policy so its
              unmaps see the same shootdown regime as the parent's. *)
@@ -169,9 +170,10 @@ let run ?isa ~backend ~mix ~policy_name ~policy ~ncpus ~sessions ~seed () =
           think ();
           for p = 0 to hot_pages - 1 do
             let t0 = f.f_time in
-            System.write_value_exn child
-              ~vaddr:(hot.(cpu) + (p * ps))
-              ~value:(((cpu + 1) * 1_000_000) + p);
+            Errno.ok_exn
+              (System.write_value child
+                 ~vaddr:(hot.(cpu) + (p * ps))
+                 ~value:(((cpu + 1) * 1_000_000) + p));
             Metrics.observe h_fault (f.f_time - t0);
             op_done ()
           done;
@@ -183,7 +185,7 @@ let run ?isa ~backend ~mix ~policy_name ~policy ~ncpus ~sessions ~seed () =
         let pages = Rng.int_in rng ~lo:mix.Mix.min_pages ~hi:mix.Mix.max_pages in
         let len = pages * ps in
         let t0 = f.f_time in
-        let addr = System.mmap_exn ssys ~len ~perm:Perm.rw () in
+        let addr = Errno.ok_exn (System.mmap ssys ~len ~perm:Perm.rw ()) in
         Metrics.observe h_mmap (f.f_time - t0);
         op_done ();
         think ();
@@ -216,7 +218,7 @@ let run ?isa ~backend ~mix ~policy_name ~policy ~ncpus ~sessions ~seed () =
         let seal = Rng.float rng < mix.Mix.mprotect_prob in
         if seal && System.has_mprotect ssys then begin
           let t0 = f.f_time in
-          System.mprotect_exn ssys ~addr ~len ~perm:Perm.r;
+          Errno.ok_exn (System.mprotect ssys ~addr ~len ~perm:Perm.r);
           Metrics.observe h_mprotect (f.f_time - t0);
           op_done ();
           think ()
@@ -228,7 +230,7 @@ let run ?isa ~backend ~mix ~policy_name ~policy ~ncpus ~sessions ~seed () =
           op_done ()
         end;
         let t0 = f.f_time in
-        System.munmap_exn ssys ~addr ~len;
+        Errno.ok_exn (System.munmap ssys ~addr ~len);
         Metrics.observe h_munmap (f.f_time - t0);
         op_done ()
       done;
@@ -264,12 +266,15 @@ let run ?isa ~backend ~mix ~policy_name ~policy ~ncpus ~sessions ~seed () =
   let prep cpu =
     System.warm sys ~cpu;
     if mix.Mix.fork then begin
-      let addr = System.mmap_exn sys ~len:(hot_pages * ps) ~perm:Perm.rw () in
+      let addr =
+        Errno.ok_exn (System.mmap sys ~len:(hot_pages * ps) ~perm:Perm.rw ())
+      in
       hot.(cpu) <- addr;
       for p = 0 to hot_pages - 1 do
-        System.write_value_exn sys
-          ~vaddr:(addr + (p * ps))
-          ~value:(((cpu + 1) * 1000) + p)
+        Errno.ok_exn
+          (System.write_value sys
+             ~vaddr:(addr + (p * ps))
+             ~value:(((cpu + 1) * 1000) + p))
       done
     end
   in

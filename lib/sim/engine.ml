@@ -275,7 +275,6 @@ let run w =
     failwith "Engine.run: stats inconsistent (runnable fibers after finish)";
   finish ()
 
-let owner w = w.owner
 let cpu_time w cpu = w.cpu_time.(cpu)
 let max_time w = Array.fold_left max 0 w.cpu_time
 let stats w = w.stats

@@ -51,10 +51,6 @@ val run : world -> unit
     (see [lib/par]) — but a single world must be constructed, run and
     dropped entirely within one domain. *)
 
-val owner : world -> int
-(** Id of the domain that created the world (the only domain allowed to
-    touch it). *)
-
 val cpu_time : world -> int -> int
 (** Final virtual time of a CPU (max over its finished fibers). *)
 
@@ -63,7 +59,6 @@ val stats : world -> stats
 
 (** The functions below may only be called from inside a running fiber. *)
 
-val world : unit -> world
 val fiber : unit -> fiber
 val now : unit -> int
 val cpu_id : unit -> int

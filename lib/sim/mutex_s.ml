@@ -23,8 +23,6 @@ type t = {
   mutable holder : int; (* cpu, or -1 *)
   mutable acquired_at : int; (* virtual time of last acquisition *)
   waiters : Engine.parked Queue.t;
-  mutable acquisitions : int;
-  mutable contended : int;
 }
 
 let make ?id ?name () =
@@ -37,8 +35,6 @@ let make ?id ?name () =
     holder = -1;
     acquired_at = 0;
     waiters = Queue.create ();
-    acquisitions = 0;
-    contended = 0;
   }
 
 let set_name t name = t.name <- Some name
@@ -64,14 +60,12 @@ let note_acquired (f : Engine.fiber) t ~wait =
 let lock t =
   let f = Engine.fiber () in
   Engine.Line.rmw_on f t.line;
-  t.acquisitions <- t.acquisitions + 1;
   if not t.locked then begin
     t.locked <- true;
     t.holder <- f.f_cpu;
     note_acquired f t ~wait:0
   end
   else begin
-    t.contended <- t.contended + 1;
     if Mm_obs.Trace.on () then
       Engine.obs
         (Mm_obs.Event.Lock_contend { lock = t.id; kind = Mm_obs.Event.Mutex });
@@ -86,7 +80,6 @@ let try_lock t =
   Engine.Line.rmw_on f t.line;
   if t.locked then false
   else begin
-    t.acquisitions <- t.acquisitions + 1;
     t.locked <- true;
     t.holder <- f.f_cpu;
     note_acquired f t ~wait:0;
@@ -117,7 +110,4 @@ let unlock t =
     (* Handoff: the successor observes the release after a line transfer. *)
     Engine.unpark p ~at:(f.f_time + Cost.line_transfer)
 
-let holder t = if t.locked then Some t.holder else None
-let acquisitions t = t.acquisitions
-let contended t = t.contended
 let id t = t.id

@@ -17,6 +17,3 @@ val try_lock : t -> bool
 val unlock : t -> unit
 (** Raises if the lock is not held, or held by a different CPU. *)
 
-val holder : t -> int option
-val acquisitions : t -> int
-val contended : t -> int

@@ -11,7 +11,6 @@ type 'a t = { mutable data : 'a entry array; mutable size : int }
 
 let create () = { data = [||]; size = 0 }
 
-let length t = t.size
 let is_empty t = t.size = 0
 
 (* Earliest queued time, [max_int] when empty. Allocation-free peek for the

@@ -8,7 +8,6 @@
 type 'a t
 
 val create : unit -> 'a t
-val length : 'a t -> int
 val is_empty : 'a t -> bool
 
 val min_time : 'a t -> int

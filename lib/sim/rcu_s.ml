@@ -45,8 +45,6 @@ let set_mutant_no_grace_period v = mutant_no_grace_period () := v
 type t = {
   nesting : int array;
   mutable pending : callback list;
-  mutable deferred : int;
-  mutable completed : int;
   mutable immediate : int; (* frees that needed no grace period *)
 }
 
@@ -54,8 +52,6 @@ let make ~ncpus =
   {
     nesting = Array.make ncpus 0;
     pending = [];
-    deferred = 0;
-    completed = 0;
     immediate = 0;
   }
 
@@ -92,7 +88,6 @@ let quiesce t cpu =
   | _ -> ());
   List.iter
     (fun cb ->
-      t.completed <- t.completed + 1;
       if Mm_obs.Trace.on () then
         Engine.obs (Mm_obs.Event.Rcu_fire { cb = cb.cb_id });
       cb.fn ())
@@ -128,7 +123,6 @@ let defer t fn =
   let f = Engine.fiber () in
   Engine.serialize_on f;
   Engine.tick_on f Cost.cache_hit;
-  t.deferred <- t.deferred + 1;
   let waiting, remaining = snapshot_readers t in
   let cb_id =
     if Mm_obs.Trace.on () then begin
@@ -140,7 +134,6 @@ let defer t fn =
   in
   if remaining = 0 || !(mutant_no_grace_period ()) then begin
     t.immediate <- t.immediate + 1;
-    t.completed <- t.completed + 1;
     if Mm_obs.Trace.on () then
       Engine.obs (Mm_obs.Event.Rcu_fire { cb = cb_id });
     fn ()
@@ -169,6 +162,4 @@ let synchronize t =
             }
             :: t.pending)
 
-let deferred t = t.deferred
-let completed t = t.completed
 let immediate t = t.immediate

@@ -17,8 +17,6 @@ val defer : t -> (unit -> unit) -> unit
 val synchronize : t -> unit
 (** Block the calling fiber until a grace period elapses. *)
 
-val deferred : t -> int
-val completed : t -> int
 val immediate : t -> int
 
 val set_mutant_no_grace_period : bool -> unit

@@ -18,23 +18,19 @@
    schedules, which is what the schedcheck shrinker exploits. *)
 
 type t = {
-  name : string;
   next : int -> int; (* decision index -> tie key *)
   record : bool;
   mutable count : int;
   mutable buf : int array;
 }
 
-let name t = t.name
-
 let fifo () =
-  { name = "fifo"; next = (fun _ -> 0); record = false; count = 0; buf = [||] }
+  { next = (fun _ -> 0); record = false; count = 0; buf = [||] }
 
 let random ?(amplitude = 8) ~seed () =
   if amplitude <= 0 then invalid_arg "Sched.random: amplitude";
   let rng = Mm_util.Rng.create ~seed in
   {
-    name = Printf.sprintf "random(seed=%d)" seed;
     next = (fun _ -> Mm_util.Rng.int rng amplitude);
     record = true;
     count = 0;
@@ -43,7 +39,6 @@ let random ?(amplitude = 8) ~seed () =
 
 let replay keys =
   {
-    name = Printf.sprintf "replay(%d keys)" (Array.length keys);
     next = (fun i -> if i < Array.length keys then keys.(i) else 0);
     record = false;
     count = 0;

@@ -11,9 +11,6 @@
 
 type t
 
-val name : t -> string
-(** Human-readable policy description, for harness reporting. *)
-
 val fifo : unit -> t
 (** Key 0 for every push: the order degenerates to (time, seq), which is
     bit-for-bit the engine's historical deterministic order. This is the

@@ -26,13 +26,7 @@ let print_char c =
 
 let print_newline () = print_char '\n'
 
-let print_endline s =
-  print_string s;
-  print_char '\n'
-
 let printf fmt = Printf.ksprintf print_string fmt
-
-let capturing () = !(sink ()) <> None
 
 (* Run [f] with output diverted to a fresh buffer; restore the previous
    sink afterwards (captures nest). If [f] raises, the partial output is

@@ -8,11 +8,7 @@
 
 val print_string : string -> unit
 val print_newline : unit -> unit
-val print_endline : string -> unit
 val printf : ('a, unit, string, unit) format4 -> 'a
-
-val capturing : unit -> bool
-(** Is a capture active on this domain? *)
 
 val capture : (unit -> 'a) -> 'a * string
 (** [capture f] runs [f] with this domain's output diverted to a fresh

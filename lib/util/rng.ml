@@ -40,15 +40,3 @@ let float t =
 let split t =
   let s = next_int64 t in
   { state = (if Int64.equal s 0L then 0x6A09E667F3BCC909L else s) }
-
-let pick t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
-  arr.(int t (Array.length arr))
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

@@ -26,9 +26,3 @@ val float : t -> float
 
 val split : t -> t
 (** Derive an independent generator; the parent advances by one step. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniformly chosen element. Raises on an empty array. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)

@@ -44,5 +44,3 @@ let cycles_per_second = 3_000_000_000.0
 let ops_per_second ~ops ~cycles =
   if cycles <= 0 then 0.0
   else float_of_int ops /. (float_of_int cycles /. cycles_per_second)
-
-let speedup ~baseline ~value = if baseline = 0.0 then nan else value /. baseline

@@ -12,5 +12,3 @@ val geomean : float array -> float
 val ops_per_second : ops:int -> cycles:int -> float
 (** Throughput at the nominal simulated clock (3 GHz), used to present
     cycle counts as per-second rates in the tables. *)
-
-val speedup : baseline:float -> value:float -> float

@@ -21,14 +21,6 @@ type op =
   | Op_touch of int * bool
   | Op_protect of int * int * Perm.t
 
-let op_to_string = function
-  | Op_mmap (p, n, perm) ->
-    Printf.sprintf "mmap(%d,%d,%s)" p n (Perm.to_string perm)
-  | Op_munmap (p, n) -> Printf.sprintf "munmap(%d,%d)" p n
-  | Op_touch (p, w) -> Printf.sprintf "touch(%d,%s)" p (if w then "w" else "r")
-  | Op_protect (p, n, perm) ->
-    Printf.sprintf "protect(%d,%d,%s)" p n (Perm.to_string perm)
-
 (* The operation universe for exhaustive enumeration: chosen to cover
    overlap, splitting, remapping, permission changes, and faults. *)
 let op_universe =

@@ -9,8 +9,6 @@ type op =
   | Op_touch of int * bool
   | Op_protect of int * int * Mm_hal.Perm.t
 
-val op_to_string : op -> string
-
 type exhaustive_result = {
   sequences : int;
   checks : int;

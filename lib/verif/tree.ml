@@ -6,14 +6,14 @@
    abstract version of locking a virtual address range whose covering PT
    page is that node. *)
 
-type t = { arity : int; depth : int; nnodes : int }
+type t = { arity : int; nnodes : int }
 
 let rec pow b e = if e = 0 then 1 else b * pow b (e - 1)
 
 let create ~arity ~depth =
   if arity < 2 || depth < 1 then invalid_arg "Tree.create";
   let nnodes = (pow arity depth - 1) / (arity - 1) in
-  { arity; depth; nnodes }
+  { arity; nnodes }
 
 let root = 0
 let node_count t = t.nnodes
@@ -29,13 +29,6 @@ let children t n =
   else List.init t.arity (fun i -> first + i)
 
 let is_leaf t n = children t n = []
-
-let level t n =
-  (* Root is at level [depth]; leaves at level 1 (paper orientation). *)
-  let rec depth_of n acc =
-    match parent t n with None -> acc | Some p -> depth_of p (acc + 1)
-  in
-  t.depth - depth_of n 0
 
 (* Path from the root to [n], inclusive. *)
 let path t n =

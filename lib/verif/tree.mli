@@ -10,7 +10,6 @@ val node_count : t -> int
 val parent : t -> int -> int option
 val children : t -> int -> int list
 val is_leaf : t -> int -> bool
-val level : t -> int -> int
 
 val path : t -> int -> int list
 (** Root to node, inclusive. *)

@@ -15,6 +15,7 @@
      allocations; memory is returned to the OS only beyond a large cache
      bound (64 MiB here), so munmap is rare. *)
 
+module Errno = Mm_hal.Errno
 module Perm = Mm_hal.Perm
 
 type kind = Ptmalloc | Tcmalloc
@@ -54,14 +55,14 @@ let size_class t size = Mm_util.Align.up size t.sys.System.page_size
 
 let direct_map t size =
   t.mmap_calls <- t.mmap_calls + 1;
-  let addr = System.mmap_exn t.sys ~len:size ~perm:Perm.rw () in
+  let addr = Errno.ok_exn (System.mmap t.sys ~len:size ~perm:Perm.rw ()) in
   (* First-touch the block, as applications do. *)
-  System.touch_range_exn t.sys ~addr ~len:size ~write:true;
+  Errno.ok_exn (System.touch_range t.sys ~addr ~len:size ~write:true);
   addr
 
 let direct_unmap t ~addr ~size =
   t.munmap_calls <- t.munmap_calls + 1;
-  System.munmap_exn t.sys ~addr ~len:size
+  Errno.ok_exn (System.munmap t.sys ~addr ~len:size)
 
 let arena_alloc t size =
   let a =
@@ -69,7 +70,9 @@ let arena_alloc t size =
     | Some a when a.a_used + size <= arena_size -> a
     | _ ->
       t.mmap_calls <- t.mmap_calls + 1;
-      let addr = System.mmap_exn t.sys ~len:arena_size ~perm:Perm.rw () in
+      let addr =
+        Errno.ok_exn (System.mmap t.sys ~len:arena_size ~perm:Perm.rw ())
+      in
       let a = { a_addr = addr; a_used = 0; a_live = 0 } in
       t.arena <- Some a;
       t.arenas <- a :: t.arenas;
@@ -78,7 +81,7 @@ let arena_alloc t size =
   let addr = a.a_addr + a.a_used in
   a.a_used <- a.a_used + size;
   a.a_live <- a.a_live + 1;
-  System.touch_range_exn t.sys ~addr ~len:size ~write:true;
+  Errno.ok_exn (System.touch_range t.sys ~addr ~len:size ~write:true);
   addr
 
 let arena_free t ~addr =
@@ -93,7 +96,7 @@ let arena_free t ~addr =
     if a.a_live = 0 && a.a_used >= arena_size / 2 then begin
       (* ptmalloc trims fully-freed arenas back to the OS. *)
       t.munmap_calls <- t.munmap_calls + 1;
-      System.munmap_exn t.sys ~addr:a.a_addr ~len:arena_size;
+      Errno.ok_exn (System.munmap t.sys ~addr:a.a_addr ~len:arena_size);
       t.arenas <- List.filter (fun x -> not (x == a)) t.arenas;
       match t.arena with
       | Some x when x == a -> t.arena <- None

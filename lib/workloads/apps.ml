@@ -15,6 +15,7 @@
    - parsec-other: compute-bound kernels with negligible MM traffic
      (Figs 15/21) — used to show CortenMM does not hurt such programs. *)
 
+module Errno = Mm_hal.Errno
 module Perm = Mm_hal.Perm
 module Engine = Mm_sim.Engine
 
@@ -30,15 +31,19 @@ let jvm_thread_creation ?(isa = Mm_hal.Isa.x86_64) ~kind ~nthreads () =
   let spawn_thread () =
     (* Thread spawn: map a stack, guard page, touch the hot pages, and
        run a bit of runtime initialization. *)
-    let stack = System.mmap_exn sys ~len:stack_len ~perm:Perm.rw () in
+    let stack =
+      Errno.ok_exn (System.mmap sys ~len:stack_len ~perm:Perm.rw ())
+    in
     if System.has_mprotect sys then
-      System.mprotect_exn sys ~addr:stack ~len:sys.System.page_size
-        ~perm:Perm.none;
+      Errno.ok_exn
+        (System.mprotect sys ~addr:stack ~len:sys.System.page_size
+           ~perm:Perm.none);
     if System.demand_paging sys then
-      System.touch_range_exn sys
-        ~addr:(stack + sys.System.page_size)
-        ~len:(touched * sys.System.page_size)
-        ~write:true;
+      Errno.ok_exn
+        (System.touch_range sys
+           ~addr:(stack + sys.System.page_size)
+           ~len:(touched * sys.System.page_size)
+           ~write:true);
     Engine.tick 40_000 (* JVM-side thread bookkeeping *);
     stack
   in
@@ -49,7 +54,7 @@ let jvm_thread_creation ?(isa = Mm_hal.Isa.x86_64) ~kind ~nthreads () =
     ~prep:(fun cpu ->
       System.warm sys ~cpu;
       let stack = spawn_thread () in
-      System.munmap_exn sys ~addr:stack ~len:stack_len)
+      Errno.ok_exn (System.munmap sys ~addr:stack ~len:stack_len))
     ~measure:(fun _ -> ignore (spawn_thread ()))
     ()
 
@@ -71,7 +76,7 @@ let metis ?(isa = Mm_hal.Isa.x86_64) ~kind ~ncpus ?(chunks_per_thread = 6) () =
   let cycles =
     Runner.run_phases ~ncpus
       ~setup:(fun () ->
-        input := System.mmap_exn sys ~len:input_len ~perm:Perm.r ())
+        input := Errno.ok_exn (System.mmap sys ~len:input_len ~perm:Perm.r ()))
       ~prep:(fun cpu -> System.warm sys ~cpu)
       ()
       ~measure:(fun cpu ->
@@ -90,13 +95,16 @@ let metis ?(isa = Mm_hal.Isa.x86_64) ~kind ~ncpus ?(chunks_per_thread = 6) () =
         scan my_lo;
         (* Map-output phase: allocate 8 MiB result chunks, never freed. *)
         for k = 0 to chunks_per_thread - 1 do
-          let addr = System.mmap_exn sys ~len:chunk_len ~perm:Perm.rw () in
+          let addr =
+            Errno.ok_exn (System.mmap sys ~len:chunk_len ~perm:Perm.rw ())
+          in
           all_chunks.((cpu * chunks_per_thread) + k) <- addr;
           if System.demand_paging sys then
             for p = 0 to pages_touched_per_chunk - 1 do
-              System.touch_exn sys
-                ~vaddr:(addr + (p * (chunk_len / pages_touched_per_chunk)))
-                ~write:true
+              Errno.ok_exn
+                (System.touch sys
+                   ~vaddr:(addr + (p * (chunk_len / pages_touched_per_chunk)))
+                   ~write:true)
             done;
           Engine.tick 30_000 (* emitting intermediate pairs *)
         done;
@@ -168,11 +176,13 @@ let psearchy ?(isa = Mm_hal.Isa.x86_64) ~kind ~alloc_kind ~ncpus
         let allocator = Alloc_model.create ~kind:alloc_kind ~sys in
         for i = 0 to files_per_thread - 1 do
           (* Map a file chunk, read every page, index the words. *)
-          let addr = System.mmap_exn sys ~len:file_chunk ~perm:Perm.r () in
+          let addr =
+            Errno.ok_exn (System.mmap sys ~len:file_chunk ~perm:Perm.r ())
+          in
           (if System.demand_paging sys then
              let rec go v =
                if v < addr + file_chunk then begin
-                 System.touch_exn sys ~vaddr:v ~write:false;
+                 Errno.ok_exn (System.touch sys ~vaddr:v ~write:false);
                  Engine.tick 1_500 (* tokenizing this page *);
                  go (v + ps)
                end
@@ -182,7 +192,7 @@ let psearchy ?(isa = Mm_hal.Isa.x86_64) ~kind ~alloc_kind ~ncpus
           let postings = Alloc_model.alloc allocator ~size:(kib 192) in
           Engine.tick 25_000 (* sorting/merging *);
           Alloc_model.free allocator ~addr:postings ~size:(kib 192);
-          System.munmap_exn sys ~addr ~len:file_chunk;
+          Errno.ok_exn (System.munmap sys ~addr ~len:file_chunk);
           if i mod 8 = 0 then System.timer_tick sys
         done)
   in
@@ -220,13 +230,15 @@ let run_parsec ?(isa = Mm_hal.Isa.x86_64) ~kind ~ncpus (p : parsec) =
   let ps = sys.System.page_size in
   let base = ref 0 in
   let setup () =
-    base := System.mmap_exn sys ~len:(p.resident * ncpus) ~perm:Perm.rw ();
+    base :=
+      Errno.ok_exn
+        (System.mmap sys ~len:(p.resident * ncpus) ~perm:Perm.rw ());
     if System.demand_paging sys then begin
       (* Touch a fraction of the resident set up front. *)
       let step = 8 * ps in
       let rec go v =
         if v < !base + min (p.resident * ncpus) (mib 4) then begin
-          System.touch_exn sys ~vaddr:v ~write:true;
+          Errno.ok_exn (System.touch sys ~vaddr:v ~write:true);
           go (v + step)
         end
       in

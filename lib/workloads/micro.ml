@@ -14,6 +14,7 @@
    (and for the unmap benchmark backs the chunks) before the measured
    phase starts. *)
 
+module Errno = Mm_hal.Errno
 module Perm = Mm_hal.Perm
 
 type bench = Mmap | Mmap_pf | Unmap_virt | Unmap | Pf
@@ -75,8 +76,8 @@ let warm_shared_blocks (sys : System.t) ~cpu ~ncpus =
   let b = ref cpu in
   while !b < nblocks do
     let addr = shared_arena + (!b * block) + block - page in
-    ignore (System.mmap_exn sys ~addr ~len:page ~perm:Perm.rw ());
-    System.munmap_exn sys ~addr ~len:page;
+    ignore (Errno.ok_exn (System.mmap sys ~addr ~len:page ~perm:Perm.rw ()));
+    Errno.ok_exn (System.munmap sys ~addr ~len:page);
     b := !b + ncpus
   done
 
@@ -94,21 +95,28 @@ let run ?(isa = Mm_hal.Isa.x86_64) ~kind ~ncpus ~bench ~contention ~iters () =
       (match bench with
       | Mmap -> (
         match contention with
-        | Low -> ignore (System.mmap_exn sys ~len:region_len ~perm:Perm.rw ())
+        | Low ->
+          ignore
+            (Errno.ok_exn (System.mmap sys ~len:region_len ~perm:Perm.rw ()))
         | High ->
           ignore
-            (System.mmap_exn sys ~addr:chunk ~len:region_len ~perm:Perm.rw ()))
+            (Errno.ok_exn
+               (System.mmap sys ~addr:chunk ~len:region_len ~perm:Perm.rw ())))
       | Mmap_pf ->
         let addr =
           match contention with
-          | Low -> System.mmap_exn sys ~len:region_len ~perm:Perm.rw ()
+          | Low ->
+            Errno.ok_exn (System.mmap sys ~len:region_len ~perm:Perm.rw ())
           | High ->
-            System.mmap_exn sys ~addr:chunk ~len:region_len ~perm:Perm.rw ()
+            Errno.ok_exn
+              (System.mmap sys ~addr:chunk ~len:region_len ~perm:Perm.rw ())
         in
         (* NrOS backs pages eagerly in mmap itself. *)
         if System.demand_paging sys then
-          System.touch_range_exn sys ~addr ~len:region_len ~write:true
-      | Unmap_virt | Unmap -> System.munmap_exn sys ~addr:chunk ~len:region_len
+          Errno.ok_exn
+            (System.touch_range sys ~addr ~len:region_len ~write:true)
+      | Unmap_virt | Unmap ->
+        Errno.ok_exn (System.munmap sys ~addr:chunk ~len:region_len)
       | Pf -> (
         (* High contention: the chunk may have been unmapped. *)
         match System.touch_range sys ~addr:chunk ~len:region_len ~write:true with
@@ -120,12 +128,15 @@ let run ?(isa = Mm_hal.Isa.x86_64) ~kind ~ncpus ~bench ~contention ~iters () =
       | (Mmap | Mmap_pf), _ -> ()
       | (Unmap_virt | Unmap | Pf), High ->
         ignore
-          (System.mmap_exn sys ~addr:shared_arena ~len:arena_size ~perm:Perm.rw ())
+          (Errno.ok_exn
+             (System.mmap sys ~addr:shared_arena ~len:arena_size
+                ~perm:Perm.rw ()))
       | (Unmap_virt | Unmap | Pf), Low ->
         for cpu = 0 to ncpus - 1 do
           ignore
-            (System.mmap_exn sys ~addr:(private_arena ~cpu) ~len:arena_size
-               ~perm:Perm.rw ())
+            (Errno.ok_exn
+               (System.mmap sys ~addr:(private_arena ~cpu) ~len:arena_size
+                  ~perm:Perm.rw ()))
         done
     in
     let prep cpu =

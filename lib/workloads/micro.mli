@@ -11,9 +11,6 @@ type contention = Low | High
 
 val contention_name : contention -> string
 
-val supported : System.kind -> bench -> bool
-(** NrOS has no demand paging: PF and unmap-virt do not apply. *)
-
 val run :
   ?isa:Mm_hal.Isa.t ->
   kind:System.kind ->

@@ -37,9 +37,6 @@ val result : ops:int -> cycles:int -> result
 val start_collecting : unit -> unit
 val set_label : string -> unit
 
-val collected : unit -> (string * result) list
-(** Results so far, in construction order. *)
-
 val stop_collecting : unit -> (string * result) list
 
 val reset_world_state : unit -> unit

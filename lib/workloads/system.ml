@@ -182,20 +182,6 @@ let tlb_counters t =
   let (Instance ((module B), st)) = t.instance in
   B.tlb_counters st
 
-(* -- Exception bridges for drivers that treat failure as fatal -- *)
-
-let ok_exn = function Ok v -> v | Error e -> raise (Errno.Error e)
-let mmap_exn t ?addr ~len ~perm () = ok_exn (mmap t ?addr ~len ~perm ())
-let munmap_exn t ~addr ~len = ok_exn (munmap t ~addr ~len)
-let mprotect_exn t ~addr ~len ~perm = ok_exn (mprotect t ~addr ~len ~perm)
-let touch_exn t ~vaddr ~write = ok_exn (touch t ~vaddr ~write)
-
-let touch_range_exn t ~addr ~len ~write =
-  ok_exn (touch_range t ~addr ~len ~write)
-
-let fork_exn t = ok_exn (fork t)
-let write_value_exn t ~vaddr ~value = ok_exn (write_value t ~vaddr ~value)
-
 (* The feature matrix of the paper's Table 2 (claims of the respective
    papers/systems, reproduced verbatim). *)
 let table2_features =
@@ -240,7 +226,7 @@ let implemented_features =
    than the root). Application drivers call this in their prep phase —
    real processes run in address spaces warmed by their startup. *)
 let warm t ~cpu:_ =
-  let a = mmap_exn t ~len:t.page_size ~perm:Mm_hal.Perm.rw () in
+  let a = Errno.ok_exn (mmap t ~len:t.page_size ~perm:Mm_hal.Perm.rw ()) in
   (if demand_paging t then
      match touch t ~vaddr:a ~write:true with Ok () | Error _ -> ());
-  munmap_exn t ~addr:a ~len:t.page_size
+  Errno.ok_exn (munmap t ~addr:a ~len:t.page_size)

@@ -78,9 +78,8 @@ val has_reclaim : t -> bool
 
 (** {2 Typed operations}
 
-    Failures come back as {!Mm_hal.Errno.t} values; the [_exn] bridges
-    below raise {!Mm_hal.Errno.Error} for drivers that treat them as
-    fatal. *)
+    Failures come back as {!Mm_hal.Errno.t} values; drivers that treat
+    them as fatal unwrap them with {!Mm_hal.Errno.ok_exn}. *)
 
 val mmap :
   t ->
@@ -144,16 +143,6 @@ val set_shootdown_policy : t -> Mm_tlb.Tlb.policy -> unit
 
 val tlb_counters : t -> Mm_tlb.Tlb.counters
 (** Shootdown accounting (IPIs, batch flushes, worst deferral stall). *)
-
-val mmap_exn :
-  t -> ?addr:int -> len:int -> perm:Mm_hal.Perm.t -> unit -> int
-
-val munmap_exn : t -> addr:int -> len:int -> unit
-val mprotect_exn : t -> addr:int -> len:int -> perm:Mm_hal.Perm.t -> unit
-val touch_exn : t -> vaddr:int -> write:bool -> unit
-val touch_range_exn : t -> addr:int -> len:int -> write:bool -> unit
-val fork_exn : t -> t
-val write_value_exn : t -> vaddr:int -> value:int -> unit
 
 val warm : t -> cpu:int -> unit
 (** One throwaway mapping on the calling CPU's fiber, materializing its

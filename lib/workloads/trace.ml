@@ -27,6 +27,7 @@
    pre-fork traces round-trip byte-identically. [fork]'s @proc is the
    parent; the child inherits the parent's regions. *)
 
+module Errno = Mm_hal.Errno
 module Perm = Mm_hal.Perm
 
 type op =
@@ -475,14 +476,14 @@ let replay ?(isa = Mm_hal.Isa.x86_64) ~kind trace =
               | T_mmap { id; len; writable } ->
                 incr mmaps;
                 let perm = if writable then Perm.rw else Perm.r in
-                let addr = System.mmap_exn sys ~len ~perm () in
+                let addr = Errno.ok_exn (System.mmap sys ~len ~perm ()) in
                 Hashtbl.replace regions (proc, id) (addr, len)
               | T_munmap { id } -> (
                 match Hashtbl.find_opt regions (proc, id) with
                 | Some (addr, len) ->
                   incr munmaps;
                   Hashtbl.remove regions (proc, id);
-                  System.munmap_exn sys ~addr ~len
+                  Errno.ok_exn (System.munmap sys ~addr ~len)
                 | None -> ())
               | T_touch { id; page; write } -> (
                 match Hashtbl.find_opt regions (proc, id) with
@@ -497,8 +498,9 @@ let replay ?(isa = Mm_hal.Isa.x86_64) ~kind trace =
               | T_mprotect { id; writable } -> (
                 match Hashtbl.find_opt regions (proc, id) with
                 | Some (addr, len) when System.has_mprotect sys ->
-                  System.mprotect_exn sys ~addr ~len
-                    ~perm:(if writable then Perm.rw else Perm.r)
+                  Errno.ok_exn
+                    (System.mprotect sys ~addr ~len
+                       ~perm:(if writable then Perm.rw else Perm.r))
                 | Some _ | None -> ())
               | T_fork { child } -> (
                 match System.fork sys with

@@ -195,7 +195,7 @@ let test_fork_unfaulted_marks cfg =
 let test_fork_shared_anon cfg =
   in_sim (fun () ->
       let kernel, asp = make_asp ~cfg () in
-      let shm = File.shm ~size:(kib 16) in
+      let shm = File.shm () in
       let addr =
         Mm_compat.mmap asp ~backing:(Mm.Shared (shm, 0)) ~len:(kib 16) ~perm:Perm.rw ()
       in
@@ -369,7 +369,7 @@ let test_swap_skips_shared cfg =
 let test_private_file_read cfg =
   in_sim (fun () ->
       let _, asp = make_asp ~cfg () in
-      let file = File.regular ~name:"data.bin" ~size:(kib 64) in
+      let file = File.regular ~name:"data.bin" in
       let addr =
         Mm_compat.mmap asp
           ~backing:(Mm.File_private (file, kib 8))
@@ -385,7 +385,7 @@ let test_private_file_read cfg =
 let test_private_file_cow cfg =
   in_sim (fun () ->
       let _, asp = make_asp ~cfg () in
-      let file = File.regular ~name:"data.bin" ~size:(kib 64) in
+      let file = File.regular ~name:"data.bin" in
       let addr =
         Mm_compat.mmap asp
           ~backing:(Mm.File_private (file, 0))
@@ -405,7 +405,7 @@ let test_private_file_cow cfg =
 let test_shared_file_write_and_msync cfg =
   in_sim (fun () ->
       let _, asp = make_asp ~cfg () in
-      let file = File.regular ~name:"log.bin" ~size:(kib 16) in
+      let file = File.regular ~name:"log.bin" in
       let addr =
         Mm_compat.mmap asp ~backing:(Mm.Shared (file, 0)) ~len:(kib 16) ~perm:Perm.rw ()
       in
@@ -421,7 +421,7 @@ let test_shared_file_write_and_msync cfg =
 let test_file_rmap cfg =
   in_sim (fun () ->
       let _, asp = make_asp ~cfg () in
-      let file = File.regular ~name:"lib.so" ~size:(kib 64) in
+      let file = File.regular ~name:"lib.so" in
       let addr =
         Mm_compat.mmap asp ~backing:(Mm.File_private (file, 0)) ~len:(kib 16)
           ~perm:Perm.r ()

@@ -139,7 +139,7 @@ let test_madvise_data_gone () =
 let test_madvise_spares_files () =
   in_sim (fun () ->
       let _, asp = make_asp () in
-      let file = File.regular ~name:"data" ~size:(kib 16) in
+      let file = File.regular ~name:"data" in
       let a =
         Mm_compat.mmap asp ~backing:(Mm.File_private (file, 0)) ~len:(kib 16)
           ~perm:Perm.r ()

@@ -12,6 +12,7 @@ module Metrics = Mm_obs.Metrics
 module Contention = Mm_obs.Contention
 module Json = Mm_obs.Json
 module Chrome = Mm_obs.Chrome
+module Errno = Mm_hal.Errno
 module Micro = Mm_workloads.Micro
 module Runner = Mm_workloads.Runner
 module System = Mm_workloads.System
@@ -375,24 +376,27 @@ let test_checker_kinds_traced () =
   let b = Runner.Barrier.make ~total:2 in
   let forked = ref 0 in
   Engine.spawn w ~cpu:0 (fun () ->
-      forked := System.mmap_exn sys ~len ~perm:Mm_hal.Perm.rw ();
+      forked := Errno.ok_exn (System.mmap sys ~len ~perm:Mm_hal.Perm.rw ());
       for p = 0 to pages - 1 do
-        System.write_value_exn sys ~vaddr:(!forked + (p * ps)) ~value:p
+        Errno.ok_exn
+          (System.write_value sys ~vaddr:(!forked + (p * ps)) ~value:p)
       done;
       Runner.Barrier.wait b;
       Runner.Barrier.wait b;
-      System.munmap_exn sys ~addr:!forked ~len;
+      Errno.ok_exn (System.munmap sys ~addr:!forked ~len);
       Engine.tick 20_000;
       System.timer_tick sys;
       Runner.Barrier.wait b);
   Engine.spawn w ~cpu:1 (fun () ->
       Runner.Barrier.wait b;
-      System.touch_range_exn sys ~addr:!forked ~len ~write:false;
-      System.destroy (System.fork_exn sys);
+      Errno.ok_exn (System.touch_range sys ~addr:!forked ~len ~write:false);
+      System.destroy (Errno.ok_exn (System.fork sys));
       Runner.Barrier.wait b;
       Runner.Barrier.wait b;
-      let fresh = System.mmap_exn sys ~len ~perm:Mm_hal.Perm.rw () in
-      System.touch_range_exn sys ~addr:fresh ~len ~write:true;
+      let fresh =
+        Errno.ok_exn (System.mmap sys ~len ~perm:Mm_hal.Perm.rw ())
+      in
+      Errno.ok_exn (System.touch_range sys ~addr:fresh ~len ~write:true);
       ignore (System.pressure sys ~target_pages:pages));
   Engine.run w;
   Trace.clear_checker ();

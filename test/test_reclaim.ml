@@ -74,8 +74,8 @@ let test_file_pager_roundtrip () =
             f'.Frame.contents;
           p.Pager.dealloc ())
         [
-          (File.regular ~name:"rt.dat" ~size:(16 * page), "file");
-          (File.shm ~size:(16 * page), "shm");
+          (File.regular ~name:"rt.dat", "file");
+          (File.shm (), "shm");
         ])
 
 (* -- Wired pages survive a forced full-pressure storm -- *)
@@ -182,7 +182,7 @@ let test_file_reclaim_writeback cfg =
       let dev = Blockdev.create ~name:"swap-file" () in
       let d = Pageoutd.create kernel ~dev () in
       Pageoutd.register_space d asp;
-      let file = File.shm ~size:(4 * page) in
+      let file = File.shm () in
       Pageoutd.register_file d file;
       let addr =
         Mm_compat.mmap asp ~len:(4 * page) ~perm:Perm.rw

@@ -10,6 +10,7 @@ module Apps = Mm_workloads.Apps
 module Alloc_model = Mm_workloads.Alloc_model
 module Runner = Mm_workloads.Runner
 module Perm = Mm_hal.Perm
+module Errno = Mm_hal.Errno
 
 let check = Alcotest.check
 
@@ -50,10 +51,11 @@ let test_system_smoke () =
       let cycles =
         Runner.run_phases ~ncpus:2 ()
           ~measure:(fun _ ->
-            let a = System.mmap_exn sys ~len:16384 ~perm:Perm.rw () in
+            let a = Errno.ok_exn (System.mmap sys ~len:16384 ~perm:Perm.rw ()) in
             (if System.demand_paging sys then
-               System.touch_range_exn sys ~addr:a ~len:16384 ~write:true);
-            System.munmap_exn sys ~addr:a ~len:16384)
+               Errno.ok_exn
+                 (System.touch_range sys ~addr:a ~len:16384 ~write:true));
+            Errno.ok_exn (System.munmap sys ~addr:a ~len:16384))
       in
       check Alcotest.bool
         (sys.System.name ^ " does work")
