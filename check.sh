@@ -7,12 +7,16 @@ cd "$(dirname "$0")"
 
 echo "== dune build =="
 dune build
+# The steps below call what the build made directly: each `dune exec`
+# would cost about a quarter of a second of dune start-up.
+mmrepro=./_build/default/bin/mmrepro.exe
+jsoncheck=./_build/default/bin/jsoncheck.exe
 
 echo "== dune runtest =="
 dune runtest
 
 echo "== run smoke: fig13 --json/--trace/--wallclock =="
-dune exec bin/mmrepro.exe -- run fig13 --json /tmp/b.json \
+$mmrepro run fig13 --json /tmp/b.json \
   --trace /tmp/t.json --wallclock=/tmp/wallclock.json \
   --report > /tmp/check_bench.out 2>&1 \
   || { cat /tmp/check_bench.out; exit 1; }
@@ -21,9 +25,9 @@ tail -n 3 /tmp/check_bench.out
 echo "== run: --trace leaves the --json results byte-identical =="
 # A traced run records the checker's events too (frames, objects,
 # reclaim); recording must not move a simulated number.
-dune exec bin/mmrepro.exe -- run fig13 --json /tmp/zp_plain.json \
+$mmrepro run fig13 --json /tmp/zp_plain.json \
   > /dev/null 2>&1
-dune exec bin/mmrepro.exe -- run fig13 --json /tmp/zp_traced.json \
+$mmrepro run fig13 --json /tmp/zp_traced.json \
   --trace /tmp/zp_trace.json > /dev/null 2>&1
 cmp /tmp/zp_plain.json /tmp/zp_traced.json \
   || { echo "run: --trace changed the --json results"; exit 1; }
@@ -34,9 +38,9 @@ echo "== trajectory: every entry at -j 2 reproduces BENCH_cycles.json =="
 # MM_FIG14_SUBSET subset: the whole sweep does not fit in 8 GB yet. A
 # change that moves a simulated number must commit the new file; the
 # diff names the cells that moved.
-all_ids=$(dune exec bin/mmrepro.exe -- list | grep -v '^backends:' \
+all_ids=$($mmrepro list | grep -v '^backends:' \
   | cut -d' ' -f1)
-MM_FIG14_SUBSET=1 dune exec bin/mmrepro.exe -- run $all_ids \
+MM_FIG14_SUBSET=1 $mmrepro run $all_ids \
   --json /tmp/cycles.json -j 2 > /tmp/all_j2.out 2>/dev/null
 if ! cmp -s BENCH_cycles.json /tmp/cycles.json; then
   echo "trajectory: simulated totals differ from BENCH_cycles.json" \
@@ -73,7 +77,7 @@ same_as_j2() { # NAME OUT JSON ID...: a -j 1 run vs its -j 2 slice
 }
 
 echo "== run parallel: -j 2 stream and JSON byte-identical to -j 1 =="
-dune exec bin/mmrepro.exe -- run fig1 fig13 --json /tmp/bj.json \
+$mmrepro run fig1 fig13 --json /tmp/bj.json \
   > /tmp/bench_j1.out 2>/dev/null
 same_as_j2 "fig1 fig13" /tmp/bench_j1.out /tmp/bj.json fig1 fig13
 
@@ -81,7 +85,7 @@ echo "== run: the seven Run entries, -j 2 stream and JSON byte-identical to -j 1
 # Each print-as-you-go entry runs as a plan of one printing cell; at
 # -j 2 the single-cell plans share the pool with every other cell.
 run_ids="tab2 fig18 fig22 tab4 tab5 ext-thp ext-swapd"
-dune exec bin/mmrepro.exe -- run $run_ids --json /tmp/rj.json \
+$mmrepro run $run_ids --json /tmp/rj.json \
   > /tmp/run_j1.out 2>/dev/null
 same_as_j2 "Run entries" /tmp/run_j1.out /tmp/rj.json $run_ids
 
@@ -90,12 +94,12 @@ echo "== run cells: reduced fig14 -j 2 stream and JSON byte-identical to -j 1 ==
 # decomposes into per-(contention, bench, cores, system) cells that run
 # on separate domains at -j 2, so this exercises the intra-entry cell
 # pool rather than entry-level parallelism.
-MM_FIG14_SUBSET=1 dune exec bin/mmrepro.exe -- run fig14 \
+MM_FIG14_SUBSET=1 $mmrepro run fig14 \
   --json /tmp/f14.json > /tmp/f14_j1.out 2>/dev/null
 same_as_j2 "fig14 cells" /tmp/f14_j1.out /tmp/f14.json fig14
 
 echo "== run parallel: --wallclock two-pass self-gate at -j 2 =="
-dune exec bin/mmrepro.exe -- run fig13 \
+$mmrepro run fig13 \
   --wallclock=/tmp/wallclock2.json -j 2 > /dev/null 2>&1 \
   || { echo "run: -j 2 --wallclock pass failed"; exit 1; }
 
@@ -109,19 +113,19 @@ for flag in "run tab2 -j" "oracle -j" "oracle --cpus" "oracle --ops" \
   "schedcheck --seeds" "schedcheck --amplitude"; do
   for bad in 0 -4 x; do
     rc=0
-    dune exec bin/mmrepro.exe -- $flag "$bad" > /dev/null 2>&1 || rc=$?
+    $mmrepro $flag "$bad" > /dev/null 2>&1 || rc=$?
     [ "$rc" -eq 124 ] \
       || { echo "mmrepro $flag $bad: exit $rc, expected 124"; exit 1; }
   done
 done
 
 echo "== differential oracle: seeded traces across all backends =="
-dune exec bin/mmrepro.exe -- oracle --profile mixed --cpus 4 --ops 120 --seed 42
-dune exec bin/mmrepro.exe -- oracle --profile churn --cpus 2 --ops 150 --seed 7
-dune exec bin/mmrepro.exe -- oracle --profile forks --cpus 2 --ops 60 --seed 4
-dune exec bin/mmrepro.exe -- oracle --profile mixed --cpus 4 --ops 120 \
+$mmrepro oracle --profile mixed --cpus 4 --ops 120 --seed 42
+$mmrepro oracle --profile churn --cpus 2 --ops 150 --seed 7
+$mmrepro oracle --profile forks --cpus 2 --ops 60 --seed 4
+$mmrepro oracle --profile mixed --cpus 4 --ops 120 \
   --seed 42 -j 2 > /tmp/oracle_j2.out
-dune exec bin/mmrepro.exe -- oracle --profile mixed --cpus 4 --ops 120 \
+$mmrepro oracle --profile mixed --cpus 4 --ops 120 \
   --seed 42 > /tmp/oracle_j1.out
 cmp /tmp/oracle_j1.out /tmp/oracle_j2.out \
   || { echo "oracle: -j 2 verdict differs from -j 1"; exit 1; }
@@ -130,75 +134,75 @@ echo "== oracle: the injected COW fork mutant is caught =="
 # clone_for_fork "forgets" to write-protect the parent, so a post-fork
 # parent store leaks into a still-shared frame and the child's read
 # observes it; the fork-tree value model must report the divergence.
-if dune exec bin/mmrepro.exe -- oracle --profile forks --cpus 2 --ops 60 \
+if $mmrepro oracle --profile forks --cpus 2 --ops 60 \
      --seed 5 --cow-mutant > /dev/null 2>&1; then
   echo "oracle: --cow-mutant NOT caught"; exit 1
 fi
 
 echo "== schedcheck: fixed-seed schedule exploration smoke (both protocols) =="
-dune exec bin/mmrepro.exe -- schedcheck --protocol both --cpus 4 --ops 10 \
+$mmrepro schedcheck --protocol both --cpus 4 --ops 10 \
   --seeds 5 --seed0 1 --workload-seed 42 > /tmp/sched_j1.out
 cat /tmp/sched_j1.out
-dune exec bin/mmrepro.exe -- schedcheck --protocol both --cpus 4 --ops 10 \
+$mmrepro schedcheck --protocol both --cpus 4 --ops 10 \
   --seeds 5 --seed0 1 --workload-seed 42 -j 2 > /tmp/sched_j2.out
 cmp /tmp/sched_j1.out /tmp/sched_j2.out \
   || { echo "schedcheck: -j 2 clean explore differs from -j 1"; exit 1; }
 
 echo "== schedcheck: injected mutants are caught and shrink to a replay =="
-if dune exec bin/mmrepro.exe -- schedcheck --protocol rw \
+if $mmrepro schedcheck --protocol rw \
      --mutant rw-skip-handoff --seeds 10 --out /tmp/schedcheck_rw.sched \
      > /dev/null 2>&1; then
   echo "schedcheck: rw-skip-handoff mutant NOT caught"; exit 1
 fi
-if dune exec bin/mmrepro.exe -- schedcheck --protocol rw \
+if $mmrepro schedcheck --protocol rw \
      --mutant rw-skip-handoff --seeds 10 --out /tmp/schedcheck_rw_j2.sched \
      -j 2 > /dev/null 2>&1; then
   echo "schedcheck: rw-skip-handoff mutant NOT caught at -j 2"; exit 1
 fi
 cmp /tmp/schedcheck_rw.sched /tmp/schedcheck_rw_j2.sched \
   || { echo "schedcheck: -j 2 minimal schedule differs from -j 1"; exit 1; }
-if dune exec bin/mmrepro.exe -- schedcheck --protocol adv \
+if $mmrepro schedcheck --protocol adv \
      --mutant rcu-no-gp --seeds 10 --out /tmp/schedcheck_rcu.sched \
      > /dev/null 2>&1; then
   echo "schedcheck: rcu-no-gp mutant NOT caught"; exit 1
 fi
-if dune exec bin/mmrepro.exe -- schedcheck --replay /tmp/schedcheck_rw.sched \
+if $mmrepro schedcheck --replay /tmp/schedcheck_rw.sched \
      > /dev/null 2>&1; then
   echo "schedcheck: minimized schedule replayed clean"; exit 1
 fi
 
 echo "== schedcheck: committed minimal schedule still reproduces =="
-if dune exec bin/mmrepro.exe -- schedcheck \
+if $mmrepro schedcheck \
      --replay test/schedules/rw_skip_handoff.sched > /dev/null 2>&1; then
   echo "schedcheck: committed schedule replayed clean"; exit 1
 fi
 
 echo "== serve smoke: open-loop session fleet, determinism =="
-dune exec bin/mmrepro.exe -- serve --sessions 500 --cpus 4 \
+$mmrepro serve --sessions 500 --cpus 4 \
   --json /tmp/serve1.json > /tmp/check_serve.out 2>&1 \
   || { cat /tmp/check_serve.out; exit 1; }
 tail -n +3 /tmp/check_serve.out | head -n 4
-dune exec bin/mmrepro.exe -- serve --sessions 500 --cpus 4 \
+$mmrepro serve --sessions 500 --cpus 4 \
   --json /tmp/serve2.json -j 2 > /dev/null
 cmp /tmp/serve1.json /tmp/serve2.json \
   || { echo "serve: -j 2 or equal seeds gave different JSON"; exit 1; }
-if dune exec bin/mmrepro.exe -- serve --mix bogus > /dev/null 2>&1; then
+if $mmrepro serve --mix bogus > /dev/null 2>&1; then
   echo "serve: unknown mix NOT rejected"; exit 1
 fi
 
 echo "== serve smoke: fork_fleet mix, determinism =="
-dune exec bin/mmrepro.exe -- serve --mix fork_fleet --sessions 240 --cpus 2 \
+$mmrepro serve --mix fork_fleet --sessions 240 --cpus 2 \
   --json /tmp/fleet1.json > /tmp/check_fleet.out 2>&1 \
   || { cat /tmp/check_fleet.out; exit 1; }
 tail -n +3 /tmp/check_fleet.out | head -n 4
-dune exec bin/mmrepro.exe -- serve --mix fork_fleet --sessions 240 --cpus 2 \
+$mmrepro serve --mix fork_fleet --sessions 240 --cpus 2 \
   --json /tmp/fleet2.json -j 2 > /dev/null
 cmp /tmp/fleet1.json /tmp/fleet2.json \
   || { echo "serve: fork_fleet -j 2 or rerun gave different JSON"; exit 1; }
 
 echo "== ext-fleet: process-fleet experiment, -j 2 byte-identical =="
-dune exec bin/mmrepro.exe -- run ext-fleet > /tmp/fleet_j1.out 2>/dev/null
-dune exec bin/mmrepro.exe -- run ext-fleet -j 2 > /tmp/fleet_j2.out 2>/dev/null
+$mmrepro run ext-fleet > /tmp/fleet_j1.out 2>/dev/null
+$mmrepro run ext-fleet -j 2 > /tmp/fleet_j2.out 2>/dev/null
 cmp /tmp/fleet_j1.out /tmp/fleet_j2.out \
   || { echo "ext-fleet: -j 2 output differs from -j 1"; exit 1; }
 
@@ -206,10 +210,10 @@ echo "== oracle: reclaim trace clean across backends, -j 2 identical =="
 # mlock/munlock/pressure ops run on the reclaim-capable backends and are
 # capability-masked elsewhere; residency is compared only under equal
 # reclaim coverage while the value model is compared everywhere.
-dune exec bin/mmrepro.exe -- oracle --profile reclaim --cpus 2 --ops 150 \
+$mmrepro oracle --profile reclaim --cpus 2 --ops 150 \
   --seed 7 > /tmp/reclaim_j1.out
 cat /tmp/reclaim_j1.out
-dune exec bin/mmrepro.exe -- oracle --profile reclaim --cpus 2 --ops 150 \
+$mmrepro oracle --profile reclaim --cpus 2 --ops 150 \
   --seed 7 -j 2 > /tmp/reclaim_j2.out
 cmp /tmp/reclaim_j1.out /tmp/reclaim_j2.out \
   || { echo "oracle: reclaim -j 2 verdict differs from -j 1"; exit 1; }
@@ -218,17 +222,17 @@ echo "== oracle: the injected reclaim mutant is caught =="
 # put_pages "skips the dirty writeback": the swap block is reserved but
 # the token never reaches the device, so the refault after a page-out
 # reads zero and the value model must report the divergence.
-if dune exec bin/mmrepro.exe -- oracle --profile reclaim --cpus 2 --ops 150 \
+if $mmrepro oracle --profile reclaim --cpus 2 --ops 150 \
      --seed 7 --reclaim-mutant > /dev/null 2>&1; then
   echo "oracle: --reclaim-mutant NOT caught"; exit 1
 fi
 
 echo "== serve smoke: reclaim_storm mix, determinism =="
-dune exec bin/mmrepro.exe -- serve --mix reclaim_storm --sessions 240 --cpus 2 \
+$mmrepro serve --mix reclaim_storm --sessions 240 --cpus 2 \
   --json /tmp/storm1.json > /tmp/check_storm.out 2>&1 \
   || { cat /tmp/check_storm.out; exit 1; }
 tail -n +3 /tmp/check_storm.out | head -n 4
-dune exec bin/mmrepro.exe -- serve --mix reclaim_storm --sessions 240 --cpus 2 \
+$mmrepro serve --mix reclaim_storm --sessions 240 --cpus 2 \
   --json /tmp/storm2.json -j 2 > /dev/null
 cmp /tmp/storm1.json /tmp/storm2.json \
   || { echo "serve: reclaim_storm -j 2 or rerun gave different JSON"; exit 1; }
@@ -237,10 +241,10 @@ echo "== reclaim: 2-vCPU trace replays with no denied access =="
 # Page-outs on one vCPU race the other vCPU's accesses: no stale remote
 # translation may survive a page-out, and an access racing one must
 # fault the page back in rather than report SIGSEGV.
-dune exec bin/mmrepro.exe -- trace gen /tmp/reclaim2.trace --profile reclaim \
+$mmrepro trace gen /tmp/reclaim2.trace --profile reclaim \
   --cpus 2 --ops 20000 --seed 1 > /dev/null
 for sys in cortenmm-rw cortenmm-adv; do
-  dune exec bin/mmrepro.exe -- trace replay /tmp/reclaim2.trace \
+  $mmrepro trace replay /tmp/reclaim2.trace \
     --system "$sys" > /tmp/reclaim2_replay.out 2>&1 \
     || { cat /tmp/reclaim2_replay.out; exit 1; }
   grep -q "denied 0$" /tmp/reclaim2_replay.out \
@@ -248,7 +252,7 @@ for sys in cortenmm-rw cortenmm-adv; do
 done
 
 echo "== serve smoke: reclaim_storm on 8 vCPUs completes =="
-dune exec bin/mmrepro.exe -- serve --mix reclaim_storm \
+$mmrepro serve --mix reclaim_storm \
   --systems cortenmm-rw,cortenmm-adv --policies batched,immediate \
   --sessions 240 --cpus 8 > /tmp/check_storm8.out 2>&1 \
   || { cat /tmp/check_storm8.out; exit 1; }
@@ -256,14 +260,14 @@ dune exec bin/mmrepro.exe -- serve --mix reclaim_storm \
 echo "== fig1 golden digest: riders charge zero cycles when off =="
 # Re-run the pinned digest test by name: the daemon-off default world
 # must stay bit-identical to the seed across every feature rider.
-dune exec test/test_workloads.exe -- test golden > /tmp/check_golden.out 2>&1 \
+./_build/default/test/test_workloads.exe test golden > /tmp/check_golden.out 2>&1 \
   || { cat /tmp/check_golden.out; exit 1; }
 tail -n 2 /tmp/check_golden.out
 # The fork/exit and reclaim scans are pinned the same way: a fork_fleet
 # serve round on every system and a 2-vCPU Reclaim replay on CortenMM;
 # NrOS's per-page replay and fork copy by a 2-vCPU NrOS world.
 for t in test_serve test_reclaim test_baselines; do
-  dune exec "test/$t.exe" -- test golden > "/tmp/check_golden_$t.out" 2>&1 \
+  "./_build/default/test/$t.exe" test golden > "/tmp/check_golden_$t.out" 2>&1 \
     || { cat "/tmp/check_golden_$t.out"; exit 1; }
   tail -n 2 "/tmp/check_golden_$t.out"
 done
@@ -271,19 +275,19 @@ done
 echo "== run: write BENCH_wallclock.json (default --wallclock path) =="
 # The file is gitignored, so a fresh clone has none: produce it here
 # rather than validate a leftover from an earlier run.
-dune exec bin/mmrepro.exe -- run fig13 --wallclock > /dev/null 2>&1 \
+$mmrepro run fig13 --wallclock > /dev/null 2>&1 \
   || { echo "run: --wallclock to the default path failed"; exit 1; }
 
 echo "== validate JSON outputs =="
-dune exec bin/jsoncheck.exe -- --results /tmp/b.json
-dune exec bin/jsoncheck.exe -- --results /tmp/cycles.json
-dune exec bin/jsoncheck.exe -- --chrome /tmp/t.json
-dune exec bin/jsoncheck.exe -- --wallclock /tmp/wallclock.json
-dune exec bin/jsoncheck.exe -- --wallclock /tmp/wallclock2.json
-dune exec bin/jsoncheck.exe -- --wallclock BENCH_wallclock.json
-dune exec bin/jsoncheck.exe -- /tmp/serve1.json
-dune exec bin/jsoncheck.exe -- /tmp/fleet1.json
-dune exec bin/jsoncheck.exe -- /tmp/storm1.json
+$jsoncheck --results /tmp/b.json
+$jsoncheck --results /tmp/cycles.json
+$jsoncheck --chrome /tmp/t.json
+$jsoncheck --wallclock /tmp/wallclock.json
+$jsoncheck --wallclock /tmp/wallclock2.json
+$jsoncheck --wallclock BENCH_wallclock.json
+$jsoncheck /tmp/serve1.json
+$jsoncheck /tmp/fleet1.json
+$jsoncheck /tmp/storm1.json
 
 echo "== wall-clock summary =="
 grep -A 100 '## Wall-clock per experiment driver' /tmp/check_bench.out \
