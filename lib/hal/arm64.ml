@@ -46,7 +46,7 @@ let encode ~level (pte : Pte.t) =
     if level <= 1 then invalid_arg "ARMv8: table entry at leaf level";
     let b = set_bit 0 valid_bit true in
     let b = set_bit b type_bit true in
-    word (set_field b ~lo:pfn_lo ~width:pfn_width pfn)
+    word ~bit63:false (set_field b ~lo:pfn_lo ~width:pfn_width pfn)
   | Pte.Leaf { pfn; perm; accessed; dirty; global } ->
     if not perm.Perm.read then
       invalid_arg "ARMv8: present leaf is always readable (use Absent)";
@@ -66,7 +66,7 @@ let encode ~level (pte : Pte.t) =
     let b = set_bit b pxn_bit true in
     let b = set_bit b cow_bit perm.Perm.cow in
     let b = set_bit b dirty_bit dirty in
-    word (set_field b ~lo:pfn_lo ~width:pfn_width pfn)
+    word ~bit63:false (set_field b ~lo:pfn_lo ~width:pfn_width pfn)
 
 let decode ~level w =
   let b = bits w in
@@ -79,10 +79,10 @@ let decode ~level w =
     else if not leaf then Pte.Table { pfn }
     else
       let perm =
-        Perm.make ~read:true
+        Perm.of_flags ~read:true
           ~write:(not (get_bit b ap2_bit))
           ~execute:(not (get_bit b uxn_bit))
-          ~user:(get_bit b ap1_bit) ~cow:(get_bit b cow_bit) ~mpk_key:0 ()
+          ~user:(get_bit b ap1_bit) ~cow:(get_bit b cow_bit) ~mpk_key:0
       in
       Pte.Leaf
         {

@@ -31,13 +31,19 @@ let build_table () =
   Atomic.set table t;
   t
 
-let make ?(read = true) ?(write = false) ?(execute = false) ?(user = true)
-    ?(cow = false) ?(mpk_key = 0) () =
-  if mpk_key < 0 || mpk_key > 15 then invalid_arg "Perm.make: mpk_key";
+(* Every argument is required, so a decoder's call passes no [Some]
+   boxes: without cross-module inlining each optional argument passed
+   allocates one. *)
+let of_flags ~read ~write ~execute ~user ~cow ~mpk_key =
+  if mpk_key < 0 || mpk_key > 15 then invalid_arg "Perm.of_flags: mpk_key";
   let table = match Atomic.get table with [||] -> build_table () | t -> t in
   let bit b n = Bool.to_int b lsl n in
   table.(bit read 0 lor bit write 1 lor bit execute 2 lor bit user 3
          lor bit cow 4 lor (mpk_key lsl 5))
+
+let make ?(read = true) ?(write = false) ?(execute = false) ?(user = true)
+    ?(cow = false) ?(mpk_key = 0) () =
+  of_flags ~read ~write ~execute ~user ~cow ~mpk_key
 
 let r =
   { read = true; write = false; execute = false; user = true; cow = false;

@@ -20,6 +20,18 @@ val make :
   unit ->
   t
 
+val of_flags :
+  read:bool ->
+  write:bool ->
+  execute:bool ->
+  user:bool ->
+  cow:bool ->
+  mpk_key:int ->
+  t
+(** [make] with every flag given: the PTE decoders' constructor. Both
+    return shared values, one per combination of flags and key. Raises
+    [Invalid_argument] for a key outside 0..15. *)
+
 val none : t
 val r : t
 val rw : t

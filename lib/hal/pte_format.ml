@@ -59,6 +59,6 @@ let set_field b ~lo ~width v =
 
 (* Rebuild the hardware word from bits 0-62 assembled in a native int,
    plus bit 63. The mask strips the sign-extension of native bit 62. *)
-let word ?(bit63 = false) b =
+let word ~bit63 b =
   let w = Int64.logand (Int64.of_int b) 0x7FFF_FFFF_FFFF_FFFFL in
   if bit63 then Int64.logor w Int64.min_int else w

@@ -41,7 +41,7 @@ let encode ~level (pte : Pte.t) =
   | Pte.Table { pfn } ->
     if level <= 1 then invalid_arg "Sv48: table entry at leaf level";
     let b = set_bit 0 v_bit true in
-    word (set_field b ~lo:pfn_lo ~width:pfn_width pfn)
+    word ~bit63:false (set_field b ~lo:pfn_lo ~width:pfn_width pfn)
   | Pte.Leaf { pfn; perm; accessed; dirty; global } ->
     if not (perm.Perm.read || perm.Perm.execute) then
       invalid_arg "Sv48: leaf must have R or X (R=W=X=0 means pointer)";
@@ -60,7 +60,7 @@ let encode ~level (pte : Pte.t) =
     let b = set_bit b a_bit accessed in
     let b = set_bit b d_bit dirty in
     let b = set_bit b cow_bit perm.Perm.cow in
-    word (set_field b ~lo:pfn_lo ~width:pfn_width pfn)
+    word ~bit63:false (set_field b ~lo:pfn_lo ~width:pfn_width pfn)
 
 let decode ~level w =
   let b = bits w in
@@ -72,9 +72,9 @@ let decode ~level w =
     else if not leaf then Pte.Absent (* R=W=X=0 at level 1 is malformed *)
     else
       let perm =
-        Perm.make ~read:(get_bit b r_bit) ~write:(get_bit b w_bit)
+        Perm.of_flags ~read:(get_bit b r_bit) ~write:(get_bit b w_bit)
           ~execute:(get_bit b x_bit) ~user:(get_bit b u_bit)
-          ~cow:(get_bit b cow_bit) ~mpk_key:0 ()
+          ~cow:(get_bit b cow_bit) ~mpk_key:0
       in
       Pte.Leaf
         {

@@ -48,7 +48,7 @@ let encode ~level (pte : Pte.t) =
     let b = set_bit 0 p_bit true in
     let b = set_bit b rw_bit true in
     let b = set_bit b us_bit true in
-    word (set_field b ~lo:pfn_lo ~width:pfn_width pfn)
+    word ~bit63:false (set_field b ~lo:pfn_lo ~width:pfn_width pfn)
   | Pte.Leaf { pfn; perm; accessed; dirty; global } ->
     if not perm.Perm.read then
       invalid_arg "x86-64: present leaf is always readable (use Absent)";
@@ -77,11 +77,10 @@ let decode ~level w =
     if level > 1 && not huge then Pte.Table { pfn }
     else
       let perm =
-        Perm.make ~read:true ~write:(get_bit b rw_bit)
+        Perm.of_flags ~read:true ~write:(get_bit b rw_bit)
           ~execute:(w >= 0L) (* XD is bit 63: the boxed word's sign *)
           ~user:(get_bit b us_bit) ~cow:(get_bit b cow_bit)
           ~mpk_key:(field b ~lo:pku_lo ~width:pku_width)
-          ()
       in
       Pte.Leaf
         {
