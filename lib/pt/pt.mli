@@ -12,10 +12,13 @@
 open Mm_hal
 
 type chunk
-(** 64 of a node's entries: their raw hardware words, unboxed, and the
-    decoded mirror of those words. A stretch no present store has
-    reached shares one empty chunk, whose raw words are 0 ([Absent] in
-    every PTE format). *)
+(** 64 of a node's entries: their raw hardware words, unboxed, and a
+    mirror that caches their decodes. A store leaves its slot of the
+    mirror undecoded (or [Absent] over word 0), and the first read of
+    the entry decodes the word and keeps the decode, so a present entry
+    nothing reads costs no host words beyond its chunk. A stretch no
+    present store has reached shares one empty chunk, whose raw words
+    are 0 ([Absent] in every PTE format). *)
 
 type occ
 (** A node's occupancy bits: one per entry, set exactly when the entry
@@ -192,5 +195,7 @@ val check_well_formed : 'm t -> unit
 (** The paper's Fig 12 invariant: every present entry is a last-level leaf
     or points to a valid PT page exactly one level down with a correct
     parent link; present counts and occupancy bits match the decoded
-    entries; no node is reachable twice; each node's remembered child is
-    the node its slot's entry names. Raises {!Ill_formed} otherwise. *)
+    entries; every decode the mirror holds equals its raw word's; no
+    node is reachable twice; each node's remembered child is the node
+    its slot's entry names. Raises {!Ill_formed} otherwise. Decodes
+    every raw word but fills none of the mirror. *)

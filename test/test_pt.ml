@@ -4,9 +4,11 @@
    folded charge for a run of reads and the walks (each must charge
    exactly what the reads or steps it stands for charge), the walk step
    (the child a table entry names, through each node's remembered
-   child, and slot arithmetic equal to the geometry's), and the
-   well-formedness checks that catch a stale occupancy bit in a PT page
-   or a metadata array and a stale remembered child. *)
+   child, and slot arithmetic equal to the geometry's), the decode
+   mirror filled on read (every read equals [decode (encode pte)] of
+   the slot's last store, on every ISA), and the well-formedness checks
+   that catch a stale occupancy bit in a PT page or a metadata array
+   and a stale remembered child. *)
 
 open Cortenmm
 module Bitset = Mm_util.Bitset
@@ -534,6 +536,137 @@ let slot_ops_prop =
           agrees ())
         ops)
 
+(* -- The decode mirror is a cache filled on read -- *)
+
+(* Random stores on a few slots of one level-2 node, spread over its
+   chunks, each followed half the time by a read of its slot. Every
+   read must equal the reference [decode (encode pte)] of the slot's
+   last store, and the tree must be well-formed before and after every
+   slot has been read: the check must not depend on which slots a read
+   has decoded. *)
+type mirror_op =
+  | Store of int * Pte.t (* [set]: a huge leaf or [Absent] *)
+  | Set_child of int (* a new page over a non-table entry *)
+  | Detach_child of int (* then free the page *)
+  | Set_accessed of int
+  | Clear_accessed of int
+
+let mirror_slots = [| 0; 1; 63; 64; 130; 448; 511 |]
+
+let lazy_mirror_prop (isa : Mm_hal.Isa.t) =
+  let mpk = Mm_hal.Isa.supports_mpk isa in
+  let gen =
+    QCheck.Gen.(
+      let i = int_bound (Array.length mirror_slots - 1) in
+      let perm =
+        map
+          (fun (write, execute, user, cow, key) ->
+            Perm.make ~write ~execute ~user ~cow
+              ~mpk_key:(if mpk then key else 0)
+              ())
+          (tup5 bool bool bool bool (int_bound 15))
+      in
+      let huge_leaf =
+        map
+          (fun (k, perm, (accessed, dirty, global)) ->
+            Pte.leaf ~accessed ~dirty ~global ~pfn:(512 * k) ~perm ())
+          (triple (int_range 1 1000) perm (triple bool bool bool))
+      in
+      let op =
+        frequency
+          [
+            (4, map2 (fun i l -> Store (i, l)) i huge_leaf);
+            (2, map (fun i -> Store (i, Pte.Absent)) i);
+            (2, map (fun i -> Set_child i) i);
+            (2, map (fun i -> Detach_child i) i);
+            (2, map (fun i -> Set_accessed i) i);
+            (2, map (fun i -> Clear_accessed i) i);
+          ]
+      in
+      list_size (int_bound 100) (pair op bool))
+  in
+  let print ops =
+    String.concat "; "
+      (List.map
+         (fun (op, read) ->
+           (match op with
+           | Store (i, pte) ->
+             Printf.sprintf "set %d %s" mirror_slots.(i) (Pte.to_string pte)
+           | Set_child i -> Printf.sprintf "set_child %d" mirror_slots.(i)
+           | Detach_child i -> Printf.sprintf "detach %d" mirror_slots.(i)
+           | Set_accessed i -> Printf.sprintf "set_accessed %d" mirror_slots.(i)
+           | Clear_accessed i ->
+             Printf.sprintf "clear_accessed %d" mirror_slots.(i))
+           ^ if read then " +read" else "")
+         ops)
+  in
+  QCheck.Test.make
+    ~name:(Printf.sprintf "%s: read = decode (encode)" isa.name)
+    ~count:100 (QCheck.make ~print gen) (fun ops ->
+      let phys = Mm_phys.Phys.create () in
+      let pt : unit Pt.t = Pt.create phys isa in
+      let p = Pt.walk_create pt ~to_level:2 0 in
+      let n = Pt.entries_per_node pt in
+      let expected = Array.make n Pte.Absent in
+      let roundtrip idx pte =
+        expected.(idx) <-
+          Mm_hal.Isa.decode isa ~level:2 (Mm_hal.Isa.encode isa ~level:2 pte)
+      in
+      let reads_ok idx = Pte.equal (Pt.get_uncharged pt p idx) expected.(idx) in
+      List.for_all
+        (fun (op, read) ->
+          let idx =
+            match op with
+            | Store (i, _)
+            | Set_child i
+            | Detach_child i
+            | Set_accessed i
+            | Clear_accessed i ->
+              mirror_slots.(i)
+          in
+          (match (op, expected.(idx)) with
+          | Store (_, pte), current ->
+            let unlinked =
+              match current with
+              | Pte.Table _ -> Some (Pt.child pt p idx)
+              | Pte.Absent | Pte.Leaf _ -> None
+            in
+            Pt.set pt p idx pte;
+            (* The store unlinked the page under a table entry. *)
+            Option.iter
+              (fun c ->
+                c.Pt.parent <- None;
+                Pt.free_node pt c)
+              unlinked;
+            roundtrip idx pte
+          | Set_child _, (Pte.Absent | Pte.Leaf _) ->
+            let c = Pt.alloc_node pt ~level:1 in
+            Pt.set_child pt p idx c;
+            roundtrip idx (Pte.Table { pfn = c.Pt.frame.Mm_phys.Frame.pfn })
+          | Detach_child _, Pte.Table _ ->
+            Pt.free_node pt (Pt.detach_child pt p idx);
+            roundtrip idx Pte.Absent
+          | Set_accessed _, current ->
+            Pt.set_accessed pt p idx;
+            (match current with
+            | Pte.Leaf l -> roundtrip idx (Pte.Leaf { l with accessed = true })
+            | Pte.Absent | Pte.Table _ -> ())
+          | Clear_accessed _, current ->
+            Pt.clear_accessed pt p idx;
+            (match current with
+            | Pte.Leaf l ->
+              roundtrip idx (Pte.Leaf { l with accessed = false })
+            | Pte.Absent | Pte.Table _ -> ())
+          | (Set_child _ | Detach_child _), _ -> ());
+          (not read) || reads_ok idx)
+        ops
+      && begin
+           Pt.check_well_formed pt;
+           let all_read = List.for_all reads_ok (List.init n Fun.id) in
+           Pt.check_well_formed pt;
+           all_read
+         end)
+
 (* [Pt]'s slot arithmetic against the geometry's, at every level of
    every ISA, at random addresses and ranges around each node. *)
 let test_slots_match_geometry () =
@@ -716,6 +849,10 @@ let () =
           Alcotest.test_case "slots match the geometry" `Quick
             test_slots_match_geometry;
         ] );
+      ( "lazy mirror",
+        List.map
+          (fun isa -> QCheck_alcotest.to_alcotest (lazy_mirror_prop isa))
+          Mm_hal.Isa.all );
       ( "well-formed",
         [
           Alcotest.test_case "stale PT occupancy bit" `Quick
