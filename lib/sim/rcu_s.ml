@@ -66,32 +66,35 @@ let read_lock t =
 
 let in_read_section t ~cpu = t.nesting.(cpu) > 0
 
+(* [cpu] left its read section: count it out of every pending grace
+   period, and report whether one completed. *)
+let rec count_out cpu completed = function
+  | [] -> completed
+  | cb :: rest ->
+    if cb.waiting_on.(cpu) then begin
+      cb.waiting_on.(cpu) <- false;
+      cb.remaining <- cb.remaining - 1
+    end;
+    count_out cpu (completed || cb.remaining = 0) rest
+
+(* Most read-side exits complete no grace period, so the pending list
+   is split only when one did; [ready] keeps its callbacks' order. *)
 let quiesce t cpu =
-  (* [cpu] left its read section: progress every pending grace period. *)
-  let ready, rest =
-    List.partition
+  if count_out cpu false t.pending then begin
+    let ready, rest = List.partition (fun cb -> cb.remaining = 0) t.pending in
+    t.pending <- rest;
+    if Mm_obs.Trace.on () then begin
+      let n = List.length ready in
+      Mm_obs.Metrics.add (Mm_obs.Metrics.counter "rcu.gp_callbacks") n;
+      Engine.obs (Mm_obs.Event.Rcu_gp { callbacks = n })
+    end;
+    List.iter
       (fun cb ->
-        if cb.waiting_on.(cpu) then begin
-          cb.waiting_on.(cpu) <- false;
-          cb.remaining <- cb.remaining - 1
-        end;
-        cb.remaining = 0)
-      t.pending
-  in
-  t.pending <- rest;
-  (match ready with
-  | [] -> ()
-  | _ when Mm_obs.Trace.on () ->
-    let n = List.length ready in
-    Mm_obs.Metrics.add (Mm_obs.Metrics.counter "rcu.gp_callbacks") n;
-    Engine.obs (Mm_obs.Event.Rcu_gp { callbacks = n })
-  | _ -> ());
-  List.iter
-    (fun cb ->
-      if Mm_obs.Trace.on () then
-        Engine.obs (Mm_obs.Event.Rcu_fire { cb = cb.cb_id });
-      cb.fn ())
-    ready
+        if Mm_obs.Trace.on () then
+          Engine.obs (Mm_obs.Event.Rcu_fire { cb = cb.cb_id });
+        cb.fn ())
+      ready
+  end
 
 let read_unlock t =
   let f = Engine.fiber () in
