@@ -265,8 +265,10 @@ echo "== fig1 golden digest: riders charge zero cycles when off =="
 tail -n 2 /tmp/check_golden.out
 # The fork/exit and reclaim scans are pinned the same way: a fork_fleet
 # serve round on every system and a 2-vCPU Reclaim replay on CortenMM;
-# NrOS's per-page replay and fork copy by a 2-vCPU NrOS world.
-for t in test_serve test_reclaim test_baselines; do
+# NrOS's per-page replay and fork copy by a 2-vCPU NrOS world. The
+# lock-id digest pins a traced run's lock ids, which the frame table
+# reserves on each pfn's first touch.
+for t in test_serve test_reclaim test_baselines test_obs; do
   "./_build/default/test/$t.exe" test golden > "/tmp/check_golden_$t.out" 2>&1 \
     || { cat "/tmp/check_golden_$t.out"; exit 1; }
   tail -n 2 "/tmp/check_golden_$t.out"

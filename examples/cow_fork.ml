@@ -20,9 +20,12 @@ let pfn_of asp addr =
 let show kernel asp name addr =
   match pfn_of asp addr with
   | Some (pfn, perm) ->
-    let f = Mm_phys.Phys.frame kernel.Kernel.phys pfn in
+    let phys = kernel.Kernel.phys in
+    let f = Mm_phys.Phys.frame phys pfn in
     Printf.printf "   %-7s -> frame %#x (%s), map_count=%d, value=%d\n" name
-      pfn perm f.Mm_phys.Frame.map_count f.Mm_phys.Frame.contents
+      pfn perm
+      (Mm_phys.Phys.map_count phys f)
+      (Mm_phys.Phys.contents phys f)
   | None -> Printf.printf "   %-7s -> (not mapped)\n" name
 
 let () =

@@ -49,7 +49,7 @@ let () =
       Printf.printf "   after a private write: value %d, cache page intact: %b\n"
         (Mm.read_value asp ~vaddr:m)
         (match File.lookup_page file ~page_index:0 with
-        | Some f -> f.Mm_phys.Frame.contents <> 9999
+        | Some f -> Mm_phys.Phys.contents kernel.Kernel.phys f <> 9999
         | None -> false);
 
       Printf.printf "\n== shared mapping + msync ==\n";

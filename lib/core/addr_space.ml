@@ -114,10 +114,10 @@ let create ?va kernel (cfg : Config.t) =
   in
   (* Name the root PT page's locks: the root is the protocol's global
      serialization point, so it dominates contention reports. *)
-  let root_frame = (Pt.root t.pt).Pt.frame in
-  Mm_sim.Mutex_s.set_name (Mm_phys.Frame.lock root_frame)
+  let root = Pt.root t.pt in
+  Mm_sim.Mutex_s.set_name (Pt.lock t.pt root)
     (Printf.sprintf "asp%d.root_pt" t.id);
-  Mm_sim.Rwlock_s.set_name (Mm_phys.Frame.rwlock root_frame)
+  Mm_sim.Rwlock_s.set_name (Pt.rwlock t.pt root)
     (Printf.sprintf "asp%d.root_pt" t.id);
   t
 
@@ -236,18 +236,18 @@ let rw_lock t ~lo ~hi =
   let rec descend (cur : node) path =
     let idx = Pt.covering_slot t.pt cur ~lo ~hi in
     if idx < 0 then begin
-      Mm_sim.Rwlock_s.write_lock (Mm_phys.Frame.rwlock cur.Pt.frame);
+      Mm_sim.Rwlock_s.write_lock (Pt.rwlock t.pt cur);
       (cur, List.rev path)
     end
     else begin
-      Mm_sim.Rwlock_s.read_lock (Mm_phys.Frame.rwlock cur.Pt.frame);
+      Mm_sim.Rwlock_s.read_lock (Pt.rwlock t.pt cur);
       match Pt.get t.pt cur idx with
       | Pte.Table _ -> descend (Pt.child t.pt cur idx) (cur :: path)
       | Pte.Absent | Pte.Leaf _ ->
         (* [cur] is the lowest existing covering page: trade the reader
            lock for the writer lock (Fig 5 L7-8). *)
-        Mm_sim.Rwlock_s.read_unlock (Mm_phys.Frame.rwlock cur.Pt.frame);
-        Mm_sim.Rwlock_s.write_lock (Mm_phys.Frame.rwlock cur.Pt.frame);
+        Mm_sim.Rwlock_s.read_unlock (Pt.rwlock t.pt cur);
+        Mm_sim.Rwlock_s.write_lock (Pt.rwlock t.pt cur);
         (cur, List.rev path)
     end
   in
@@ -282,11 +282,11 @@ let adv_lock t ~lo ~hi =
         | Pte.Absent | Pte.Leaf _ -> cur
     in
     let cover = descend (Pt.root t.pt) in
-    Mm_sim.Mutex_s.lock (Mm_phys.Frame.lock cover.Pt.frame);
-    if cover.Pt.frame.Mm_phys.Frame.stale then begin
+    Mm_sim.Mutex_s.lock (Pt.lock t.pt cover);
+    if Mm_phys.Phys.stale t.kernel.Kernel.phys cover.Pt.frame then begin
       (* Race with a concurrent unmap that removed this PT page: retry
          (Fig 6 L10-13). *)
-      Mm_sim.Mutex_s.unlock (Mm_phys.Frame.lock cover.Pt.frame);
+      Mm_sim.Mutex_s.unlock (Pt.lock t.pt cover);
       Mm_sim.Rcu_s.read_unlock rcu;
       t.stale_retries <- t.stale_retries + 1;
       if Mm_obs.Trace.on () then begin
@@ -309,7 +309,7 @@ let adv_lock t ~lo ~hi =
             (match Pt.get_uncharged t.pt node !i with
             | Pte.Table _ ->
               let child = Pt.child t.pt node !i in
-              Mm_sim.Mutex_s.lock (Mm_phys.Frame.lock child.Pt.frame);
+              Mm_sim.Mutex_s.lock (Pt.lock t.pt child);
               locked := child :: !locked;
               dfs child
             | Pte.Absent | Pte.Leaf _ -> ());
@@ -397,8 +397,8 @@ let commit c =
           Mm_sim.Engine.obs
             (Mm_obs.Event.Frame_freed
                {
-                 pfn = frame.Mm_phys.Frame.pfn;
-                 pages = 1 lsl frame.Mm_phys.Frame.order;
+                 pfn = (frame :> int);
+                 pages = 1 lsl Mm_phys.Phys.order t.kernel.Kernel.phys frame;
                });
         Mm_phys.Phys.free t.kernel.Kernel.phys frame)
       deferred
@@ -436,16 +436,16 @@ let commit c =
   (match t.cfg.Config.protocol with
   | Config.Adv ->
     List.iter
-      (fun (n : node) -> Mm_sim.Mutex_s.unlock (Mm_phys.Frame.lock n.Pt.frame))
+      (fun (n : node) -> Mm_sim.Mutex_s.unlock (Pt.lock t.pt n))
       c.locked
   | Config.Rw ->
     List.iter
       (fun (n : node) ->
-        Mm_sim.Rwlock_s.write_unlock (Mm_phys.Frame.rwlock n.Pt.frame))
+        Mm_sim.Rwlock_s.write_unlock (Pt.rwlock t.pt n))
       c.locked;
     List.iter
       (fun (n : node) ->
-        Mm_sim.Rwlock_s.read_unlock (Mm_phys.Frame.rwlock n.Pt.frame))
+        Mm_sim.Rwlock_s.read_unlock (Pt.rwlock t.pt n))
       (List.rev c.read_path));
   if Mm_obs.Trace.on () then
     Mm_sim.Engine.obs
@@ -521,7 +521,7 @@ let ensure_child c (parent : node) idx =
     let child = Pt.ensure_child t.pt parent idx in
     (match t.cfg.Config.protocol with
     | Config.Adv ->
-      Mm_sim.Mutex_s.lock (Mm_phys.Frame.lock child.Pt.frame);
+      Mm_sim.Mutex_s.lock (Pt.lock t.pt child);
       c.locked <- child :: c.locked
     | Config.Rw ->
       (* Reachable only through the write-locked covering page. *)
@@ -566,8 +566,8 @@ let free_child c (parent : node) idx (child : node) =
        to the RCU monitor. *)
     List.iter
       (fun (n : node) ->
-        n.Pt.frame.Mm_phys.Frame.stale <- true;
-        Mm_sim.Mutex_s.unlock (Mm_phys.Frame.lock n.Pt.frame);
+        Mm_phys.Phys.set_stale t.kernel.Kernel.phys n.Pt.frame true;
+        Mm_sim.Mutex_s.unlock (Pt.lock t.pt n);
         c.locked <- List.filter (fun x -> not (x == n)) c.locked)
       nodes;
     Mm_sim.Rcu_s.defer t.kernel.Kernel.rcu (fun () ->
@@ -633,8 +633,8 @@ let free_or_defer c (frame : Mm_phys.Frame.t) =
       Mm_sim.Engine.obs
         (Mm_obs.Event.Frame_deferred
            {
-             pfn = frame.Mm_phys.Frame.pfn;
-             pages = 1 lsl frame.Mm_phys.Frame.order;
+             pfn = (frame :> int);
+             pages = 1 lsl Mm_phys.Phys.order t.kernel.Kernel.phys frame;
            })
   end
   else begin
@@ -655,18 +655,16 @@ let unmap_leaf c (node : node) idx (pfn, (perm : Perm.t)) =
   meta_set t node idx Status.M_invalid;
   note_tlb c ~vaddr ~pages;
   c.tlb_targets <- c.tlb_targets lor node.Pt.touched;
-  let frame = Mm_phys.Phys.frame t.kernel.Kernel.phys pfn in
+  let phys = t.kernel.Kernel.phys in
+  let frame = Mm_phys.Phys.frame phys pfn in
   (match Mm_sim.Engine.current () with
-  | Some f -> Mm_sim.Engine.Line.rmw_on f frame.Mm_phys.Frame.line
+  | Some f -> Mm_sim.Engine.Line.rmw_on f (Mm_phys.Phys.line phys frame)
   | None -> ());
-  frame.Mm_phys.Frame.map_count <- frame.Mm_phys.Frame.map_count - 1;
+  let last = Mm_phys.Phys.drop_map phys frame in
   (match origin with
   | Status.M_resident Status.O_anon ->
     Kernel.rmap_remove t.kernel ~pfn ~asp_id:t.id ~vaddr;
-    if
-      frame.Mm_phys.Frame.map_count = 0
-      && frame.Mm_phys.Frame.kind = Mm_phys.Frame.Anon
-    then begin
+    if last then begin
       (* Last mapping gone: retire the ownership record too, wherever it
          sits in this space's shadow chain. *)
       Vm_object.forget t.obj ~vpn:(vpn_of t vaddr);
@@ -678,10 +676,7 @@ let unmap_leaf c (node : node) idx (pfn, (perm : Perm.t)) =
     File.remove_mapper file ~asp_id:t.id ~map_vaddr:vaddr
   | Status.M_invalid ->
     (* A raw map without recorded origin (test scaffolding). *)
-    if
-      frame.Mm_phys.Frame.map_count = 0
-      && frame.Mm_phys.Frame.kind = Mm_phys.Frame.Anon
-    then free_or_defer c frame
+    if last then free_or_defer c frame
   | Status.M_alloc _ | Status.M_swapped _ ->
     invariant ~ctx:"unmap_leaf" "inconsistent metadata under a present PTE")
 
@@ -700,7 +695,7 @@ let split_huge c (node : node) idx (l : Pte.t) =
     end;
     let origin = meta_get node idx in
     let n = entries_per_node t in
-    let geo = t.kernel.Kernel.isa.Isa.geo in
+    let geo = t.kernel.Kernel.isa.Isa.geo and phys = t.kernel.Kernel.phys in
     let sub_pages = Geometry.pages_per_entry geo ~level:(node.Pt.level - 1) in
     (* Detach the leaf first, then build the child and link it. *)
     Pt.set t.pt node idx Pte.Absent;
@@ -708,7 +703,7 @@ let split_huge c (node : node) idx (l : Pte.t) =
     let child = Pt.alloc_node t.pt ~level:(node.Pt.level - 1) in
     (match t.cfg.Config.protocol with
     | Config.Adv ->
-      Mm_sim.Mutex_s.lock (Mm_phys.Frame.lock child.Pt.frame);
+      Mm_sim.Mutex_s.lock (Pt.lock t.pt child);
       c.locked <- child :: c.locked
     | Config.Rw -> ());
     let sub_bytes = Geometry.coverage geo ~level:(node.Pt.level - 1) in
@@ -723,12 +718,10 @@ let split_huge c (node : node) idx (l : Pte.t) =
       | Status.M_alloc _ | Status.M_swapped _ ->
         invariant ~ctx:"split_huge" "non-resident metadata under a present leaf");
       (* Each sub-block head now carries its own map count. *)
-      let f = Mm_phys.Phys.frame t.kernel.Kernel.phys (pfn + (i * sub_pages)) in
-      f.Mm_phys.Frame.map_count <- f.Mm_phys.Frame.map_count + 1
+      Mm_phys.Phys.add_map phys (Mm_phys.Phys.frame phys (pfn + (i * sub_pages)))
     done;
     (* The huge frame head loses its single mapping. *)
-    let head = Mm_phys.Phys.frame t.kernel.Kernel.phys pfn in
-    head.Mm_phys.Frame.map_count <- head.Mm_phys.Frame.map_count - 1;
+    ignore (Mm_phys.Phys.drop_map phys (Mm_phys.Phys.frame phys pfn) : bool);
     Pt.set_child t.pt node idx child;
     child
   | Pte.Absent | Pte.Table _ -> invalid_arg "split_huge: not a leaf"
@@ -771,24 +764,23 @@ let map c ~vaddr ~(frame : Mm_phys.Frame.t) ~perm ?(level = 1)
   | Pte.Leaf { pfn; perm; _ } -> unmap_leaf c node idx (pfn, perm)
   | Pte.Table _ -> invalid_arg "map: range contains a finer-grained subtree"
   | Pte.Absent -> ());
-  Pt.set t.pt node idx
-    (Pte.leaf ~accessed:true ~pfn:frame.Mm_phys.Frame.pfn ~perm ());
+  let pfn = (frame :> int) and phys = t.kernel.Kernel.phys in
+  Pt.set t.pt node idx (Pte.leaf ~accessed:true ~pfn ~perm ());
   meta_set t node idx (Status.M_resident origin);
   let fiber = Mm_sim.Engine.current () in
   (match fiber with
   | Some f ->
     node.Pt.touched <- node.Pt.touched lor (1 lsl f.f_cpu);
-    Mm_sim.Engine.Line.rmw_on f frame.Mm_phys.Frame.line
+    Mm_sim.Engine.Line.rmw_on f (Mm_phys.Phys.line phys frame)
   | None -> ());
-  frame.Mm_phys.Frame.map_count <- frame.Mm_phys.Frame.map_count + 1;
+  Mm_phys.Phys.add_map phys frame;
   (match origin with
   | Status.O_anon ->
-    Kernel.rmap_add t.kernel ~pfn:frame.Mm_phys.Frame.pfn ~asp_id:t.id ~vaddr;
+    Kernel.rmap_add t.kernel ~pfn ~asp_id:t.id ~vaddr;
     (* The page enters this space's top backing object: a fresh private
        page, a COW copy, or a swapped-in page all belong to the chain
        top (shared pre-fork pages stay recorded in the chain parent). *)
-    Vm_object.install t.obj ~vpn:(vpn_of t vaddr)
-      ~pfn:frame.Mm_phys.Frame.pfn
+    Vm_object.install t.obj ~vpn:(vpn_of t vaddr) ~pfn
   | Status.O_file (file, offset) | Status.O_shm (file, offset) ->
     File.add_mapper file
       { File.asp_id = t.id; map_vaddr = vaddr; file_offset = offset;
@@ -798,8 +790,7 @@ let map c ~vaddr ~(frame : Mm_phys.Frame.t) ~perm ?(level = 1)
      fiber). *)
   match fiber with
   | Some f ->
-    Mm_tlb.Tlb.install t.tlb ~cpu:f.f_cpu ~vpn:(vpn_of t vaddr)
-      ~pfn:frame.Mm_phys.Frame.pfn
+    Mm_tlb.Tlb.install t.tlb ~cpu:f.f_cpu ~vpn:(vpn_of t vaddr) ~pfn
       ~writable:(perm.Perm.write && not perm.Perm.cow)
       ~key:perm.Perm.mpk_key ()
   | None -> ()
@@ -1248,7 +1239,7 @@ let clone_for_fork pc cc =
         let cchild = Pt.alloc_node ct.pt ~level:(cn.Pt.level - 1) in
         (match ct.cfg.Config.protocol with
         | Config.Adv ->
-          Mm_sim.Mutex_s.lock (Mm_phys.Frame.lock cchild.Pt.frame);
+          Mm_sim.Mutex_s.lock (Pt.lock ct.pt cchild);
           cc.locked <- cchild :: cc.locked
         | Config.Rw -> ());
         Pt.set_child ct.pt cn idx cchild;
@@ -1278,7 +1269,7 @@ let clone_for_fork pc cc =
           else perm
         in
         Pt.set ct.pt cn idx (Pte.Leaf { pfn; perm = p; accessed; dirty; global });
-        frame.Mm_phys.Frame.map_count <- frame.Mm_phys.Frame.map_count + 1;
+        Mm_phys.Phys.add_map phys frame;
         (match origin with
         | Status.M_resident Status.O_anon | Status.M_invalid ->
           Kernel.rmap_add t.kernel ~pfn ~asp_id:ct.id ~vaddr
@@ -1304,7 +1295,7 @@ let clone_for_fork pc cc =
    the region does not qualify. *)
 let promote_huge c ~vaddr =
   let t = c.asp in
-  let geo = t.kernel.Kernel.isa.Isa.geo in
+  let geo = t.kernel.Kernel.isa.Isa.geo and phys = t.kernel.Kernel.phys in
   let huge = Geometry.coverage geo ~level:2 in
   if not (Mm_util.Align.is_aligned vaddr huge) then
     invalid_arg "promote_huge: vaddr not 2 MiB aligned";
@@ -1328,11 +1319,11 @@ let promote_huge c ~vaddr =
       for idx = 0 to n - 1 do
         match Pt.get_uncharged t.pt child idx with
         | Pte.Leaf { pfn; perm; _ } ->
-          let frame = Mm_phys.Phys.frame t.kernel.Kernel.phys pfn in
+          let frame = Mm_phys.Phys.frame phys pfn in
           if
             perm.Perm.cow
-            || frame.Mm_phys.Frame.map_count <> 1
-            || frame.Mm_phys.Frame.kind <> Mm_phys.Frame.Anon
+            || Mm_phys.Phys.map_count phys frame <> 1
+            || Mm_phys.Phys.kind phys frame <> Mm_phys.Frame.Anon
             || meta_get child idx <> Status.M_resident Status.O_anon
           then ok := false
           else begin
@@ -1356,20 +1347,18 @@ let promote_huge c ~vaddr =
         for idx = 0 to n - 1 do
           match Pt.get_uncharged t.pt child idx with
           | Pte.Leaf { pfn; _ } ->
-            (Mm_phys.Phys.frame t.kernel.Kernel.phys
-               (block.Mm_phys.Frame.pfn + idx))
-              .Mm_phys.Frame.contents <-
-              (Mm_phys.Phys.frame t.kernel.Kernel.phys pfn)
-                .Mm_phys.Frame.contents
+            Mm_phys.Phys.set_contents phys
+              (Mm_phys.Phys.frame phys ((block :> int) + idx))
+              (Mm_phys.Phys.contents phys (Mm_phys.Phys.frame phys pfn))
           | Pte.Absent | Pte.Table _ -> ()
         done;
         clear_whole_node c child;
         free_child c parent pidx child;
         Pt.set t.pt parent pidx
-          (Pte.leaf ~accessed:true ~pfn:block.Mm_phys.Frame.pfn ~perm ());
+          (Pte.leaf ~accessed:true ~pfn:(block :> int) ~perm ());
         meta_set t parent pidx (Status.M_resident Status.O_anon);
-        block.Mm_phys.Frame.map_count <- 1;
-        Kernel.rmap_add t.kernel ~pfn:block.Mm_phys.Frame.pfn ~asp_id:t.id
+        Mm_phys.Phys.set_map_count phys block 1;
+        Kernel.rmap_add t.kernel ~pfn:(block :> int) ~asp_id:t.id
           ~vaddr;
         note_tlb c ~vaddr ~pages:n;
         c.tlb_targets <- c.tlb_targets lor parent.Pt.touched;
@@ -1424,7 +1413,7 @@ let check_well_formed t =
       match node.Pt.meta with
       | None -> ()
       | Some m ->
-        let pfn = node.Pt.frame.Mm_phys.Frame.pfn in
+        let pfn = (node.Pt.frame :> int) in
         let live = ref 0 in
         for idx = 0 to Mm_util.Chunked.length m.slots - 1 do
           let valid = Mm_util.Chunked.get m.slots idx <> Status.M_invalid in

@@ -80,15 +80,15 @@ let get_page t phys ~page_index =
     (match backing_contents t ~page_index with
     | Some c ->
       Mm_sim.Engine.charge io_read_cost;
-      f.Mm_phys.Frame.contents <- c
+      Mm_phys.Phys.set_contents phys f c
     | None -> (
       match t.kind with
       | Regular _ ->
         Mm_sim.Engine.charge io_read_cost;
-        f.Mm_phys.Frame.contents <- page_token t ~page_index
+        Mm_phys.Phys.set_contents phys f (page_token t ~page_index)
       | Shm ->
         Mm_sim.Engine.charge Mm_sim.Cost.page_zero;
-        f.Mm_phys.Frame.contents <- 0));
+        Mm_phys.Phys.set_contents phys f 0));
     Hashtbl.replace t.pages page_index f;
     f
 
@@ -110,7 +110,7 @@ let store_page t ~page_index ~contents =
     Mm_sim.Engine.obs
       (Mm_obs.Event.Reclaim_writeback { file = t.id; page = page_index })
 
-let writeback t =
+let writeback t phys =
   let idxs =
     List.sort compare (Hashtbl.fold (fun i () acc -> i :: acc) t.dirty [])
   in
@@ -118,7 +118,7 @@ let writeback t =
     (fun i ->
       let contents =
         match Hashtbl.find_opt t.pages i with
-        | Some f -> f.Mm_phys.Frame.contents
+        | Some f -> Mm_phys.Phys.contents phys f
         | None -> ( match backing_contents t ~page_index:i with
           | Some c -> c
           | None -> ( match t.kind with
@@ -139,7 +139,7 @@ let drop_page t phys ~page_index =
     if Mm_obs.Trace.on () then
       Mm_sim.Engine.obs
         (Mm_obs.Event.Reclaim_drop
-         { file = t.id; page = page_index; pfn = f.Mm_phys.Frame.pfn });
+         { file = t.id; page = page_index; pfn = (f :> int) });
     Hashtbl.remove t.pages page_index;
     Mm_phys.Phys.free phys f
 
@@ -158,12 +158,12 @@ let cached_page_indexes t =
    dirty-marked, or its frame contents differ from what the backing
    store would refault (the "hardware dirty bit" the simulation does not
    track per-PTE: user stores mutate the frame token directly). *)
-let needs_writeback t ~page_index =
+let needs_writeback t phys ~page_index =
   match Hashtbl.find_opt t.pages page_index with
   | None -> false
   | Some f ->
     Hashtbl.mem t.dirty page_index
-    || f.Mm_phys.Frame.contents
+    || Mm_phys.Phys.contents phys f
        <>
        (match backing_contents t ~page_index with
        | Some c -> c

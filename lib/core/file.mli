@@ -24,7 +24,7 @@ val page_token : t -> page_index:int -> int
 val lookup_page : t -> page_index:int -> Mm_phys.Frame.t option
 val mark_dirty : t -> page_index:int -> unit
 
-val writeback : t -> int
+val writeback : t -> Mm_phys.Phys.t -> int
 (** Write all dirty pages back to the backing store; returns how many. *)
 
 val drop_page : t -> Mm_phys.Phys.t -> page_index:int -> unit
@@ -44,7 +44,7 @@ val cached_page_indexes : t -> int list
 (** Resident cache page indexes, sorted (a deterministic reclaim scan
     order). *)
 
-val needs_writeback : t -> page_index:int -> bool
+val needs_writeback : t -> Mm_phys.Phys.t -> page_index:int -> bool
 (** Would dropping this cache page lose data? True when it is
     dirty-marked or its contents differ from the backing store. *)
 

@@ -199,7 +199,7 @@ let page_fault asp ~vaddr ~write =
           let cache = fpager.Pager.get_page ~page_index:(offset / ps) in
           Mm_sim.Engine.charge (Mm_sim.Cost.page_alloc + Mm_sim.Cost.page_copy);
           let frame = Mm_phys.Phys.alloc phys ~kind:Mm_phys.Frame.Anon () in
-          frame.Mm_phys.Frame.contents <- cache.Mm_phys.Frame.contents;
+          Mm_phys.Phys.set_contents phys frame (Mm_phys.Phys.contents phys cache);
           Addr_space.map c ~vaddr:page ~frame ~perm ~origin:Status.O_anon ();
           Handled
         end
@@ -244,8 +244,8 @@ let page_fault asp ~vaddr ~write =
              in the faulting space's top shadow. *)
           let frame = Mm_phys.Phys.frame phys pfn in
           if
-            frame.Mm_phys.Frame.map_count = 1
-            && frame.Mm_phys.Frame.kind = Mm_phys.Frame.Anon
+            Mm_phys.Phys.map_count phys frame = 1
+            && Mm_phys.Phys.kind phys frame = Mm_phys.Frame.Anon
             (* Page-cache frames are never reused in place: the cache
                itself keeps a reference. *)
           then begin
@@ -261,7 +261,7 @@ let page_fault asp ~vaddr ~write =
             Mm_sim.Engine.charge
               (Mm_sim.Cost.page_alloc + Mm_sim.Cost.page_copy);
             let copy = Mm_phys.Phys.alloc phys ~kind:Mm_phys.Frame.Anon () in
-            copy.Mm_phys.Frame.contents <- frame.Mm_phys.Frame.contents;
+            Mm_phys.Phys.set_contents phys copy (Mm_phys.Phys.contents phys frame);
             let p = Perm.with_cow (Perm.with_write perm true) false in
             (* map over the existing PTE releases the shared frame; the
                original's record stays with the chain parent (the other
@@ -451,9 +451,9 @@ let khugepaged asp =
 
 (* -- msync: write back dirty shared pages -- *)
 
-let msync_r _asp ~file =
+let msync_r asp ~file =
   Mm_sim.Engine.charge Mm_sim.Cost.syscall;
-  Ok (File.writeback file)
+  Ok (File.writeback file (Addr_space.kernel asp).Kernel.phys)
 
 (* -- Swapping -- *)
 
@@ -473,11 +473,14 @@ let swap_out asp ~vaddr ~dev =
       | Status.Mapped { pfn; perm } -> (
         match Addr_space.origin_at c page with
         | Status.M_resident Status.O_anon ->
-          let frame = Mm_phys.Phys.frame kernel.Kernel.phys pfn in
-          if frame.Mm_phys.Frame.map_count <> 1 || frame.Mm_phys.Frame.wired
+          let phys = kernel.Kernel.phys in
+          let frame = Mm_phys.Phys.frame phys pfn in
+          if
+            Mm_phys.Phys.map_count phys frame <> 1
+            || Mm_phys.Phys.wired phys frame
           then false
           else begin
-            let contents = frame.Mm_phys.Frame.contents in
+            let contents = Mm_phys.Phys.contents phys frame in
             let apager =
               Vm_object.pager ~dev ~phys:kernel.Kernel.phys
             in
@@ -565,8 +568,8 @@ let mlock_r asp ~addr ~len =
               match Addr_space.query c v with
               | Status.Mapped { pfn; _ } ->
                 let f = Mm_phys.Phys.frame phys pfn in
-                if not f.Mm_phys.Frame.wired then begin
-                  f.Mm_phys.Frame.wired <- true;
+                if not (Mm_phys.Phys.wired phys f) then begin
+                  Mm_phys.Phys.set_wired phys f true;
                   kernel.Kernel.wired_pages <-
                     kernel.Kernel.wired_pages + 1;
                   if Mm_obs.Trace.on () then
@@ -593,8 +596,8 @@ let munlock_r asp ~addr ~len =
           match Addr_space.query c v with
           | Status.Mapped { pfn; _ } ->
             let f = Mm_phys.Phys.frame phys pfn in
-            if f.Mm_phys.Frame.wired then begin
-              f.Mm_phys.Frame.wired <- false;
+            if Mm_phys.Phys.wired phys f then begin
+              Mm_phys.Phys.set_wired phys f false;
               kernel.Kernel.wired_pages <- kernel.Kernel.wired_pages - 1;
               if Mm_obs.Trace.on () then
                 Mm_sim.Engine.obs (Mm_obs.Event.Page_unwired { pfn })
@@ -645,7 +648,7 @@ let rec with_resident_page asp ~vaddr ~write f =
           match Addr_space.query c page with
           | Status.Mapped { pfn; _ } ->
             let phys = (Addr_space.kernel asp).Kernel.phys in
-            Some (Ok (f (Mm_phys.Phys.frame phys pfn)))
+            Some (Ok (f phys (Mm_phys.Phys.frame phys pfn)))
           | Status.Invalid -> Some (Error (Errno.SIGSEGV page))
           | _ -> None)
     in
@@ -657,8 +660,8 @@ let rec with_resident_page asp ~vaddr ~write f =
       with_resident_page asp ~vaddr ~write f)
 
 let write_value_r asp ~vaddr ~value =
-  with_resident_page asp ~vaddr ~write:true (fun frame ->
-      frame.Mm_phys.Frame.contents <- value)
+  with_resident_page asp ~vaddr ~write:true (fun phys frame ->
+      Mm_phys.Phys.set_contents phys frame value)
 
 let write_value asp ~vaddr ~value =
   match write_value_r asp ~vaddr ~value with
@@ -667,8 +670,7 @@ let write_value asp ~vaddr ~value =
   | Error _ -> raise (Fault vaddr)
 
 let read_value_r asp ~vaddr =
-  with_resident_page asp ~vaddr ~write:false (fun frame ->
-      frame.Mm_phys.Frame.contents)
+  with_resident_page asp ~vaddr ~write:false Mm_phys.Phys.contents
 
 let read_value asp ~vaddr =
   match read_value_r asp ~vaddr with

@@ -87,7 +87,7 @@ let reclaim_file_pages t file ~target =
       if !dropped < target then
         match File.lookup_page file ~page_index with
         | None -> ()
-        | Some f when f.Mm_phys.Frame.wired -> ()
+        | Some f when Mm_phys.Phys.wired phys f -> ()
         | Some f ->
           let offset = page_index * ps in
           let covering =
@@ -114,16 +114,16 @@ let reclaim_file_pages t file ~target =
                          + (offset - m.Pager.file_offset)))
                 | None -> ())
               covering;
-            if f.Mm_phys.Frame.map_count = 0 then begin
-              if File.needs_writeback file ~page_index then begin
+            if Mm_phys.Phys.map_count phys f = 0 then begin
+              if File.needs_writeback file phys ~page_index then begin
                 ignore
                   (fpager.Pager.put_pages
-                     [ (page_index, f.Mm_phys.Frame.contents) ]);
+                     [ (page_index, Mm_phys.Phys.contents phys f) ]);
                 t.stats.file_written_back <- t.stats.file_written_back + 1
               end;
               if Mm_obs.Trace.on () then
                 Mm_sim.Engine.obs
-                  (Mm_obs.Event.Reclaim_page { pfn = f.Mm_phys.Frame.pfn });
+                  (Mm_obs.Event.Reclaim_page { pfn = (f :> int) });
               File.drop_page file phys ~page_index;
               incr dropped;
               t.stats.file_dropped <- t.stats.file_dropped + 1

@@ -195,8 +195,8 @@ let pager ~dev ~phys =
       (fun ~page_index ->
         Mm_sim.Engine.charge Mm_sim.Cost.page_alloc;
         let frame = Mm_phys.Phys.alloc phys ~kind:Mm_phys.Frame.Anon () in
-        frame.Mm_phys.Frame.contents <-
-          Blockdev.read_page dev ~block:page_index;
+        Mm_phys.Phys.set_contents phys frame
+          (Blockdev.read_page dev ~block:page_index);
         Blockdev.free_block dev ~block:page_index;
         frame);
     put_pages =

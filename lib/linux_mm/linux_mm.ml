@@ -105,22 +105,18 @@ let clear_pt_range t ~lo ~hi =
     Pt.iter_present_range t.pt node ~lo ~hi (fun idx sub_lo sub_hi ->
         match Pt.get_uncharged t.pt node idx with
         | Pte.Leaf _ when node.Pt.level = 1 ->
-          Mm_sim.Mutex_s.lock (Mm_phys.Frame.lock node.Pt.frame);
+          Mm_sim.Mutex_s.lock (Pt.lock t.pt node);
           (match Pt.get t.pt node idx with
           | Pte.Leaf { pfn; _ } ->
             Pt.set t.pt node idx Pte.Absent;
             let f = Mm_phys.Phys.frame t.phys pfn in
-            f.Mm_phys.Frame.map_count <- f.Mm_phys.Frame.map_count - 1;
-            if
-              f.Mm_phys.Frame.map_count = 0
-              && f.Mm_phys.Frame.kind = Mm_phys.Frame.Anon
-            then begin
+            if Mm_phys.Phys.drop_map t.phys f then begin
               Mm_sim.Engine.charge Mm_sim.Cost.page_free;
               Mm_phys.Phys.free t.phys f
             end;
             unmapped := (sub_lo / ps) :: !unmapped
           | Pte.Absent | Pte.Table _ -> ());
-          Mm_sim.Mutex_s.unlock (Mm_phys.Frame.lock node.Pt.frame)
+          Mm_sim.Mutex_s.unlock (Pt.lock t.pt node)
         | Pte.Leaf _ ->
           failwith "linux baseline: huge leaves not used"
         | Pte.Table _ -> walk (Pt.child t.pt node idx) ~lo:sub_lo ~hi:sub_hi
@@ -197,10 +193,10 @@ let mprotect t ~addr ~len ~perm =
     Pt.iter_present_range t.pt node ~lo ~hi (fun idx sub_lo sub_hi ->
         match Pt.get_uncharged t.pt node idx with
         | Pte.Leaf l when node.Pt.level = 1 ->
-          Mm_sim.Mutex_s.lock (Mm_phys.Frame.lock node.Pt.frame);
+          Mm_sim.Mutex_s.lock (Pt.lock t.pt node);
           Pt.set t.pt node idx
             (Pte.Leaf { l with perm = { perm with Perm.cow = l.perm.Perm.cow } });
-          Mm_sim.Mutex_s.unlock (Mm_phys.Frame.lock node.Pt.frame);
+          Mm_sim.Mutex_s.unlock (Pt.lock t.pt node);
           vpns := (sub_lo / ps) :: !vpns
         | Pte.Leaf _ -> failwith "linux baseline: huge leaves not used"
         | Pte.Table _ -> walk (Pt.child t.pt node idx) ~lo:sub_lo ~hi:sub_hi
@@ -256,7 +252,7 @@ let page_fault t ~vaddr ~write =
       in
       let leaf = down (Pt.root t.pt) in
       let idx = Pt.index t.pt ~level:1 ~vaddr in
-      Mm_sim.Mutex_s.lock (Mm_phys.Frame.lock leaf.Pt.frame);
+      Mm_sim.Mutex_s.lock (Pt.lock t.pt leaf);
       let outcome =
         match Pt.get t.pt leaf idx with
         | Pte.Leaf { pfn; perm; _ } ->
@@ -264,8 +260,8 @@ let page_fault t ~vaddr ~write =
           if write && perm.Perm.cow then begin
             let frame = Mm_phys.Phys.frame t.phys pfn in
             if
-              frame.Mm_phys.Frame.map_count = 1
-              && frame.Mm_phys.Frame.kind = Mm_phys.Frame.Anon
+              Mm_phys.Phys.map_count t.phys frame = 1
+              && Mm_phys.Phys.kind t.phys frame = Mm_phys.Frame.Anon
             then begin
               let p = Perm.with_cow (Perm.with_write perm true) false in
               Pt.set t.pt leaf idx (Pte.leaf ~pfn ~perm:p ());
@@ -277,17 +273,16 @@ let page_fault t ~vaddr ~write =
               Mm_sim.Engine.charge
                 (Mm_sim.Cost.page_alloc + Mm_sim.Cost.page_copy);
               let copy = Mm_phys.Phys.alloc t.phys ~kind:Mm_phys.Frame.Anon () in
-              copy.Mm_phys.Frame.contents <- frame.Mm_phys.Frame.contents;
-              copy.Mm_phys.Frame.map_count <- 1;
-              frame.Mm_phys.Frame.map_count <-
-                frame.Mm_phys.Frame.map_count - 1;
+              Mm_phys.Phys.set_contents t.phys copy
+                (Mm_phys.Phys.contents t.phys frame);
+              Mm_phys.Phys.set_map_count t.phys copy 1;
+              ignore (Mm_phys.Phys.drop_map t.phys frame : bool);
               let p = Perm.with_cow (Perm.with_write perm true) false in
-              Pt.set t.pt leaf idx
-                (Pte.leaf ~pfn:copy.Mm_phys.Frame.pfn ~perm:p ());
+              Pt.set t.pt leaf idx (Pte.leaf ~pfn:(copy :> int) ~perm:p ());
               (match Mm_sim.Engine.current () with
               | Some f ->
                 Mm_tlb.Tlb.install t.tlb ~cpu:f.f_cpu ~vpn:(page / ps)
-                  ~pfn:copy.Mm_phys.Frame.pfn ~writable:true ()
+                  ~pfn:(copy :> int) ~writable:true ()
               | None -> ());
               Handled
             end
@@ -297,13 +292,13 @@ let page_fault t ~vaddr ~write =
         | Pte.Absent ->
           Mm_sim.Engine.charge (Mm_sim.Cost.page_alloc + Mm_sim.Cost.page_zero);
           let frame = Mm_phys.Phys.alloc t.phys ~kind:Mm_phys.Frame.Anon () in
-          frame.Mm_phys.Frame.map_count <- 1;
+          Mm_phys.Phys.set_map_count t.phys frame 1;
           let p = vma.Vma.perm in
-          Pt.set t.pt leaf idx (Pte.leaf ~pfn:frame.Mm_phys.Frame.pfn ~perm:p ());
+          Pt.set t.pt leaf idx (Pte.leaf ~pfn:(frame :> int) ~perm:p ());
           (match Mm_sim.Engine.current () with
           | Some f ->
             Mm_tlb.Tlb.install t.tlb ~cpu:f.f_cpu ~vpn:(page / ps)
-              ~pfn:frame.Mm_phys.Frame.pfn
+              ~pfn:(frame :> int)
               ~writable:(p.Perm.write && not p.Perm.cow) ()
           | None -> ());
           Handled
@@ -315,7 +310,7 @@ let page_fault t ~vaddr ~write =
         Mm_sim.Engine.tick_on f Mm_sim.Cost.linux_fault_accounting;
         Mm_sim.Engine.Line.rmw_on f t.stats_line
       | None -> ());
-      Mm_sim.Mutex_s.unlock (Mm_phys.Frame.lock leaf.Pt.frame);
+      Mm_sim.Mutex_s.unlock (Pt.lock t.pt leaf);
       Mm_sim.Rwlock_s.read_unlock vma.Vma.vma_lock;
       outcome
     end
@@ -415,8 +410,7 @@ let fork t =
           else perm
         in
         Pt.set child.pt cn idx (Pte.Leaf { pfn; perm = p; accessed; dirty; global });
-        let f = Mm_phys.Phys.frame t.phys pfn in
-        f.Mm_phys.Frame.map_count <- f.Mm_phys.Frame.map_count + 1)
+        Mm_phys.Phys.add_map t.phys (Mm_phys.Phys.frame t.phys pfn))
   in
   clone_pt (Pt.root t.pt) (Pt.root child.pt);
   (if !vpns <> [] && Mm_sim.Engine.in_fiber () then
@@ -444,16 +438,16 @@ let with_pfn t ~vaddr f =
   if node.Pt.level <> 1 then failwith "with_pfn: page not mapped"
   else
     match Pt.get t.pt node (Pt.index t.pt ~level:1 ~vaddr) with
-    | Pte.Leaf { pfn; _ } -> f (Mm_phys.Phys.frame t.phys pfn)
+    | Pte.Leaf { pfn; _ } -> f t.phys (Mm_phys.Phys.frame t.phys pfn)
     | Pte.Absent | Pte.Table _ -> failwith "with_pfn: page not mapped"
 
 let write_value t ~vaddr ~value =
   touch t ~vaddr ~write:true;
-  with_pfn t ~vaddr (fun f -> f.Mm_phys.Frame.contents <- value)
+  with_pfn t ~vaddr (fun phys f -> Mm_phys.Phys.set_contents phys f value)
 
 let read_value t ~vaddr =
   touch t ~vaddr ~write:false;
-  with_pfn t ~vaddr (fun f -> f.Mm_phys.Frame.contents)
+  with_pfn t ~vaddr Mm_phys.Phys.contents
 
 (* Normalized observation of one page for the differential oracle: VMA
    lookup for mapped-ness and the would-be protection, raw (uncharged)

@@ -96,6 +96,18 @@ let log_append t op =
   t.log.(t.log_len) <- op;
   t.log_len <- t.log_len + 1
 
+(* Drop one replica's mapping of an anonymous frame: a kind-guarded
+   decrement that frees the frame with its last mapping, so a frame
+   another replica already freed is skipped. *)
+let release t f =
+  if
+    Mm_phys.Phys.kind t.phys f = Mm_phys.Frame.Anon
+    && Mm_phys.Phys.drop_map t.phys f
+  then begin
+    Mm_sim.Engine.charge Mm_sim.Cost.page_free;
+    Mm_phys.Phys.free t.phys f
+  end
+
 (* Apply one log entry to a replica (its lock is held), walking from the
    root for each page. *)
 let apply_op t (rep : replica) op =
@@ -110,8 +122,8 @@ let apply_op t (rep : replica) op =
             Mm_sim.Engine.charge
               (Mm_sim.Cost.page_alloc + Mm_sim.Cost.page_zero);
             let f = Mm_phys.Phys.alloc t.phys ~kind:Mm_phys.Frame.Anon () in
-            f.Mm_phys.Frame.map_count <- 1;
-            f.Mm_phys.Frame.pfn)
+            Mm_phys.Phys.set_map_count t.phys f 1;
+            (f :> int))
     end;
     for i = 0 to npages - 1 do
       let vaddr = m.lo + (i * ps) in
@@ -131,14 +143,7 @@ let apply_op t (rep : replica) op =
         match Pt.get rep.pt node (Pt.index rep.pt ~level:1 ~vaddr) with
         | Pte.Leaf { pfn; _ } ->
           Pt.set rep.pt node (Pt.index rep.pt ~level:1 ~vaddr) Pte.Absent;
-          let f = Mm_phys.Phys.frame t.phys pfn in
-          if first && f.Mm_phys.Frame.kind = Mm_phys.Frame.Anon then begin
-            f.Mm_phys.Frame.map_count <- f.Mm_phys.Frame.map_count - 1;
-            if f.Mm_phys.Frame.map_count <= 0 then begin
-              Mm_sim.Engine.charge Mm_sim.Cost.page_free;
-              Mm_phys.Phys.free t.phys f
-            end
-          end
+          if first then release t (Mm_phys.Phys.frame t.phys pfn)
         | Pte.Absent | Pte.Table _ -> ()
       end
     done
@@ -278,14 +283,14 @@ let fork t =
               (Mm_sim.Cost.page_alloc + Mm_sim.Cost.page_copy);
             let src = Mm_phys.Phys.frame t.phys pfn in
             let f = Mm_phys.Phys.alloc t.phys ~kind:Mm_phys.Frame.Anon () in
-            f.Mm_phys.Frame.contents <- src.Mm_phys.Frame.contents;
-            f.Mm_phys.Frame.map_count <- 1;
+            Mm_phys.Phys.set_contents t.phys f (Mm_phys.Phys.contents t.phys src);
+            Mm_phys.Phys.set_map_count t.phys f 1;
             Array.iter
               (fun crep ->
                 let node = Pt.walk_create crep.pt ~to_level:1 vaddr in
                 Pt.set crep.pt node
                   (Pt.index crep.pt ~level:1 ~vaddr)
-                  (Pte.leaf ~pfn:f.Mm_phys.Frame.pfn ~perm ()))
+                  (Pte.leaf ~pfn:(f :> int) ~perm ()))
               child.replicas
           | Pte.Absent | Pte.Table _ -> ()));
   child
@@ -304,14 +309,7 @@ let teardown_pt t pt =
         Pt.free_node pt c
       | Pte.Leaf { pfn; _ } ->
         Pt.set pt node idx Pte.Absent;
-        let f = Mm_phys.Phys.frame t.phys pfn in
-        if f.Mm_phys.Frame.kind = Mm_phys.Frame.Anon then begin
-          f.Mm_phys.Frame.map_count <- f.Mm_phys.Frame.map_count - 1;
-          if f.Mm_phys.Frame.map_count <= 0 then begin
-            Mm_sim.Engine.charge Mm_sim.Cost.page_free;
-            Mm_phys.Phys.free t.phys f
-          end
-        end
+        release t (Mm_phys.Phys.frame t.phys pfn)
       | Pte.Absent -> ())
   in
   go (Pt.root pt)
@@ -339,16 +337,16 @@ let with_pfn t ~vaddr f =
       if node.Pt.level <> 1 then raise (Fault vaddr)
       else
         match Pt.get_uncharged rep.pt node (Pt.index rep.pt ~level:1 ~vaddr) with
-        | Pte.Leaf { pfn; _ } -> f (Mm_phys.Phys.frame t.phys pfn)
+        | Pte.Leaf { pfn; _ } -> f t.phys (Mm_phys.Phys.frame t.phys pfn)
         | Pte.Absent | Pte.Table _ -> raise (Fault vaddr))
 
 let write_value t ~vaddr ~value =
   touch t ~vaddr ~write:true;
-  with_pfn t ~vaddr (fun f -> f.Mm_phys.Frame.contents <- value)
+  with_pfn t ~vaddr (fun phys f -> Mm_phys.Phys.set_contents phys f value)
 
 let read_value t ~vaddr =
   touch t ~vaddr ~write:false;
-  with_pfn t ~vaddr (fun f -> f.Mm_phys.Frame.contents)
+  with_pfn t ~vaddr Mm_phys.Phys.contents
 
 (* Normalized observation of one page for the differential oracle: catch
    the observing CPU's replica up with the log (what any real NrOS read

@@ -1,11 +1,12 @@
 (* The lock-contention profile: per-lock aggregates of serialized cycles.
 
    Every simulated lock gets a cheap integer id at creation ([fresh_id] is
-   one increment — every frame descriptor reserves two, for the PT-page
-   locks it builds on first use, so registration must not allocate). A
-   lock enters this table only on its first *profiled* operation, i.e.
-   while a profiling session is active, so idle locks cost nothing and
-   the table stays small (only locks that were actually exercised).
+   one increment — the first touch of each pfn in the frame table reserves
+   two, for the PT-page locks built on first use, so registration must
+   not allocate). A lock enters this table only on its first *profiled*
+   operation, i.e. while a profiling session is active, so idle locks
+   cost nothing and the table stays small (only locks that were actually
+   exercised).
 
    "Serialized cycles" is the total virtual time fibers spent waiting to
    acquire the lock — exactly the quantity the paper's scalability

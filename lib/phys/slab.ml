@@ -63,7 +63,7 @@ let create phys ~name ~obj_size =
     slabs = 0;
   }
 
-let slab_base (s : slab) = s.frame.Frame.pfn * page_size
+let slab_base (s : slab) = (s.frame :> int) * page_size
 
 let new_slab t =
   Mm_sim.Engine.charge Mm_sim.Cost.page_alloc;

@@ -22,13 +22,16 @@
    is sparse: every read, store and charge is the same as on a dense
    4 KiB page.
 
-   Each node is backed by a physical frame from {!Mm_phys.Phys}; the
-   frame's descriptor carries the per-PT-page lock (built on first use)
-   and stale flag the locking protocols use. Access costs are charged to
-   the simulated CPU when running inside a simulation fiber: reads pay a
-   walk step on the node's cache line (shared, non-serializing), writes
-   pay an exclusive line access (serializing) — which is how contention
-   on a shared leaf PT page emerges in the benchmarks.
+   Each node is backed by a physical frame from {!Mm_phys.Phys}, whose
+   frame table keeps the per-PT-page locks (built on first use) and the
+   stale flag the locking protocols use; the node keeps the frame's pfn
+   and caches its cache line, which every read and write charges, and
+   its locks, which every cursor takes. Access
+   costs are charged to the simulated CPU when running inside a
+   simulation fiber: reads pay a walk step on the node's cache line
+   (shared, non-serializing), writes pay an exclusive line access
+   (serializing) — which is how contention on a shared leaf PT page
+   emerges in the benchmarks.
 
    The ['m] parameter is the per-PTE metadata array CortenMM attaches to
    each PT page (paper §3.3); other systems instantiate it with [unit].
@@ -85,6 +88,9 @@ type occ = Bytes.t
 
 type 'm node = {
   frame : Mm_phys.Frame.t;
+  line : Mm_sim.Engine.Line.t; (* the frame's, cached *)
+  mutable lock : Mm_sim.Mutex_s.t; (* the frame's, cached on first use *)
+  mutable rwlock : Mm_sim.Rwlock_s.t; (* likewise *)
   level : int;
   chunks : chunk array; (* [empty_chunk] until a present store lands *)
   occ : occ; (* bit [i] set iff entry [i] is present *)
@@ -113,15 +119,23 @@ exception Ill_formed of string
    the node's line. *)
 let walk_step_on f node =
   Mm_sim.Engine.tick_on f Mm_sim.Cost.pt_walk_step;
-  Mm_sim.Engine.Line.read_on f node.frame.Mm_phys.Frame.line
+  Mm_sim.Engine.Line.read_on f node.line
 
-let make_node isa frame ~level =
+(* A node's lock fields until [lock] and [rwlock] first fetch the
+   frame's locks from the frame table. *)
+let no_lock = Mm_sim.Mutex_s.make ~id:(-1) ()
+let no_rwlock = Mm_sim.Rwlock_s.make ~id:(-1) ()
+
+let make_node phys isa frame ~level =
   let n = Geometry.entries isa.Isa.geo in
   let chunks = Array.make ((n + chunk_entries - 1) lsr chunk_bits) empty_chunk
   and occ = Mm_util.Bitset.create n in
   let rec node =
     {
       frame;
+      line = Mm_phys.Phys.line phys frame;
+      lock = no_lock;
+      rwlock = no_rwlock;
       level;
       chunks;
       occ;
@@ -139,15 +153,15 @@ let make_node isa frame ~level =
 let alloc_node t ~level =
   Mm_sim.Engine.charge Mm_sim.Cost.pt_page_init;
   let frame = Mm_phys.Phys.alloc t.phys ~kind:Mm_phys.Frame.Pt_page () in
-  let node = make_node t.isa frame ~level in
-  Hashtbl.replace t.nodes frame.Mm_phys.Frame.pfn node;
+  let node = make_node t.phys t.isa frame ~level in
+  Hashtbl.replace t.nodes (frame :> int) node;
   t.pt_page_count <- t.pt_page_count + 1;
   node
 
 let create phys isa =
   let geo = isa.Isa.geo in
   let frame = Mm_phys.Phys.alloc phys ~kind:Mm_phys.Frame.Pt_page () in
-  let root = make_node isa frame ~level:geo.Geometry.levels in
+  let root = make_node phys isa frame ~level:geo.Geometry.levels in
   let t =
     {
       phys;
@@ -161,10 +175,28 @@ let create phys isa =
       pt_page_count = 1;
     }
   in
-  Hashtbl.replace t.nodes frame.Mm_phys.Frame.pfn root;
+  Hashtbl.replace t.nodes (frame :> int) root;
   t
 
 let root t = t.root
+
+let lock t node =
+  let l = node.lock in
+  if l != no_lock then l
+  else begin
+    let l = Mm_phys.Phys.lock t.phys node.frame in
+    node.lock <- l;
+    l
+  end
+
+let rwlock t node =
+  let l = node.rwlock in
+  if l != no_rwlock then l
+  else begin
+    let l = Mm_phys.Phys.rwlock t.phys node.frame in
+    node.rwlock <- l;
+    l
+  end
 let pt_page_count t = t.pt_page_count
 
 let entries_per_node t = t.mask + 1
@@ -207,7 +239,7 @@ let charge_store node =
   match Mm_sim.Engine.current () with
   | Some f ->
     Mm_sim.Engine.tick_on f Mm_sim.Cost.pte_write;
-    Mm_sim.Engine.Line.write_on f node.frame.Mm_phys.Frame.line
+    Mm_sim.Engine.Line.write_on f node.line
   | None -> ()
 
 (* Storing word 0 into an unallocated stretch changes nothing: the
@@ -309,7 +341,7 @@ let child t node idx =
         raise
           (Ill_formed
              (Printf.sprintf "dangling table entry (node %#x idx %d -> %#x)"
-                node.frame.Mm_phys.Frame.pfn idx pfn)))
+                (node.frame :> int) idx pfn)))
     | Pte.Absent | Pte.Leaf _ -> invalid_arg "Pt.child: not a table entry"
 
 let entry_coverage t node = 1 lsl t.shift.(node.level - 1)
@@ -322,7 +354,7 @@ let set_child t parent idx c =
   c.parent <- Some (parent, idx);
   c.base <- parent.base + (idx lsl t.shift.(parent.level - 1));
   charge_store parent;
-  write t parent idx (Pte.Table { pfn = c.frame.Mm_phys.Frame.pfn });
+  write t parent idx (Pte.Table { pfn = (c.frame :> int) });
   parent.kid_slot <- idx;
   parent.kid <- c
 
@@ -382,7 +414,7 @@ let free_node t node =
   | Some _ -> invalid_arg "Pt.free_node: node still linked"
   | None -> ());
   Mm_sim.Engine.charge Mm_sim.Cost.page_free;
-  Hashtbl.remove t.nodes node.frame.Mm_phys.Frame.pfn;
+  Hashtbl.remove t.nodes (node.frame :> int);
   t.pt_page_count <- t.pt_page_count - 1;
   Mm_phys.Phys.free t.phys node.frame
 
@@ -539,37 +571,37 @@ let check_well_formed t =
   let fail fmt = Printf.ksprintf (fun s -> raise (Ill_formed s)) fmt in
   let seen = Hashtbl.create 64 in
   let rec go node =
-    if Hashtbl.mem seen node.frame.Mm_phys.Frame.pfn then
-      fail "node %#x reachable twice" node.frame.Mm_phys.Frame.pfn;
-    Hashtbl.replace seen node.frame.Mm_phys.Frame.pfn ();
-    if node.frame.Mm_phys.Frame.kind <> Mm_phys.Frame.Pt_page then
-      fail "node %#x frame is not a PT page" node.frame.Mm_phys.Frame.pfn;
+    if Hashtbl.mem seen (node.frame :> int) then
+      fail "node %#x reachable twice" (node.frame :> int);
+    Hashtbl.replace seen (node.frame :> int) ();
+    if Mm_phys.Phys.kind t.phys node.frame <> Mm_phys.Frame.Pt_page then
+      fail "node %#x frame is not a PT page" (node.frame :> int);
     let present = ref 0 in
     for idx = 0 to entries_per_node t - 1 do
       let pte = decode_raw t node idx in
       let cached = node.chunks.(idx lsr chunk_bits).mirror.(slot idx) in
       if cached != undecoded && pte <> cached then
         fail "stale decode mirror (node %#x idx %d)"
-          node.frame.Mm_phys.Frame.pfn idx;
+          (node.frame :> int) idx;
       if occupied node idx <> Pte.is_present pte then
         fail "stale occupancy bit (node %#x idx %d)"
-          node.frame.Mm_phys.Frame.pfn idx;
+          (node.frame :> int) idx;
       match pte with
       | Pte.Absent -> ()
       | Pte.Leaf _ ->
         incr present;
         if node.level > 3 then
           fail "huge leaf at level %d (node %#x idx %d)" node.level
-            node.frame.Mm_phys.Frame.pfn idx
+            (node.frame :> int) idx
       | Pte.Table { pfn } -> (
         incr present;
         if node.level = 1 then
           fail "table entry at leaf level (node %#x idx %d)"
-            node.frame.Mm_phys.Frame.pfn idx;
+            (node.frame :> int) idx;
         match Hashtbl.find_opt t.nodes pfn with
         | None ->
           fail "entry points to unknown PT page %#x (node %#x idx %d)" pfn
-            node.frame.Mm_phys.Frame.pfn idx
+            (node.frame :> int) idx
         | Some c ->
           (* Child level relation: exactly one below (Fig 12 L22). *)
           if c.level <> node.level - 1 then
@@ -585,7 +617,7 @@ let check_well_formed t =
     done;
     if !present <> node.present then
       fail "present count %d <> actual %d (node %#x)" node.present !present
-        node.frame.Mm_phys.Frame.pfn;
+        (node.frame :> int);
     (* The remembered child is the node its slot's table entry names;
        with none remembered, the memo holds the node itself. *)
     let k = node.kid_slot in
@@ -602,7 +634,7 @@ let check_well_formed t =
         | Pte.Absent | Pte.Leaf _ -> false
     in
     if not memo_ok then
-      fail "stale child memo (node %#x idx %d)" node.frame.Mm_phys.Frame.pfn k
+      fail "stale child memo (node %#x idx %d)" (node.frame :> int) k
   in
   go t.root;
   (* Every tracked node must be reachable from the root (no leaks into the

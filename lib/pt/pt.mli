@@ -26,6 +26,12 @@ type occ
 
 type 'm node = {
   frame : Mm_phys.Frame.t;
+  line : Mm_sim.Engine.Line.t;
+      (* the frame's cache line, which every read and write of the node
+         charges: {!Mm_phys.Phys.line}, cached *)
+  mutable lock : Mm_sim.Mutex_s.t;
+  mutable rwlock : Mm_sim.Rwlock_s.t;
+      (* the frame's PT-page locks, cached by {!lock} and {!rwlock} *)
   level : int;
   chunks : chunk array; (* allocated by the first present store *)
   occ : occ;
@@ -47,6 +53,14 @@ exception Ill_formed of string
 
 val create : Mm_phys.Phys.t -> Isa.t -> 'm t
 val root : 'm t -> 'm node
+
+val lock : 'm t -> 'm node -> Mm_sim.Mutex_s.t
+(** The node's frame's PT-page spin lock ({!Mm_phys.Phys.lock}), cached
+    in the node on first use. *)
+
+val rwlock : 'm t -> 'm node -> Mm_sim.Rwlock_s.t
+(** Likewise its BRAVO rwlock ({!Mm_phys.Phys.rwlock}). *)
+
 val entries_per_node : 'm t -> int
 
 val pt_page_count : 'm t -> int

@@ -235,11 +235,11 @@ let page_fault t ~vaddr ~write =
       | R_reserved _ ->
         Mm_sim.Engine.charge (Mm_sim.Cost.page_alloc + Mm_sim.Cost.page_zero);
         let frame = Mm_phys.Phys.alloc t.phys ~kind:Mm_phys.Frame.Anon () in
-        frame.Mm_phys.Frame.map_count <- 1;
-        set_entry leaf idx (R_mapped { pfn = frame.Mm_phys.Frame.pfn; perm });
+        Mm_phys.Phys.set_map_count t.phys frame 1;
+        set_entry leaf idx (R_mapped { pfn = (frame :> int); perm });
         leaf.core_mask <- leaf.core_mask lor (1 lsl cpu);
         Mm_sim.Mutex_s.unlock leaf.lock;
-        install_pte t ~cpu ~vpn ~pfn:frame.Mm_phys.Frame.pfn ~perm
+        install_pte t ~cpu ~vpn ~pfn:(frame :> int) ~perm
       | R_mapped { pfn; perm } ->
         (* Raced: another core backed it; install into our replica only. *)
         leaf.core_mask <- leaf.core_mask lor (1 lsl cpu);
@@ -257,6 +257,16 @@ let page_fault t ~vaddr ~write =
       leaf.core_mask <- leaf.core_mask lor (1 lsl cpu);
       install_pte t ~cpu ~vpn ~pfn ~perm;
       Handled)
+
+(* Drop the one mapping RadixVM keeps of a frame, freeing it if it is
+   anonymous. *)
+let release t pfn =
+  let f = Mm_phys.Phys.frame t.phys pfn in
+  Mm_phys.Phys.set_map_count t.phys f 0;
+  if Mm_phys.Phys.kind t.phys f = Mm_phys.Frame.Anon then begin
+    Mm_sim.Engine.charge Mm_sim.Cost.page_free;
+    Mm_phys.Phys.free t.phys f
+  end
 
 let munmap t ~addr ~len =
   Mm_sim.Engine.charge Mm_sim.Cost.syscall;
@@ -296,12 +306,7 @@ let munmap t ~addr ~len =
               | None -> ()
             end
           done;
-          let f = Mm_phys.Phys.frame t.phys pfn in
-          f.Mm_phys.Frame.map_count <- 0;
-          if f.Mm_phys.Frame.kind = Mm_phys.Frame.Anon then begin
-            Mm_sim.Engine.charge Mm_sim.Cost.page_free;
-            Mm_phys.Phys.free t.phys f
-          end
+          release t pfn
         | R_reserved _ -> set_entry leaf idx R_empty
         | R_empty -> ()
       done;
@@ -421,11 +426,10 @@ let fork t =
           Mm_sim.Engine.charge (Mm_sim.Cost.page_alloc + Mm_sim.Cost.page_copy);
           let f = Mm_phys.Phys.alloc t.phys ~kind:Mm_phys.Frame.Anon () in
           let src = Mm_phys.Phys.frame t.phys pfn in
-          f.Mm_phys.Frame.contents <- src.Mm_phys.Frame.contents;
-          f.Mm_phys.Frame.map_count <- 1;
+          Mm_phys.Phys.set_contents t.phys f (Mm_phys.Phys.contents t.phys src);
+          Mm_phys.Phys.set_map_count t.phys f 1;
           let leaf = leaf_create child ~vpn in
-          set_entry leaf (entry_idx ~vpn)
-            (R_mapped { pfn = f.Mm_phys.Frame.pfn; perm }));
+          set_entry leaf (entry_idx ~vpn) (R_mapped { pfn = (f :> int); perm }));
       Mm_sim.Mutex_s.unlock node.lock
     end
     else
@@ -463,12 +467,7 @@ let destroy t =
         match Chunked.get node.entries idx with
         | R_mapped { pfn; _ } ->
           set_entry node idx R_empty;
-          let f = Mm_phys.Phys.frame t.phys pfn in
-          f.Mm_phys.Frame.map_count <- 0;
-          if f.Mm_phys.Frame.kind = Mm_phys.Frame.Anon then begin
-            Mm_sim.Engine.charge Mm_sim.Cost.page_free;
-            Mm_phys.Phys.free t.phys f
-          end
+          release t pfn
         | R_reserved _ -> set_entry node idx R_empty
         | R_empty -> ())
     else
@@ -497,13 +496,13 @@ let with_pfn t ~vaddr f =
   | None -> raise (Fault vaddr)
   | Some leaf -> (
     match Chunked.get leaf.entries (entry_idx ~vpn) with
-    | R_mapped { pfn; _ } -> f (Mm_phys.Phys.frame t.phys pfn)
+    | R_mapped { pfn; _ } -> f t.phys (Mm_phys.Phys.frame t.phys pfn)
     | R_empty | R_reserved _ -> raise (Fault vaddr))
 
 let write_value t ~vaddr ~value =
   touch t ~vaddr ~write:true;
-  with_pfn t ~vaddr (fun f -> f.Mm_phys.Frame.contents <- value)
+  with_pfn t ~vaddr (fun phys f -> Mm_phys.Phys.set_contents phys f value)
 
 let read_value t ~vaddr =
   touch t ~vaddr ~write:false;
-  with_pfn t ~vaddr (fun f -> f.Mm_phys.Frame.contents)
+  with_pfn t ~vaddr Mm_phys.Phys.contents

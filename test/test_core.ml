@@ -399,7 +399,7 @@ let test_private_file_cow cfg =
       (match File.lookup_page file ~page_index:0 with
       | Some f ->
         check Alcotest.int "page cache unchanged" original
-          f.Mm_phys.Frame.contents
+          (Mm_phys.Phys.contents (Addr_space.kernel asp).Kernel.phys f)
       | None -> Alcotest.fail "cache page vanished"))
 
 let test_shared_file_write_and_msync cfg =
@@ -412,7 +412,9 @@ let test_shared_file_write_and_msync cfg =
       Mm.write_value asp ~vaddr:addr ~value:555;
       (* Shared write goes to the page cache and marks it dirty. *)
       (match File.lookup_page file ~page_index:0 with
-      | Some f -> check Alcotest.int "cache sees write" 555 f.Mm_phys.Frame.contents
+      | Some f ->
+        check Alcotest.int "cache sees write" 555
+          (Mm_phys.Phys.contents (Addr_space.kernel asp).Kernel.phys f)
       | None -> Alcotest.fail "cache page missing");
       check Alcotest.int "msync writes one page" 1 (Mm_compat.msync asp ~file);
       check Alcotest.int "second msync writes nothing" 0
@@ -469,7 +471,7 @@ let test_huge_map_and_split cfg =
           match Addr_space.query c (addr + kib 12) with
           | Status.Mapped { pfn; _ } ->
             check Alcotest.int "huge page interior pfn"
-              (frame.Mm_phys.Frame.pfn + 3) pfn
+              ((frame :> int) + 3) pfn
           | s -> Alcotest.failf "expected mapped, got %s" (Status.to_string s));
       (* Unmapping one 4 KiB page splits the huge leaf. *)
       Addr_space.with_lock asp ~lo:addr ~hi:(addr + mib 2) (fun c ->
@@ -481,7 +483,7 @@ let test_huge_map_and_split cfg =
           match Addr_space.query c (addr + kib 8) with
           | Status.Mapped { pfn; _ } ->
             check Alcotest.int "neighbour pfn preserved"
-              (frame.Mm_phys.Frame.pfn + 2) pfn
+              ((frame :> int) + 2) pfn
           | s -> Alcotest.failf "expected mapped, got %s" (Status.to_string s));
       Addr_space.check_well_formed asp)
 

@@ -1,6 +1,7 @@
 (* Tests for the physical memory substrate: the buddy allocator (splits,
    merges, alignment, double-free detection, invariant preservation under
-   random workloads), frame descriptors, NUMA striping and accounting. *)
+   random workloads), the frame table against a reference model, NUMA
+   striping and accounting. *)
 
 module Buddy = Mm_phys.Buddy
 module Phys = Mm_phys.Phys
@@ -258,11 +259,13 @@ let test_reference_equivalence () =
 let test_frame_descriptors () =
   let phys = Phys.create () in
   let f = Phys.alloc phys ~kind:Frame.Anon () in
-  check Alcotest.bool "kind set" true (f.Frame.kind = Frame.Anon);
-  let same = Phys.frame phys f.Frame.pfn in
-  check Alcotest.bool "descriptor identity" true (f == same);
+  check Alcotest.bool "kind set" true (Phys.kind phys f = Frame.Anon);
+  let same = Phys.frame phys (f :> int) in
+  check Alcotest.int "descriptor identity" (f :> int) (same :> int);
+  Phys.set_contents phys same 7;
+  check Alcotest.int "one descriptor per pfn" 7 (Phys.contents phys f);
   Phys.free phys f;
-  check Alcotest.bool "freed" true (f.Frame.kind = Frame.Free);
+  check Alcotest.bool "freed" true (Phys.kind phys f = Frame.Free);
   Alcotest.(check bool)
     "free of free raises" true
     (try
@@ -270,24 +273,24 @@ let test_frame_descriptors () =
        false
      with Invalid_argument _ -> true)
 
-(* Descriptors reserve their two lock ids at creation, rwlock first, but
-   build the locks only on first use. *)
+(* A pfn's first touch reserves its two lock ids, rwlock first, but the
+   locks are built only on first use. *)
 let test_lazy_lock_ids () =
   Mm_obs.Contention.reset ();
   let phys = Phys.create () in
   let frames = List.map (Phys.frame phys) [ 40; 3; 2000 ] in
   (* Build the locks out of creation order: ids must not follow. *)
   List.iter
-    (fun f -> ignore (Frame.lock f : Mm_sim.Mutex_s.t))
+    (fun f -> ignore (Phys.lock phys f : Mm_sim.Mutex_s.t))
     (List.rev frames);
   List.iteri
     (fun i f ->
-      let rw = Mm_sim.Rwlock_s.id (Frame.rwlock f) in
+      let rw = Mm_sim.Rwlock_s.id (Phys.rwlock phys f) in
       check Alcotest.int (Printf.sprintf "frame %d rwlock id" i) (2 * i) rw;
       check Alcotest.int
         (Printf.sprintf "frame %d mutex id" i)
         (rw + 1)
-        (Mm_sim.Mutex_s.id (Frame.lock f)))
+        (Mm_sim.Mutex_s.id (Phys.lock phys f)))
     frames;
   check Alcotest.int "later locks continue after the reserved ids" 6
     (Mm_sim.Mutex_s.id (Mm_sim.Mutex_s.make ()))
@@ -295,14 +298,180 @@ let test_lazy_lock_ids () =
 let test_lazy_lock_identity () =
   let phys = Phys.create () in
   let f = Phys.alloc phys ~kind:Frame.Pt_page () in
-  let l = Frame.lock f and rw = Frame.rwlock f in
-  check Alcotest.bool "same mutex every call" true (Frame.lock f == l);
-  check Alcotest.bool "same rwlock every call" true (Frame.rwlock f == rw);
+  let l = Phys.lock phys f and rw = Phys.rwlock phys f in
+  check Alcotest.bool "same mutex every call" true (Phys.lock phys f == l);
+  check Alcotest.bool "same rwlock every call" true (Phys.rwlock phys f == rw);
   Phys.free phys f;
   let f' = Phys.alloc phys ~kind:Frame.Pt_page () in
-  check Alcotest.bool "frame reused" true (f == f');
-  check Alcotest.bool "mutex survives reuse" true (Frame.lock f' == l);
-  check Alcotest.bool "rwlock survives reuse" true (Frame.rwlock f' == rw)
+  check Alcotest.int "frame reused" (f :> int) (f' :> int);
+  check Alcotest.bool "mutex survives reuse" true (Phys.lock phys f' == l);
+  check Alcotest.bool "rwlock survives reuse" true (Phys.rwlock phys f' == rw)
+
+(* -- The frame table against a reference model --
+
+   Random steps on one [Phys]: allocations of orders 0-3, frees, double
+   frees, field writes, first touches of untouched pfns, and first uses
+   of lines and locks. The model keeps a record per touched pfn; after
+   every step each field must equal the model's, and so must the lines
+   and locks built so far, physically, across free and reuse. The model
+   reserves lock ids in first-touch order, so a lock built later must
+   carry the id its pfn's first touch reserved. *)
+
+type ref_frame = {
+  mutable r_kind : Frame.kind;
+  mutable r_order : int;
+  mutable r_stale : bool;
+  mutable r_wired : bool;
+  mutable r_maps : int;
+  mutable r_contents : int;
+  r_lock_id : int;
+  mutable r_line : Mm_sim.Engine.Line.t option;
+  mutable r_lock : Mm_sim.Mutex_s.t option;
+  mutable r_rwlock : Mm_sim.Rwlock_s.t option;
+}
+
+let kinds = [| Frame.Pt_page; Frame.Anon; Frame.File_page; Frame.Kernel |]
+
+let run_table_model ~seed ~steps =
+  Mm_obs.Contention.reset ();
+  let phys = Phys.create () and rng = Mm_util.Rng.create ~seed in
+  let model = Hashtbl.create 64 and next_id = ref 0 in
+  let live = ref [] and freed = ref [] in
+  let first_touch pfn =
+    if not (Hashtbl.mem model pfn) then begin
+      Hashtbl.replace model pfn
+        {
+          r_kind = Frame.Free; r_order = 0; r_stale = false; r_wired = false;
+          r_maps = 0; r_contents = 0; r_lock_id = !next_id; r_line = None;
+          r_lock = None; r_rwlock = None;
+        };
+      next_id := !next_id + 2
+    end;
+    Hashtbl.find model pfn
+  in
+  let pick l = List.nth l (Mm_util.Rng.int rng (List.length l)) in
+  let touched () =
+    List.sort compare (Hashtbl.fold (fun pfn _ acc -> pfn :: acc) model [])
+  in
+  let check_all step =
+    Hashtbl.iter
+      (fun pfn r ->
+        let f = Phys.frame phys pfn in
+        let fail what = Alcotest.failf "step %d: pfn %d: %s" step pfn what in
+        if
+          ( Phys.kind phys f, Phys.order phys f, Phys.stale phys f,
+            Phys.wired phys f, Phys.map_count phys f, Phys.contents phys f )
+          <> (r.r_kind, r.r_order, r.r_stale, r.r_wired, r.r_maps, r.r_contents)
+        then fail "a field differs from the model";
+        let same name built current =
+          match built with
+          | Some b when not (b == current ()) -> fail (name ^ " rebuilt")
+          | Some _ | None -> ()
+        in
+        same "line" r.r_line (fun () -> Phys.line phys f);
+        same "mutex" r.r_lock (fun () -> Phys.lock phys f);
+        same "rwlock" r.r_rwlock (fun () -> Phys.rwlock phys f))
+      model;
+    check Alcotest.int
+      (Printf.sprintf "step %d: allocated frames" step)
+      (List.fold_left (fun a (_, o) -> a + (1 lsl o)) 0 !live)
+      (Phys.allocated_frames phys)
+  in
+  for step = 1 to steps do
+    (match Mm_util.Rng.int rng 7 with
+    | 0 | 1 ->
+      let order = Mm_util.Rng.int rng 4 and kind = pick (Array.to_list kinds) in
+      let head = (Phys.alloc phys ~kind ~order () :> int) in
+      for p = head to head + (1 lsl order) - 1 do
+        let r = first_touch p in
+        r.r_kind <- kind;
+        r.r_order <- (if p = head then order else 0);
+        r.r_stale <- false;
+        r.r_wired <- false;
+        r.r_maps <- 0;
+        r.r_contents <- 0
+      done;
+      live := (head, order) :: !live;
+      freed := List.filter (fun h -> h <> head) !freed
+    | 2 when !live <> [] ->
+      let ((head, order) as b) = pick !live in
+      Phys.free phys (Phys.frame phys head);
+      for p = head to head + (1 lsl order) - 1 do
+        (Hashtbl.find model p).r_kind <- Frame.Free
+      done;
+      live := List.filter (fun x -> x <> b) !live;
+      freed := head :: !freed
+    | 2 when !freed <> [] ->
+      let head = pick !freed in
+      check Alcotest.bool
+        (Printf.sprintf "step %d: double free of %d rejected" step head)
+        true
+        (try
+           Phys.free phys (Phys.frame phys head);
+           false
+         with Invalid_argument _ -> true)
+    | 3 when Hashtbl.length model > 0 ->
+      let pfn = pick (touched ()) in
+      let f = Phys.frame phys pfn and r = Hashtbl.find model pfn in
+      (match Mm_util.Rng.int rng 6 with
+      | 0 ->
+        let v = Mm_util.Rng.bool rng in
+        Phys.set_stale phys f v;
+        r.r_stale <- v
+      | 1 ->
+        let v = Mm_util.Rng.bool rng in
+        Phys.set_wired phys f v;
+        r.r_wired <- v
+      | 2 ->
+        let v = Mm_util.Rng.int rng 5 in
+        Phys.set_map_count phys f v;
+        r.r_maps <- v
+      | 3 ->
+        Phys.add_map phys f;
+        r.r_maps <- r.r_maps + 1
+      | 4 ->
+        let last = Phys.drop_map phys f in
+        r.r_maps <- r.r_maps - 1;
+        check Alcotest.bool
+          (Printf.sprintf "step %d: drop_map of %d" step pfn)
+          (r.r_maps = 0 && r.r_kind = Frame.Anon)
+          last
+      | _ ->
+        let v = Mm_util.Rng.int rng 1_000_000 - 500_000 in
+        Phys.set_contents phys f v;
+        r.r_contents <- v)
+    | 4 when Hashtbl.length model > 0 ->
+      let pfn = pick (touched ()) in
+      let f = Phys.frame phys pfn and r = Hashtbl.find model pfn in
+      let ctx what = Printf.sprintf "step %d: pfn %d %s id" step pfn what in
+      (match Mm_util.Rng.int rng 3 with
+      | 0 -> if r.r_line = None then r.r_line <- Some (Phys.line phys f)
+      | 1 ->
+        if r.r_lock = None then begin
+          let l = Phys.lock phys f in
+          check Alcotest.int (ctx "mutex") (r.r_lock_id + 1) (Mm_sim.Mutex_s.id l);
+          r.r_lock <- Some l
+        end
+      | _ ->
+        if r.r_rwlock = None then begin
+          let l = Phys.rwlock phys f in
+          check Alcotest.int (ctx "rwlock") r.r_lock_id (Mm_sim.Rwlock_s.id l);
+          r.r_rwlock <- Some l
+        end)
+    | _ ->
+      (* A first touch anywhere in two chunks, allocated or not. *)
+      let pfn = Mm_util.Rng.int rng 2048 in
+      ignore (Phys.frame phys pfn : Frame.t);
+      ignore (first_touch pfn : ref_frame));
+    check_all step
+  done
+
+let table_model_prop =
+  QCheck.Test.make ~name:"frame table matches a reference model" ~count:40
+    QCheck.(pair small_int (int_range 50 250))
+    (fun (seed, steps) ->
+      run_table_model ~seed ~steps;
+      true)
 
 let words v = Obj.reachable_words (Obj.repr v)
 
@@ -328,8 +497,18 @@ let map_page pt node idx =
   Mm_pt.Pt.set pt node idx
     (Mm_hal.Pte.leaf ~pfn:(1000 + idx) ~perm:Mm_hal.Perm.rw ())
 
-(* Host heap per simulated page: a descriptor whose locks were never used,
-   and each further present PTE, first stored and then read. A stored
+(* Minor words [f ()] allocates, with the measurement's own. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* Host heap per simulated page: a frame's descriptor, and each further
+   present PTE, first stored and then read. A frame is its pfn and its
+   descriptor a row of the frame table, so a fresh frame allocates no
+   more minor words than a reused one, and a chunk of the table takes at
+   most 6 words a frame, its line and lock slot arrays included (each is
+   allocated by the first line or lock built in the chunk). A stored
    entry keeps only its raw word, which its chunk already holds; the
    first read adds its decoded leaf (permissions are shared values).
    The PTEs are counted once every 64-entry chunk of the leaf holds a
@@ -339,11 +518,23 @@ let map_page pt node idx =
    every word, but must not keep the decodes. *)
 let test_heap_budget () =
   let phys = Phys.create () in
-  let f = Phys.alloc phys ~kind:Frame.Anon () in
+  let alloc () = ignore (Phys.alloc phys ~kind:Frame.Anon () : Frame.t) in
+  alloc ();
+  let fresh = minor_words alloc in
+  Phys.free phys (Phys.alloc phys ~kind:Frame.Anon ());
+  let reused = minor_words alloc in
   check Alcotest.bool
-    (Printf.sprintf "descriptor: %d words <= 15" (words f))
-    true
-    (words f <= 15);
+    (Printf.sprintf "fresh frame: %.0f minor words <= %.0f reused" fresh reused)
+    true (fresh <= reused);
+  let table = Phys.create () in
+  let empty = words table in
+  let frames = List.init 1024 (fun _ -> Phys.alloc table ~kind:Frame.Anon ()) in
+  let f = List.hd frames in
+  ignore (Phys.line table f, Phys.lock table f, Phys.rwlock table f);
+  let per_frame = float_of_int (words table - empty) /. 1024. in
+  check Alcotest.bool
+    (Printf.sprintf "frame table: %.2f words a frame <= 6" per_frame)
+    true (per_frame <= 6.0);
   let pt = Mm_pt.Pt.create phys Mm_hal.Isa.x86_64 in
   let leaf = Mm_pt.Pt.walk_create pt ~to_level:1 0 in
   let n = Mm_pt.Pt.entries_per_node pt in
@@ -376,8 +567,11 @@ let test_heap_budget () =
    words (raw page, decoded mirror, one leaf), and a metadata array or
    radix leaf about 520 (512 slots and their occupancy bits), however
    few slots were in use. With one entry each now takes a quarter of
-   that at most; a full PT page stays within its dense size plus the
-   headers of its eight chunks. *)
+   that at most. A full PT page is bounded at its own size, with 64
+   words of slack: 1 093 words while no entry is read (raw words, mirror
+   slots and chunk headers), and 4 163 once every entry is read, each
+   read keeping its decoded leaf. A store that decoded would take the
+   read size unread, and fail the first bound. *)
 let test_sparse_storage () =
   let phys = Phys.create () in
   let pt = Mm_pt.Pt.create phys Mm_hal.Isa.x86_64 in
@@ -393,11 +587,21 @@ let test_sparse_storage () =
   for idx = 0 to Mm_pt.Pt.entries_per_node pt - 1 do
     map_page pt full idx
   done;
-  let full_words = pt_storage ~beside:first full in
+  let unread_words = pt_storage ~beside:first full in
   check Alcotest.bool
-    (Printf.sprintf "PT page, full: %d words <= 4 107 + 64" full_words)
+    (Printf.sprintf "PT page, full and unread: %d words <= 1 093 + 64"
+       unread_words)
     true
-    (full_words <= 4107 + 64);
+    (unread_words <= 1093 + 64);
+  for idx = 0 to Mm_pt.Pt.entries_per_node pt - 1 do
+    ignore (Mm_pt.Pt.get_uncharged pt full idx : Mm_hal.Pte.t)
+  done;
+  let read_words = pt_storage ~beside:first full in
+  check Alcotest.bool
+    (Printf.sprintf "PT page, full and read once: %d words <= 4 163 + 64"
+       read_words)
+    true
+    (read_words <= 4163 + 64);
   (* CortenMM: one touched page leaves one valid slot in its level-1
      page's metadata array. *)
   let open Cortenmm in
@@ -456,11 +660,11 @@ let test_numa_striping () =
     List.init 4 (fun node -> Phys.alloc phys ~kind:Frame.Anon ~node ())
   in
   List.iteri
-    (fun node f ->
+    (fun node (f : Frame.t) ->
       check Alcotest.int
         (Printf.sprintf "frame %d on its node" node)
         node
-        (Phys.node_of_pfn phys f.Frame.pfn))
+        (Phys.node_of_pfn phys (f :> int)))
     frames;
   (* Freeing works across nodes. *)
   List.iter (Phys.free phys) frames;
@@ -498,6 +702,7 @@ let () =
           Alcotest.test_case "lazy lock ids" `Quick test_lazy_lock_ids;
           Alcotest.test_case "lazy lock identity" `Quick
             test_lazy_lock_identity;
+          QCheck_alcotest.to_alcotest table_model_prop;
           Alcotest.test_case "heap budget" `Quick test_heap_budget;
           Alcotest.test_case "sparse storage" `Quick test_sparse_storage;
           Alcotest.test_case "usage accounting" `Quick test_usage_accounting;

@@ -225,7 +225,7 @@ let put_line_in state line =
    fiber clock and the line's [avail] and [owner] afterwards. *)
 let read_run ~state ~start ~k ~folded =
   let pt, node = fresh_leaf_page () in
-  let line = node.Pt.frame.Mm_phys.Frame.line in
+  let line = node.Pt.line in
   put_line_in state line;
   let clock = ref 0 in
   in_world ~cpu:0 (fun () ->
@@ -262,7 +262,7 @@ let test_folded_charge_outside_fiber () =
   let pt, node = fresh_leaf_page () in
   Pt.charge_gets pt node 5;
   check Alcotest.int "no line effect" (-1)
-    (Engine.Line.owner node.Pt.frame.Mm_phys.Frame.line)
+    (Engine.Line.owner node.Pt.line)
 
 (* -- The walks --
 
@@ -290,7 +290,7 @@ let populated pages ~state =
     pages;
   Pt.iter_nodes pt (fun node ->
       if node.Pt.level >= 2 then
-        put_line_in state node.Pt.frame.Mm_phys.Frame.line);
+        put_line_in state node.Pt.line);
   pt
 
 (* The walk to level 1 that [Pt.walk_create] (with [create]) or
@@ -338,7 +338,7 @@ let walk_run ~pages ~state ~start ~create ~lo ~hi ~stepwise =
   Pt.check_well_formed pt;
   let nodes = ref [] in
   Pt.iter_nodes pt (fun n ->
-      let line = n.Pt.frame.Mm_phys.Frame.line in
+      let line = n.Pt.line in
       nodes :=
         [ n.Pt.level; n.Pt.base; n.Pt.present; Engine.Line.avail line;
           Engine.Line.owner line ]
@@ -474,7 +474,7 @@ let slot_ops_prop =
              (fun i state ->
                match (state, Pt.get_uncharged pt p i) with
                | Kid c, Pte.Table { pfn } ->
-                 pfn = c.Pt.frame.Mm_phys.Frame.pfn
+                 pfn = (c.Pt.frame :> int)
                  && Pt.child pt p i == c
                  && Pt.child pt p i == c
                | Huge_leaf, Pte.Leaf _ | Empty, Pte.Absent -> (
@@ -511,11 +511,11 @@ let slot_ops_prop =
             (* A new page on the old page's freed frame, at the same
                slot: allocate until that pfn comes back. *)
             let old = detach i in
-            let pfn = old.Pt.frame.Mm_phys.Frame.pfn in
+            let pfn = (old.Pt.frame :> int) in
             Pt.free_node pt old;
             let rec same_pfn spares =
               let c = Pt.alloc_node pt ~level:1 in
-              if c.Pt.frame.Mm_phys.Frame.pfn = pfn then (c, spares)
+              if (c.Pt.frame :> int) = pfn then (c, spares)
               else same_pfn (c :: spares)
             in
             let c, spares = same_pfn [] in
@@ -642,7 +642,7 @@ let lazy_mirror_prop (isa : Mm_hal.Isa.t) =
           | Set_child _, (Pte.Absent | Pte.Leaf _) ->
             let c = Pt.alloc_node pt ~level:1 in
             Pt.set_child pt p idx c;
-            roundtrip idx (Pte.Table { pfn = c.Pt.frame.Mm_phys.Frame.pfn })
+            roundtrip idx (Pte.Table { pfn = (c.Pt.frame :> int) })
           | Detach_child _, Pte.Table _ ->
             Pt.free_node pt (Pt.detach_child pt p idx);
             roundtrip idx Pte.Absent

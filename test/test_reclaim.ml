@@ -48,7 +48,7 @@ let test_anon_pager_roundtrip () =
           (p.Pager.has_page ~page_index:block);
         let frame = p.Pager.get_page ~page_index:block in
         check Alcotest.int "contents survive the round-trip" 4242
-          frame.Frame.contents;
+          (Phys.contents phys frame);
         check Alcotest.bool "block freed after swap-in" false
           (p.Pager.has_page ~page_index:block);
         Phys.free phys frame
@@ -62,7 +62,7 @@ let test_file_pager_roundtrip () =
           let p = File.pager file phys in
           check Alcotest.string "provider name" expect_name p.Pager.name;
           let f = p.Pager.get_page ~page_index:1 in
-          f.Frame.contents <- 777;
+          Phys.set_contents phys f 777;
           (match p.Pager.put_pages [ (1, 777) ] with
           | [ 1 ] -> ()
           | _ -> Alcotest.fail "file pager must keep its page index");
@@ -71,7 +71,7 @@ let test_file_pager_roundtrip () =
             (p.Pager.has_page ~page_index:1);
           let f' = p.Pager.get_page ~page_index:1 in
           check Alcotest.int "refault reads the written-back token" 777
-            f'.Frame.contents;
+            (Phys.contents phys f');
           p.Pager.dealloc ())
         [
           (File.regular ~name:"rt.dat", "file");
