@@ -94,18 +94,30 @@ let fig13_plan ?(isa = Mm_hal.Isa.x86_64) () =
 
 (* MM_FIG14_SUBSET (hidden; any value) shrinks the sweep to a seconds-long
    subset with the same shape — check.sh uses it to `cmp` the -j 2 stream
-   against -j 1 without paying for the full 350-cell product. *)
+   against -j 1 without paying for the full 350-cell product. The subset
+   runs Linux and CortenMM_adv on mmap-PF at 1, 2 and 4 vCPUs, and the
+   eagerly backed baselines, RadixVM and NrOS, on unmap at 1 and 2: each
+   bench has its own systems and cores. *)
 let fig14_plan ?(isa = Mm_hal.Isa.x86_64) ?systems ?benches ?cores ?iters ()
     =
   let subset = Sys.getenv_opt "MM_FIG14_SUBSET" <> None in
   let dfl full sub = if subset then sub else full in
-  let systems =
-    Option.value systems ~default:(dfl all_systems [ System.Linux; corten_adv ])
+  let eager = function Micro.Unmap -> true | _ -> false in
+  let systems bench =
+    Option.value systems
+      ~default:
+        (dfl all_systems
+           (if eager bench then [ System.Radixvm; System.Nros ]
+            else [ System.Linux; corten_adv ]))
   in
   let benches =
-    Option.value benches ~default:(dfl Micro.all_benches [ Micro.Mmap_pf ])
+    Option.value benches
+      ~default:(dfl Micro.all_benches [ Micro.Mmap_pf; Micro.Unmap ])
   in
-  let cores = Option.value cores ~default:(dfl core_sweep [ 1; 2; 4 ]) in
+  let cores bench =
+    Option.value cores
+      ~default:(dfl core_sweep (if eager bench then [ 1; 2 ] else [ 1; 2; 4 ]))
+  in
   let iters = Option.value iters ~default:(dfl iters_multi 10) in
   let contentions = [ Micro.Low; Micro.High ] in
   let cells =
@@ -118,8 +130,8 @@ let fig14_plan ?(isa = Mm_hal.Isa.x86_64) ?systems ?benches ?cores ?iters ()
                 List.map
                   (fun kind ->
                     micro_cell ~isa ~kind ~ncpus ~bench ~contention ~iters)
-                  systems)
-              cores)
+                  (systems bench))
+              (cores bench))
           benches)
       contentions
   in
@@ -136,6 +148,7 @@ let fig14_plan ?(isa = Mm_hal.Isa.x86_64) ?systems ?benches ?cores ?iters ()
           (fun bench ->
             Printf.printf "### %s, %s contention\n" (Micro.bench_name bench)
               (Micro.contention_name contention);
+            let systems = systems bench in
             let header =
               "cores" :: List.map (fun k -> System.kind_name k) systems
             in
@@ -144,7 +157,7 @@ let fig14_plan ?(isa = Mm_hal.Isa.x86_64) ?systems ?benches ?cores ?iters ()
                 (fun ncpus ->
                   string_of_int ncpus
                   :: List.map (fun _kind -> Plan.fmt_tp (take ())) systems)
-                cores
+                (cores bench)
             in
             Tablefmt.print ~header rows;
             print_newline ())
