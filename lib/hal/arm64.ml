@@ -20,75 +20,80 @@
    paper mentions (§4.5) is a TLB-maintenance discipline and is handled by
    the TLB layer, not the descriptor format. *)
 
-open Pte_format
-
 let name = "ARMv8 4K"
 let supports_mpk = false
 let needs_break_before_make = true
 
-let valid_bit = 0
-let type_bit = 1
-let ap1_bit = 6
-let ap2_bit = 7
-let af_bit = 10
-let ng_bit = 11
+(* Masks of the flag bits, and the frame number's position and width. *)
+let valid_bit = 1 lsl 0
+let type_bit = 1 lsl 1
+let ap1_bit = 1 lsl 6
+let ap2_bit = 1 lsl 7
+let af_bit = 1 lsl 10
+let ng_bit = 1 lsl 11
 let pfn_lo = 12
 let pfn_width = 36
-let pxn_bit = 53
-let uxn_bit = 54
-let cow_bit = 55
-let dirty_bit = 56
+let pxn_bit = 1 lsl 53
+let uxn_bit = 1 lsl 54
+let cow_bit = 1 lsl 55
+let dirty_bit = 1 lsl 56
+
+(* A frame number that does not fit raises what it always raised. *)
+let out_of_range () = invalid_arg "Pte_format.set_field: value out of range"
+
+let bit b v = if v then b else 0
 
 let encode ~level (pte : Pte.t) =
   match pte with
   | Pte.Absent -> 0L
   | Pte.Table { pfn } ->
     if level <= 1 then invalid_arg "ARMv8: table entry at leaf level";
-    let b = set_bit 0 valid_bit true in
-    let b = set_bit b type_bit true in
-    word ~bit63:false (set_field b ~lo:pfn_lo ~width:pfn_width pfn)
+    if pfn lsr pfn_width <> 0 then out_of_range ();
+    Int64.of_int (valid_bit lor type_bit lor (pfn lsl pfn_lo))
   | Pte.Leaf { pfn; perm; accessed; dirty; global } ->
     if not perm.Perm.read then
       invalid_arg "ARMv8: present leaf is always readable (use Absent)";
     if perm.Perm.mpk_key <> 0 then invalid_arg "ARMv8: no protection keys";
     if level = 4 then invalid_arg "ARMv8: no level-0 blocks with 4K granule";
-    if level > 1 && not (Mm_util.Align.is_aligned pfn (1 lsl (9 * (level - 1))))
-    then invalid_arg "ARMv8: misaligned block frame";
-    let b = set_bit 0 valid_bit true in
+    if level > 1 && pfn land ((1 lsl (9 * (level - 1))) - 1) <> 0 then
+      invalid_arg "ARMv8: misaligned block frame";
+    if pfn lsr pfn_width <> 0 then out_of_range ();
     (* Page descriptors at the last level have the type bit set; block
        descriptors at upper levels have it clear. *)
-    let b = set_bit b type_bit (level = 1) in
-    let b = set_bit b ap1_bit perm.Perm.user in
-    let b = set_bit b ap2_bit (not perm.Perm.write) in
-    let b = set_bit b af_bit accessed in
-    let b = set_bit b ng_bit (not global) in
-    let b = set_bit b uxn_bit (not perm.Perm.execute) in
-    let b = set_bit b pxn_bit true in
-    let b = set_bit b cow_bit perm.Perm.cow in
-    let b = set_bit b dirty_bit dirty in
-    word ~bit63:false (set_field b ~lo:pfn_lo ~width:pfn_width pfn)
+    Int64.of_int
+      (valid_bit
+      lor bit type_bit (level = 1)
+      lor bit ap1_bit perm.Perm.user
+      lor bit ap2_bit (not perm.Perm.write)
+      lor bit af_bit accessed
+      lor bit ng_bit (not global)
+      lor bit uxn_bit (not perm.Perm.execute)
+      lor pxn_bit
+      lor bit cow_bit perm.Perm.cow
+      lor bit dirty_bit dirty
+      lor (pfn lsl pfn_lo))
 
 let decode ~level w =
-  let b = bits w in
-  if not (get_bit b valid_bit) then Pte.Absent
+  let b = Int64.to_int w in
+  if b land valid_bit = 0 then Pte.Absent
   else
-    let type_set = get_bit b type_bit in
-    let pfn = field b ~lo:pfn_lo ~width:pfn_width in
+    let type_set = b land type_bit <> 0 in
+    let pfn = (b lsr pfn_lo) land ((1 lsl pfn_width) - 1) in
     let leaf = if level = 1 then type_set else not type_set in
     if (not leaf) && level = 1 then Pte.Absent (* reserved encoding *)
     else if not leaf then Pte.Table { pfn }
     else
       let perm =
         Perm.of_flags ~read:true
-          ~write:(not (get_bit b ap2_bit))
-          ~execute:(not (get_bit b uxn_bit))
-          ~user:(get_bit b ap1_bit) ~cow:(get_bit b cow_bit) ~mpk_key:0
+          ~write:(b land ap2_bit = 0)
+          ~execute:(b land uxn_bit = 0)
+          ~user:(b land ap1_bit <> 0) ~cow:(b land cow_bit <> 0) ~mpk_key:0
       in
       Pte.Leaf
         {
           pfn;
           perm;
-          accessed = get_bit b af_bit;
-          dirty = get_bit b dirty_bit;
-          global = not (get_bit b ng_bit);
+          accessed = b land af_bit <> 0;
+          dirty = b land dirty_bit <> 0;
+          global = b land ng_bit = 0;
         }

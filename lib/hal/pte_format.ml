@@ -33,32 +33,16 @@ module type S = sig
       patterns with the valid bit clear are [Absent]). *)
 end
 
-(* Shared bit-twiddling helpers for the per-ISA implementations.
+(* How the implementations compute. The arithmetic runs on native ints,
+   not [Int64.t]: every boxed Int64 operation allocates, and decode is
+   the hottest function in the simulator (a PT-page scan decodes 512
+   entries). [Int64.to_int] unboxes the hardware word without
+   allocating and keeps bits 0-62, with bit 62 landing on the native
+   sign bit, which [lsr]-based field extraction still sees as an
+   ordinary bit. Only bit 63 (x86's XD) cannot be held: decode tests it
+   on the boxed word ([w < 0L]) and encode sets it on the [Int64.t].
 
-   The arithmetic runs on native ints, not [Int64.t]: every boxed Int64
-   operation allocates, and decode is the hottest function in the
-   simulator (a PT-page scan decodes 512 entries). [bits] unboxes the
-   hardware word once — [Int64.to_int] does not allocate — and keeps
-   bits 0-62, with bit 62 landing on the native sign bit; [lsr]-based
-   field extraction still sees it as an ordinary bit. Only bit 63
-   (x86's XD) cannot be held, so callers test it on the boxed word
-   ([w < 0L]) and restore it through [word ~bit63]. *)
-
-let bits (w : int64) : int = Int64.to_int w
-
-let get_bit b n = b land (1 lsl n) <> 0
-
-let set_bit b n v = if v then b lor (1 lsl n) else b
-
-let field b ~lo ~width = (b lsr lo) land ((1 lsl width) - 1)
-
-let set_field b ~lo ~width v =
-  if v < 0 || (width < 63 && v >= 1 lsl width) then
-    invalid_arg "Pte_format.set_field: value out of range";
-  b land lnot (((1 lsl width) - 1) lsl lo) lor (v lsl lo)
-
-(* Rebuild the hardware word from bits 0-62 assembled in a native int,
-   plus bit 63. The mask strips the sign-extension of native bit 62. *)
-let word ~bit63 b =
-  let w = Int64.logand (Int64.of_int b) 0x7FFF_FFFF_FFFF_FFFFL in
-  if bit63 then Int64.logor w Int64.min_int else w
+   Each implementation tests and sets its bits and fields itself, with
+   no per-bit or per-field helper shared across modules: the dev
+   profile compiles with [-opaque], under which every call into another
+   module is a real call, a dozen of them per encode. *)

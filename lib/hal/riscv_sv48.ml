@@ -17,31 +17,35 @@
    non-leaf level, "megapages"/"gigapages"/"terapages"). This is the
    `PteFlags::V` check from the paper's Fig 9. *)
 
-open Pte_format
-
 let name = "RISC-V Sv48"
 let supports_mpk = false
 let needs_break_before_make = false
 
-let v_bit = 0
-let r_bit = 1
-let w_bit = 2
-let x_bit = 3
-let u_bit = 4
-let g_bit = 5
-let a_bit = 6
-let d_bit = 7
-let cow_bit = 8
+(* Masks of the flag bits, and the frame number's position and width. *)
+let v_bit = 1 lsl 0
+let r_bit = 1 lsl 1
+let w_bit = 1 lsl 2
+let x_bit = 1 lsl 3
+let u_bit = 1 lsl 4
+let g_bit = 1 lsl 5
+let a_bit = 1 lsl 6
+let d_bit = 1 lsl 7
+let cow_bit = 1 lsl 8
 let pfn_lo = 10
 let pfn_width = 44
+
+(* A frame number that does not fit raises what it always raised. *)
+let out_of_range () = invalid_arg "Pte_format.set_field: value out of range"
+
+let bit b v = if v then b else 0
 
 let encode ~level (pte : Pte.t) =
   match pte with
   | Pte.Absent -> 0L
   | Pte.Table { pfn } ->
     if level <= 1 then invalid_arg "Sv48: table entry at leaf level";
-    let b = set_bit 0 v_bit true in
-    word ~bit63:false (set_field b ~lo:pfn_lo ~width:pfn_width pfn)
+    if pfn lsr pfn_width <> 0 then out_of_range ();
+    Int64.of_int (v_bit lor (pfn lsl pfn_lo))
   | Pte.Leaf { pfn; perm; accessed; dirty; global } ->
     if not (perm.Perm.read || perm.Perm.execute) then
       invalid_arg "Sv48: leaf must have R or X (R=W=X=0 means pointer)";
@@ -49,38 +53,38 @@ let encode ~level (pte : Pte.t) =
       invalid_arg "Sv48: W without R is reserved";
     if perm.Perm.mpk_key <> 0 then
       invalid_arg "Sv48: no protection keys";
-    if level > 1 && not (Mm_util.Align.is_aligned pfn (1 lsl (9 * (level - 1))))
-    then invalid_arg "Sv48: misaligned superpage frame";
-    let b = set_bit 0 v_bit true in
-    let b = set_bit b r_bit perm.Perm.read in
-    let b = set_bit b w_bit perm.Perm.write in
-    let b = set_bit b x_bit perm.Perm.execute in
-    let b = set_bit b u_bit perm.Perm.user in
-    let b = set_bit b g_bit global in
-    let b = set_bit b a_bit accessed in
-    let b = set_bit b d_bit dirty in
-    let b = set_bit b cow_bit perm.Perm.cow in
-    word ~bit63:false (set_field b ~lo:pfn_lo ~width:pfn_width pfn)
+    if level > 1 && pfn land ((1 lsl (9 * (level - 1))) - 1) <> 0 then
+      invalid_arg "Sv48: misaligned superpage frame";
+    if pfn lsr pfn_width <> 0 then out_of_range ();
+    Int64.of_int
+      (v_bit
+      lor bit r_bit perm.Perm.read
+      lor bit w_bit perm.Perm.write
+      lor bit x_bit perm.Perm.execute
+      lor bit u_bit perm.Perm.user
+      lor bit g_bit global lor bit a_bit accessed lor bit d_bit dirty
+      lor bit cow_bit perm.Perm.cow
+      lor (pfn lsl pfn_lo))
 
 let decode ~level w =
-  let b = bits w in
-  if not (get_bit b v_bit) then Pte.Absent
+  let b = Int64.to_int w in
+  if b land v_bit = 0 then Pte.Absent
   else
-    let leaf = get_bit b r_bit || get_bit b w_bit || get_bit b x_bit in
-    let pfn = field b ~lo:pfn_lo ~width:pfn_width in
+    let leaf = b land (r_bit lor w_bit lor x_bit) <> 0 in
+    let pfn = (b lsr pfn_lo) land ((1 lsl pfn_width) - 1) in
     if (not leaf) && level > 1 then Pte.Table { pfn }
     else if not leaf then Pte.Absent (* R=W=X=0 at level 1 is malformed *)
     else
       let perm =
-        Perm.of_flags ~read:(get_bit b r_bit) ~write:(get_bit b w_bit)
-          ~execute:(get_bit b x_bit) ~user:(get_bit b u_bit)
-          ~cow:(get_bit b cow_bit) ~mpk_key:0
+        Perm.of_flags ~read:(b land r_bit <> 0) ~write:(b land w_bit <> 0)
+          ~execute:(b land x_bit <> 0) ~user:(b land u_bit <> 0)
+          ~cow:(b land cow_bit <> 0) ~mpk_key:0
       in
       Pte.Leaf
         {
           pfn;
           perm;
-          accessed = get_bit b a_bit;
-          dirty = get_bit b d_bit;
-          global = get_bit b g_bit;
+          accessed = b land a_bit <> 0;
+          dirty = b land d_bit <> 0;
+          global = b land g_bit <> 0;
         }

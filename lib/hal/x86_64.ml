@@ -19,74 +19,81 @@
    and a 4 KiB leaf at level 1 — exactly the `is_present`/`HUGE` logic the
    paper's Fig 9 sketches. *)
 
-open Pte_format
-
 let name = "x86-64"
 let supports_mpk = true
 let needs_break_before_make = false
 
-let p_bit = 0
-let rw_bit = 1
-let us_bit = 2
-let a_bit = 5
-let d_bit = 6
-let ps_bit = 7
-let g_bit = 8
-let cow_bit = 9
+(* Masks of the flag bits, and the fields' positions and widths. *)
+let p_bit = 1 lsl 0
+let rw_bit = 1 lsl 1
+let us_bit = 1 lsl 2
+let a_bit = 1 lsl 5
+let d_bit = 1 lsl 6
+let ps_bit = 1 lsl 7
+let g_bit = 1 lsl 8
+let cow_bit = 1 lsl 9
 let pfn_lo = 12
 let pfn_width = 40
 let pku_lo = 59
 let pku_width = 4
-let xd_bit = 63
+
+(* A field value that does not fit raises what it always raised. *)
+let out_of_range () = invalid_arg "Pte_format.set_field: value out of range"
+
+let bit b v = if v then b else 0
+
+(* The hardware word of bits 0-62 assembled in a native int, whose sign
+   bit is bit 62, plus XD: the mask drops the sign extension. *)
+let word b ~xd =
+  let w = Int64.logand (Int64.of_int b) Int64.max_int in
+  if xd then Int64.logor w Int64.min_int else w
 
 let encode ~level (pte : Pte.t) =
   match pte with
   | Pte.Absent -> 0L
   | Pte.Table { pfn } ->
     if level <= 1 then invalid_arg "x86-64: table entry at leaf level";
+    if pfn lsr pfn_width <> 0 then out_of_range ();
     (* Intermediate entries get RW|US set so the leaf controls access. *)
-    let b = set_bit 0 p_bit true in
-    let b = set_bit b rw_bit true in
-    let b = set_bit b us_bit true in
-    word ~bit63:false (set_field b ~lo:pfn_lo ~width:pfn_width pfn)
+    Int64.of_int (p_bit lor rw_bit lor us_bit lor (pfn lsl pfn_lo))
   | Pte.Leaf { pfn; perm; accessed; dirty; global } ->
     if not perm.Perm.read then
       invalid_arg "x86-64: present leaf is always readable (use Absent)";
     let huge = level > 1 in
     if level > 3 then invalid_arg "x86-64: no huge pages above 1 GiB";
-    if huge && not (Mm_util.Align.is_aligned pfn (1 lsl (9 * (level - 1))))
-    then invalid_arg "x86-64: misaligned huge-page frame";
-    let b = set_bit 0 p_bit true in
-    let b = set_bit b rw_bit perm.Perm.write in
-    let b = set_bit b us_bit perm.Perm.user in
-    let b = set_bit b a_bit accessed in
-    let b = set_bit b d_bit dirty in
-    let b = set_bit b ps_bit huge in
-    let b = set_bit b g_bit global in
-    let b = set_bit b cow_bit perm.Perm.cow in
-    let b = set_field b ~lo:pku_lo ~width:pku_width perm.Perm.mpk_key in
-    let b = set_field b ~lo:pfn_lo ~width:pfn_width pfn in
-    word ~bit63:(not perm.Perm.execute) b (* XD *)
+    if huge && pfn land ((1 lsl (9 * (level - 1))) - 1) <> 0 then
+      invalid_arg "x86-64: misaligned huge-page frame";
+    let key = perm.Perm.mpk_key in
+    if key lsr pku_width <> 0 then out_of_range ();
+    if pfn lsr pfn_width <> 0 then out_of_range ();
+    word ~xd:(not perm.Perm.execute)
+      (p_bit
+      lor bit rw_bit perm.Perm.write
+      lor bit us_bit perm.Perm.user
+      lor bit a_bit accessed lor bit d_bit dirty lor bit ps_bit huge
+      lor bit g_bit global
+      lor bit cow_bit perm.Perm.cow
+      lor (key lsl pku_lo) lor (pfn lsl pfn_lo))
 
 let decode ~level w =
-  let b = bits w in
-  if not (get_bit b p_bit) then Pte.Absent
+  (* Bits 0-62; XD, bit 63, is the boxed word's sign. *)
+  let b = Int64.to_int w in
+  if b land p_bit = 0 then Pte.Absent
   else
-    let huge = get_bit b ps_bit in
-    let pfn = field b ~lo:pfn_lo ~width:pfn_width in
-    if level > 1 && not huge then Pte.Table { pfn }
+    let pfn = (b lsr pfn_lo) land ((1 lsl pfn_width) - 1) in
+    if level > 1 && b land ps_bit = 0 then Pte.Table { pfn }
     else
       let perm =
-        Perm.of_flags ~read:true ~write:(get_bit b rw_bit)
-          ~execute:(w >= 0L) (* XD is bit 63: the boxed word's sign *)
-          ~user:(get_bit b us_bit) ~cow:(get_bit b cow_bit)
-          ~mpk_key:(field b ~lo:pku_lo ~width:pku_width)
+        Perm.of_flags ~read:true ~write:(b land rw_bit <> 0)
+          ~execute:(w >= 0L) ~user:(b land us_bit <> 0)
+          ~cow:(b land cow_bit <> 0)
+          ~mpk_key:((b lsr pku_lo) land ((1 lsl pku_width) - 1))
       in
       Pte.Leaf
         {
           pfn;
           perm;
-          accessed = get_bit b a_bit;
-          dirty = get_bit b d_bit;
-          global = get_bit b g_bit;
+          accessed = b land a_bit <> 0;
+          dirty = b land d_bit <> 0;
+          global = b land g_bit <> 0;
         }

@@ -36,11 +36,13 @@ type state = {
 let state_key : state Domain.DLS.key =
   Domain.DLS.new_key (fun () -> { table = Hashtbl.create 64; next_id = 0 })
 
-let fresh_id () =
+let fresh_ids n =
   let s = Domain.DLS.get state_key in
   let id = s.next_id in
-  s.next_id <- id + 1;
+  s.next_id <- id + n;
   id
+
+let fresh_id () = fresh_ids 1
 
 let reset () =
   let s = Domain.DLS.get state_key in

@@ -17,6 +17,10 @@ val fresh_id : unit -> int
     reset by {!reset} (i.e. at {!Trace.start}), so identical runs started
     after a reset see identical ids. *)
 
+val fresh_ids : int -> int
+(** [fresh_ids n] reserves [n] consecutive ids and returns the first:
+    the ids [n] calls of {!fresh_id} would have returned, in order. *)
+
 val get : id:int -> kind:Event.lock_kind -> name:(unit -> string) -> entry
 (** Find the entry for a lock, creating (and naming) it on first use. *)
 

@@ -134,9 +134,20 @@ and insert_and_merge t ~pfn ~order ~limit =
   in
   merge pfn order
 
+(* With no order holding a free block, an order-0 request is the frame
+   at the frontier: [alloc_block]'s carve with no alignment gap, without
+   its search of the free lists. *)
 let alloc t ~order =
   if order < 0 || order > max_order then invalid_arg "Buddy.alloc: order";
-  let pfn = alloc_block t ~order in
+  let pfn =
+    if order = 0 && t.occupancy = 0 then begin
+      let pfn = t.frontier in
+      if pfn + 1 > t.nframes then raise Out_of_memory;
+      t.frontier <- pfn + 1;
+      pfn
+    end
+    else alloc_block t ~order
+  in
   t.allocated_frames <- t.allocated_frames + block_size order;
   pfn
 

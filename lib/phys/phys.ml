@@ -137,11 +137,11 @@ let chunk t cidx =
 
 let row pfn = (pfn land chunk_mask) * row_bytes
 
-(* The first touch of a row: reserve its lock ids. A fresh row's other
-   bytes are 0: a free frame of order 0, unmapped, clean and unwired. *)
+(* The first touch of a row: reserve its lock ids, rwlock [id] and
+   mutex [id + 1], in one call. A fresh row's other bytes are 0: a free
+   frame of order 0, unmapped, clean and unwired. *)
 let make_row c o =
-  let id = Mm_obs.Contention.fresh_id () in
-  ignore (Mm_obs.Contention.fresh_id () : int);
+  let id = Mm_obs.Contention.fresh_ids 2 in
   Bytes.set_uint8 c.rows (o + off_flags) made;
   Bytes.set_uint16_le c.rows (o + off_lock_id) (id land 0xffff);
   Bytes.set_int32_le c.rows (o + off_lock_id + 2) (Int32.of_int (id lsr 16))

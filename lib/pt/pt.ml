@@ -14,13 +14,15 @@
    arenas store millions of such leaves.
 
    Host storage is sparse: a node's 512 entries are eight 64-entry
-   chunks, each holding its raw words (a 512-byte buffer) and their
-   mirror, so an unread present entry costs no host words beyond its
-   chunk. A chunk is allocated by the first present store into its
-   stretch; until then the stretch reads the shared [empty_chunk], whose
-   raw words are 0 — [Absent] in every PTE format. Only the host layout
-   is sparse: every read, store and charge is the same as on a dense
-   4 KiB page.
+   chunks, each holding its raw words (a 512-byte buffer) and, from its
+   first read on, their mirror. A chunk is allocated by the first
+   present store into its stretch; until then the stretch reads the
+   shared [empty_chunk], whose raw words are 0 — [Absent] in every PTE
+   format. A chunk nothing has read shares [no_mirror], every slot of
+   it [undecoded], so a store into it writes only the raw word and the
+   occupancy bit, and the chunk's first read builds its own mirror.
+   Only the host layout is sparse: every read, store and charge is the
+   same as on a dense 4 KiB page.
 
    Each node is backed by a physical frame from {!Mm_phys.Phys}, whose
    frame table keeps the per-PT-page locks (built on first use) and the
@@ -60,7 +62,7 @@ open Mm_hal
 (* One 64-entry stretch of a node: raw entry [j] is the little-endian
    word at byte offset [8 * j] of [words], and [mirror.(j)] is its
    decode, or [undecoded] until a read decodes it. *)
-type chunk = { words : Bytes.t; mirror : Pte.t array }
+type chunk = { words : Bytes.t; mutable mirror : Pte.t array }
 
 (* The mirror's marker over a stored word no read has decoded yet. Reads
    test for it physically and never return it: no decode builds this
@@ -71,15 +73,37 @@ let chunk_bits = 6
 let chunk_entries = 1 lsl chunk_bits
 let slot idx = idx land (chunk_entries - 1)
 
+(* The mirror of every chunk nothing has read: all [undecoded], so a
+   read finds nothing cached and decodes. Never written: the first
+   decode into a chunk gives it a mirror of its own ([own_mirror]). *)
+let no_mirror = Array.make chunk_entries undecoded
+
 let new_chunk () =
+  { words = Bytes.make (chunk_entries * 8) '\000'; mirror = no_mirror }
+
+(* Shared by every stretch no present store has reached, and never
+   written: the stores that would write it allocate a chunk instead.
+   Its mirror holds the decode of its words, [Absent], so no read of it
+   decodes. *)
+let empty_chunk =
   {
     words = Bytes.make (chunk_entries * 8) '\000';
     mirror = Array.make chunk_entries Pte.Absent;
   }
 
-(* Shared by every stretch no present store has reached, and never
-   written: the stores that would write it allocate a chunk instead. *)
-let empty_chunk = new_chunk ()
+let own_mirror c =
+  if c.mirror != no_mirror then c.mirror
+  else begin
+    let m = Array.make chunk_entries undecoded in
+    c.mirror <- m;
+    m
+  end
+
+(* A store of [raw] into slot [j]: the mirror, if the chunk has one,
+   forgets the slot's decode. *)
+let unmirror c j raw =
+  if c.mirror != no_mirror then
+    c.mirror.(j) <- (if Int64.equal raw 0L then Pte.Absent else undecoded)
 
 let raw_get c j = Bytes.get_int64_le c.words (j * 8)
 let raw_set c j w = Bytes.set_int64_le c.words (j * 8) w
@@ -203,10 +227,11 @@ let entries_per_node t = t.mask + 1
 
 (* -- Raw entry access -- *)
 
-(* The first read of a stored word: decode it and keep the decode. *)
+(* The first read of a stored word: decode it and keep the decode, in
+   a mirror the chunk's first read builds. *)
 let decode_slot t node c j =
   let pte = Isa.decode t.isa ~level:node.level (raw_get c j) in
-  c.mirror.(j) <- pte;
+  (own_mirror c).(j) <- pte;
   pte
 
 let read t node idx =
@@ -257,7 +282,7 @@ let write t node idx pte =
   else begin
     let c = own_chunk node idx and j = slot idx in
     raw_set c j raw;
-    c.mirror.(j) <- (if Int64.equal raw 0L then Pte.Absent else undecoded);
+    unmirror c j raw;
     match (occupied node idx, Pte.is_present pte) with
     | false, true ->
       node.present <- node.present + 1;
@@ -319,7 +344,7 @@ let corrupt_occupancy _t node idx =
   else Mm_util.Bitset.add node.occ idx
 
 let corrupt_mirror _t node idx pte =
-  (own_chunk node idx).mirror.(slot idx) <- pte
+  (own_mirror (own_chunk node idx)).(slot idx) <- pte
 
 let corrupt_memo _t node idx kid =
   node.kid_slot <- idx;
@@ -382,7 +407,7 @@ let set_accessed t node idx =
     in
     let c = node.chunks.(idx lsr chunk_bits) and j = slot idx in
     raw_set c j raw;
-    c.mirror.(j) <- undecoded
+    unmirror c j raw
   | Pte.Leaf _ | Pte.Absent | Pte.Table _ -> ()
 
 (* Linux's ptep_test_and_clear_young, charged as a [set]: the entry is

@@ -12,11 +12,12 @@
 open Mm_hal
 
 type chunk
-(** 64 of a node's entries: their raw hardware words, unboxed, and a
-    mirror that caches their decodes. A store leaves its slot of the
-    mirror undecoded (or [Absent] over word 0), and the first read of
-    the entry decodes the word and keeps the decode, so a present entry
-    nothing reads costs no host words beyond its chunk. A stretch no
+(** 64 of a node's entries: their raw hardware words, unboxed, and, from
+    the chunk's first read on, a mirror that caches their decodes. A
+    store leaves its slot of the mirror undecoded (or [Absent] over word
+    0), and the first read of the entry decodes the word and keeps the
+    decode, so a present entry nothing reads costs no host words beyond
+    its raw word, and a chunk nothing reads has no mirror. A stretch no
     present store has reached shares one empty chunk, whose raw words
     are 0 ([Absent] in every PTE format). *)
 

@@ -190,22 +190,22 @@ let mmap t ?addr ~len ~perm () =
   let vpn0 = lo / ps in
   (* Mark pages reserved, locking each leaf radix node once. The reserved
      entry is immutable and identical for the whole range — share one
-     block instead of allocating it per page (1 GiB = 256 Ki pages). *)
+     block instead of allocating it per page (1 GiB = 256 Ki pages). A
+     leaf's run is charged one metadata write per page as one sum: a
+     charge is a pure tick, and nothing between the writes serializes. *)
   let reserved = R_reserved perm in
   let i = ref 0 in
   while !i < npages do
     let vpn = vpn0 + !i in
     let leaf = leaf_create t ~vpn in
     Mm_sim.Mutex_s.lock leaf.lock;
-    let in_this_leaf = min (npages - !i) (fanout - entry_idx ~vpn) in
-    for k = 0 to in_this_leaf - 1 do
-      Mm_sim.Engine.charge Mm_sim.Cost.meta_write;
-      Chunked.set leaf.entries (entry_idx ~vpn + k) reserved
-    done;
-    Mm_util.Bitset.fill leaf.occ ~from:(entry_idx ~vpn)
-      ~stop:(entry_idx ~vpn + in_this_leaf);
+    let first = entry_idx ~vpn in
+    let stop = first + min (npages - !i) (fanout - first) in
+    Mm_sim.Engine.charge ((stop - first) * Mm_sim.Cost.meta_write);
+    Chunked.fill_range leaf.entries first stop reserved;
+    Mm_util.Bitset.fill leaf.occ ~from:first ~stop;
     Mm_sim.Mutex_s.unlock leaf.lock;
-    i := !i + in_this_leaf
+    i := !i + (stop - first)
   done;
   lo
 

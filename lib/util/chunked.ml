@@ -38,6 +38,27 @@ let set t i v =
     t.chunks.(k) <- c
   end
 
+(* [set] on each entry of [lo, hi), a chunk at a time: a chunk the
+   range covers whole is built already filled. *)
+let fill_range t lo hi v =
+  if lo < 0 || hi < lo || hi > t.length then invalid_arg "Chunked.fill_range";
+  let i = ref lo in
+  while !i < hi do
+    let k = !i lsr chunk_bits in
+    let len = chunk_length t k in
+    let stop = min hi ((k lsl chunk_bits) + len) in
+    let c = t.chunks.(k) in
+    (if Array.length c <> 0 then Array.fill c (slot !i) (stop - !i) v
+     else if v != t.absent && stop - !i = len then
+       t.chunks.(k) <- Array.make len v
+     else if v != t.absent then begin
+       let c = Array.make len t.absent in
+       Array.fill c (slot !i) (stop - !i) v;
+       t.chunks.(k) <- c
+     end);
+    i := stop
+  done
+
 let reset t = Array.fill t.chunks 0 (Array.length t.chunks) [||]
 
 let fill t v =

@@ -20,6 +20,12 @@ val set : 'a t -> int -> 'a -> unit
 (** Allocates the entry's chunk if it has none and the value is not
     [absent]. *)
 
+val fill_range : 'a t -> int -> int -> 'a -> unit
+(** [fill_range t lo hi v] sets entries [[lo, hi)] to [v], as {!set} on
+    each would: it allocates the chunks the range reaches unless [v] is
+    [absent]. Raises [Invalid_argument] unless
+    [0 <= lo <= hi <= length t]. *)
+
 val fill : 'a t -> 'a -> unit
 (** Set every entry to one value, building each chunk whole (one
     [Array.make] per chunk). Filling with [absent] is {!reset}. *)

@@ -285,6 +285,333 @@ let test_perm_make_table () =
          with Invalid_argument _ -> true))
     [ -1; 16 ]
 
+(* -- Reference codecs --
+
+   The formats' encoders and decoders as they were before each computed
+   its bits in-module: one helper call per bit or field, the helpers
+   below. [codec_prop] and [decode_prop] pin today's formats to them,
+   word for word and message for message. *)
+
+module Ref = struct
+  let bits (w : int64) : int = Int64.to_int w
+  let get_bit b n = b land (1 lsl n) <> 0
+  let set_bit b n v = if v then b lor (1 lsl n) else b
+  let field b ~lo ~width = (b lsr lo) land ((1 lsl width) - 1)
+
+  let set_field b ~lo ~width v =
+    if v < 0 || (width < 63 && v >= 1 lsl width) then
+      invalid_arg "Pte_format.set_field: value out of range";
+    b land lnot (((1 lsl width) - 1) lsl lo) lor (v lsl lo)
+
+  let word ~bit63 b =
+    let w = Int64.logand (Int64.of_int b) 0x7FFF_FFFF_FFFF_FFFFL in
+    if bit63 then Int64.logor w Int64.min_int else w
+
+  let is_aligned = Mm_util.Align.is_aligned
+
+  module X86_64 = struct
+    let p_bit = 0
+    let rw_bit = 1
+    let us_bit = 2
+    let a_bit = 5
+    let d_bit = 6
+    let ps_bit = 7
+    let g_bit = 8
+    let cow_bit = 9
+    let pfn_lo = 12
+    let pfn_width = 40
+    let pku_lo = 59
+    let pku_width = 4
+
+    let encode ~level (pte : Pte.t) =
+      match pte with
+      | Pte.Absent -> 0L
+      | Pte.Table { pfn } ->
+        if level <= 1 then invalid_arg "x86-64: table entry at leaf level";
+        let b = set_bit 0 p_bit true in
+        let b = set_bit b rw_bit true in
+        let b = set_bit b us_bit true in
+        word ~bit63:false (set_field b ~lo:pfn_lo ~width:pfn_width pfn)
+      | Pte.Leaf { pfn; perm; accessed; dirty; global } ->
+        if not perm.Perm.read then
+          invalid_arg "x86-64: present leaf is always readable (use Absent)";
+        let huge = level > 1 in
+        if level > 3 then invalid_arg "x86-64: no huge pages above 1 GiB";
+        if huge && not (is_aligned pfn (1 lsl (9 * (level - 1)))) then
+          invalid_arg "x86-64: misaligned huge-page frame";
+        let b = set_bit 0 p_bit true in
+        let b = set_bit b rw_bit perm.Perm.write in
+        let b = set_bit b us_bit perm.Perm.user in
+        let b = set_bit b a_bit accessed in
+        let b = set_bit b d_bit dirty in
+        let b = set_bit b ps_bit huge in
+        let b = set_bit b g_bit global in
+        let b = set_bit b cow_bit perm.Perm.cow in
+        let b = set_field b ~lo:pku_lo ~width:pku_width perm.Perm.mpk_key in
+        let b = set_field b ~lo:pfn_lo ~width:pfn_width pfn in
+        word ~bit63:(not perm.Perm.execute) b
+
+    let decode ~level w =
+      let b = bits w in
+      if not (get_bit b p_bit) then Pte.Absent
+      else
+        let huge = get_bit b ps_bit in
+        let pfn = field b ~lo:pfn_lo ~width:pfn_width in
+        if level > 1 && not huge then Pte.Table { pfn }
+        else
+          let perm =
+            Perm.of_flags ~read:true ~write:(get_bit b rw_bit)
+              ~execute:(w >= 0L) ~user:(get_bit b us_bit)
+              ~cow:(get_bit b cow_bit)
+              ~mpk_key:(field b ~lo:pku_lo ~width:pku_width)
+          in
+          Pte.Leaf
+            {
+              pfn;
+              perm;
+              accessed = get_bit b a_bit;
+              dirty = get_bit b d_bit;
+              global = get_bit b g_bit;
+            }
+  end
+
+  module Riscv_sv48 = struct
+    let v_bit = 0
+    let r_bit = 1
+    let w_bit = 2
+    let x_bit = 3
+    let u_bit = 4
+    let g_bit = 5
+    let a_bit = 6
+    let d_bit = 7
+    let cow_bit = 8
+    let pfn_lo = 10
+    let pfn_width = 44
+
+    let encode ~level (pte : Pte.t) =
+      match pte with
+      | Pte.Absent -> 0L
+      | Pte.Table { pfn } ->
+        if level <= 1 then invalid_arg "Sv48: table entry at leaf level";
+        let b = set_bit 0 v_bit true in
+        word ~bit63:false (set_field b ~lo:pfn_lo ~width:pfn_width pfn)
+      | Pte.Leaf { pfn; perm; accessed; dirty; global } ->
+        if not (perm.Perm.read || perm.Perm.execute) then
+          invalid_arg "Sv48: leaf must have R or X (R=W=X=0 means pointer)";
+        if perm.Perm.write && not perm.Perm.read then
+          invalid_arg "Sv48: W without R is reserved";
+        if perm.Perm.mpk_key <> 0 then invalid_arg "Sv48: no protection keys";
+        if level > 1 && not (is_aligned pfn (1 lsl (9 * (level - 1)))) then
+          invalid_arg "Sv48: misaligned superpage frame";
+        let b = set_bit 0 v_bit true in
+        let b = set_bit b r_bit perm.Perm.read in
+        let b = set_bit b w_bit perm.Perm.write in
+        let b = set_bit b x_bit perm.Perm.execute in
+        let b = set_bit b u_bit perm.Perm.user in
+        let b = set_bit b g_bit global in
+        let b = set_bit b a_bit accessed in
+        let b = set_bit b d_bit dirty in
+        let b = set_bit b cow_bit perm.Perm.cow in
+        word ~bit63:false (set_field b ~lo:pfn_lo ~width:pfn_width pfn)
+
+    let decode ~level w =
+      let b = bits w in
+      if not (get_bit b v_bit) then Pte.Absent
+      else
+        let leaf = get_bit b r_bit || get_bit b w_bit || get_bit b x_bit in
+        let pfn = field b ~lo:pfn_lo ~width:pfn_width in
+        if (not leaf) && level > 1 then Pte.Table { pfn }
+        else if not leaf then Pte.Absent
+        else
+          let perm =
+            Perm.of_flags ~read:(get_bit b r_bit) ~write:(get_bit b w_bit)
+              ~execute:(get_bit b x_bit) ~user:(get_bit b u_bit)
+              ~cow:(get_bit b cow_bit) ~mpk_key:0
+          in
+          Pte.Leaf
+            {
+              pfn;
+              perm;
+              accessed = get_bit b a_bit;
+              dirty = get_bit b d_bit;
+              global = get_bit b g_bit;
+            }
+  end
+
+  module Arm64 = struct
+    let valid_bit = 0
+    let type_bit = 1
+    let ap1_bit = 6
+    let ap2_bit = 7
+    let af_bit = 10
+    let ng_bit = 11
+    let pfn_lo = 12
+    let pfn_width = 36
+    let pxn_bit = 53
+    let uxn_bit = 54
+    let cow_bit = 55
+    let dirty_bit = 56
+
+    let encode ~level (pte : Pte.t) =
+      match pte with
+      | Pte.Absent -> 0L
+      | Pte.Table { pfn } ->
+        if level <= 1 then invalid_arg "ARMv8: table entry at leaf level";
+        let b = set_bit 0 valid_bit true in
+        let b = set_bit b type_bit true in
+        word ~bit63:false (set_field b ~lo:pfn_lo ~width:pfn_width pfn)
+      | Pte.Leaf { pfn; perm; accessed; dirty; global } ->
+        if not perm.Perm.read then
+          invalid_arg "ARMv8: present leaf is always readable (use Absent)";
+        if perm.Perm.mpk_key <> 0 then
+          invalid_arg "ARMv8: no protection keys";
+        if level = 4 then
+          invalid_arg "ARMv8: no level-0 blocks with 4K granule";
+        if level > 1 && not (is_aligned pfn (1 lsl (9 * (level - 1)))) then
+          invalid_arg "ARMv8: misaligned block frame";
+        let b = set_bit 0 valid_bit true in
+        let b = set_bit b type_bit (level = 1) in
+        let b = set_bit b ap1_bit perm.Perm.user in
+        let b = set_bit b ap2_bit (not perm.Perm.write) in
+        let b = set_bit b af_bit accessed in
+        let b = set_bit b ng_bit (not global) in
+        let b = set_bit b uxn_bit (not perm.Perm.execute) in
+        let b = set_bit b pxn_bit true in
+        let b = set_bit b cow_bit perm.Perm.cow in
+        let b = set_bit b dirty_bit dirty in
+        word ~bit63:false (set_field b ~lo:pfn_lo ~width:pfn_width pfn)
+
+    let decode ~level w =
+      let b = bits w in
+      if not (get_bit b valid_bit) then Pte.Absent
+      else
+        let type_set = get_bit b type_bit in
+        let pfn = field b ~lo:pfn_lo ~width:pfn_width in
+        let leaf = if level = 1 then type_set else not type_set in
+        if (not leaf) && level = 1 then Pte.Absent
+        else if not leaf then Pte.Table { pfn }
+        else
+          let perm =
+            Perm.of_flags ~read:true
+              ~write:(not (get_bit b ap2_bit))
+              ~execute:(not (get_bit b uxn_bit))
+              ~user:(get_bit b ap1_bit) ~cow:(get_bit b cow_bit) ~mpk_key:0
+          in
+          Pte.Leaf
+            {
+              pfn;
+              perm;
+              accessed = get_bit b af_bit;
+              dirty = get_bit b dirty_bit;
+              global = not (get_bit b ng_bit);
+            }
+  end
+end
+
+(* Each ISA's reference codec and the width of its frame-number field. *)
+let reference (isa : Isa.t) =
+  if isa == Isa.x86_64 then
+    (Ref.X86_64.encode, Ref.X86_64.decode, Ref.X86_64.pfn_width)
+  else if isa == Isa.riscv_sv48 then
+    (Ref.Riscv_sv48.encode, Ref.Riscv_sv48.decode, Ref.Riscv_sv48.pfn_width)
+  else (Ref.Arm64.encode, Ref.Arm64.decode, Ref.Arm64.pfn_width)
+
+(* Every permission record, formats' rejects included: the five flags
+   in all 32 combinations with each MPK key from -1 to 16. [Perm.make]
+   refuses keys outside 0..15, so these are built as records. *)
+let every_perm =
+  List.concat_map
+    (fun mpk_key ->
+      List.init 32 (fun i ->
+          let flag n = i land (1 lsl n) <> 0 in
+          { Perm.read = flag 0; write = flag 1; execute = flag 2;
+            user = flag 3; cow = flag 4; mpk_key }))
+    (List.init 18 (fun k -> k - 1))
+
+(* A level, an entry kind and a frame number: 0, random, the field's
+   largest, one past it, negative, and huge-aligned or misaligned for
+   the level. *)
+let gen_codec_case ~width =
+  QCheck.Gen.(
+    let* level = int_range 1 4 in
+    let align = 1 lsl (9 * (level - 1)) in
+    let top = 1 lsl width in
+    let* pfn =
+      oneof
+        [
+          return 0;
+          int_bound (top - 1);
+          return (top - 1);
+          return top;
+          map (fun x -> -x - 1) (int_bound (top - 1));
+          map (fun k -> k * align) (int_bound ((top / align) - 1));
+          map2
+            (fun k off -> (k * align) + 1 + off)
+            (int_bound ((top / align) - 1))
+            (int_bound (max 0 (align - 2)));
+        ]
+    in
+    let* kind = int_bound 2 in
+    let* accessed = bool in
+    let* dirty = bool in
+    let* global = bool in
+    return (level, kind, pfn, accessed, dirty, global))
+
+let outcome f = match f () with w -> Ok w | exception Invalid_argument m -> Error m
+
+(* [encode] returns the reference's word, or raises the reference's
+   message, for an [Absent], a [Table] or a leaf with every permission. *)
+let codec_prop (isa : Isa.t) =
+  let ref_encode, _, width = reference isa in
+  QCheck.Test.make
+    ~name:(Printf.sprintf "%s encode equals the reference" isa.Isa.name)
+    ~count:300
+    (QCheck.make
+       ~print:(fun (level, kind, pfn, a, d, g) ->
+         Printf.sprintf "level %d kind %d pfn %d a %b d %b g %b" level kind pfn
+           a d g)
+       (gen_codec_case ~width))
+    (fun (level, kind, pfn, accessed, dirty, global) ->
+      let ptes =
+        match kind with
+        | 0 -> [ Pte.Absent ]
+        | 1 -> [ Pte.Table { pfn } ]
+        | _ ->
+          List.map
+            (fun perm -> Pte.Leaf { pfn; perm; accessed; dirty; global })
+            every_perm
+      in
+      List.for_all
+        (fun pte ->
+          let got = outcome (fun () -> Isa.encode isa ~level pte)
+          and want = outcome (fun () -> ref_encode ~level pte) in
+          got = want
+          || QCheck.Test.fail_reportf "%s at level %d: %s, reference %s"
+               (Pte.to_string pte) level
+               (match got with Ok w -> Int64.to_string w | Error m -> m)
+               (match want with Ok w -> Int64.to_string w | Error m -> m))
+        ptes)
+
+(* [decode] equals the reference at every level, for any 64-bit word. *)
+let decode_prop (isa : Isa.t) =
+  let _, ref_decode, _ = reference isa in
+  QCheck.Test.make
+    ~name:(Printf.sprintf "%s decode equals the reference" isa.Isa.name)
+    ~count:1000
+    QCheck.(pair int64 bool)
+    (fun (w, top) ->
+      let w =
+        if top then Int64.logor w Int64.min_int
+        else Int64.logand w Int64.max_int
+      in
+      List.for_all
+        (fun level ->
+          let got = Isa.decode isa ~level w and want = ref_decode ~level w in
+          (Pte.equal got want && got = want)
+          || QCheck.Test.fail_reportf "%Lx at level %d: %s, reference %s" w
+               level (Pte.to_string got) (Pte.to_string want))
+        [ 1; 2; 3; 4 ])
+
 let () =
   Alcotest.run "mm_hal"
     [
@@ -304,6 +631,14 @@ let () =
             [
               QCheck_alcotest.to_alcotest (roundtrip_prop isa);
               QCheck_alcotest.to_alcotest (table_roundtrip_prop isa);
+            ])
+          all_isas );
+      ( "pte-reference",
+        List.concat_map
+          (fun isa ->
+            [
+              QCheck_alcotest.to_alcotest (codec_prop isa);
+              QCheck_alcotest.to_alcotest (decode_prop isa);
             ])
           all_isas );
       ( "pte-bits",

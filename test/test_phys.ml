@@ -208,51 +208,93 @@ module Ref_buddy = struct
   let free_blocks t ~order = List.sort compare t.free.(order)
 end
 
-(* One seeded random trace, compared step by step: every alloc must return
-   the same pfn, and after every operation the full free-list state (all
-   orders) must agree, while the optimized allocator's internal invariants
-   hold. *)
+(* The optimized allocator and the reference side by side: [alloc_both]
+   checks that both return the same pfn, and [same_state] that the full
+   free-list state (all orders) and the frontier agree, while the
+   optimized allocator's internal invariants hold. *)
+let buddy_pair ~nframes = (Buddy.create ~nframes, Ref_buddy.create ~nframes)
+
+let alloc_both (b, r) ~order ~what =
+  let pfn = Buddy.alloc b ~order in
+  let pfn' = Ref_buddy.alloc r ~order in
+  check Alcotest.int (Printf.sprintf "%s: alloc order %d pfn" what order) pfn'
+    pfn;
+  pfn
+
+let free_both (b, r) ~pfn ~order =
+  Buddy.free b ~pfn ~order;
+  Ref_buddy.free r ~pfn ~order
+
+let same_state (b, r) what =
+  check Alcotest.int
+    (Printf.sprintf "%s: frontier" what)
+    r.Ref_buddy.frontier (Buddy.frontier b);
+  for order = 0 to 10 do
+    check
+      Alcotest.(list int)
+      (Printf.sprintf "%s: free blocks of order %d" what order)
+      (Ref_buddy.free_blocks r ~order)
+      (Buddy.free_blocks b ~order)
+  done;
+  Buddy.check_invariants b
+
+(* One seeded random trace, compared step by step: allocations of
+   orders 0-3, frees of random live blocks, and runs of up to 100
+   order-0 allocations, which take the frontier whenever no order holds
+   a free block. *)
 let run_equivalence_trace ~seed ~steps =
-  let nframes = 1 lsl 14 in
-  let b = Buddy.create ~nframes in
-  let r = Ref_buddy.create ~nframes in
+  let p = buddy_pair ~nframes:(1 lsl 14) in
   let rng = Mm_util.Rng.create ~seed in
   let live = ref [] in
-  let compare_state step =
-    check Alcotest.int
-      (Printf.sprintf "step %d: frontier" step)
-      r.Ref_buddy.frontier (Buddy.frontier b);
-    for order = 0 to 10 do
-      check
-        Alcotest.(list int)
-        (Printf.sprintf "step %d: free blocks of order %d" step order)
-        (Ref_buddy.free_blocks r ~order)
-        (Buddy.free_blocks b ~order)
-    done;
-    Buddy.check_invariants b
-  in
   for step = 1 to steps do
-    if Mm_util.Rng.bool rng || !live = [] then begin
+    let what = Printf.sprintf "step %d" step in
+    let dice = Mm_util.Rng.int rng 8 in
+    if dice = 0 then
+      for _ = 0 to Mm_util.Rng.int rng 100 do
+        live := (alloc_both p ~order:0 ~what, 0) :: !live
+      done
+    else if dice < 4 || !live = [] then begin
       let order = Mm_util.Rng.int rng 4 in
-      let pfn = Buddy.alloc b ~order in
-      let pfn' = Ref_buddy.alloc r ~order in
-      check Alcotest.int
-        (Printf.sprintf "step %d: alloc order %d pfn" step order)
-        pfn' pfn;
-      live := (pfn, order) :: !live
+      live := (alloc_both p ~order ~what, order) :: !live
     end
     else begin
       let i = Mm_util.Rng.int rng (List.length !live) in
       let pfn, order = List.nth !live i in
       live := List.filteri (fun j _ -> j <> i) !live;
-      Buddy.free b ~pfn ~order;
-      Ref_buddy.free r ~pfn ~order
+      free_both p ~pfn ~order
     end;
-    compare_state step
+    same_state p what
   done
 
 let test_reference_equivalence () =
   List.iter (fun seed -> run_equivalence_trace ~seed ~steps:300) [ 1; 7; 42 ]
+
+(* Long runs of order-0 allocations: from a fresh allocator, where each
+   is the frame at the frontier, then after freeing them all in a
+   scattered order, which merges them back into order-10 blocks, so the
+   next run splits those blocks down before it reaches the frontier
+   again. *)
+let test_order0_runs () =
+  let ((b, _) as p) = buddy_pair ~nframes:(1 lsl 14) in
+  let n = 4096 in
+  for i = 0 to n - 1 do
+    let what = Printf.sprintf "fresh run, alloc %d" i in
+    check Alcotest.int what i (alloc_both p ~order:0 ~what);
+    same_state p what
+  done;
+  for i = 0 to n - 1 do
+    free_both p ~pfn:(i * 97 mod n) ~order:0
+  done;
+  same_state p "all freed";
+  check Alcotest.(list int) "merged into order-10 blocks" [ 0; 1024; 2048; 3072 ]
+    (Buddy.free_blocks b ~order:10);
+  check Alcotest.int "merges" (n - 4) (Buddy.merges b);
+  for i = 0 to n + 999 do
+    let what = Printf.sprintf "run after merges, alloc %d" i in
+    ignore (alloc_both p ~order:0 ~what : int);
+    same_state p what
+  done;
+  check Alcotest.int "frontier after the second run" (n + 1000) (Buddy.frontier b)
 
 (* -- Phys / frames / NUMA -- *)
 
@@ -568,10 +610,11 @@ let test_heap_budget () =
    radix leaf about 520 (512 slots and their occupancy bits), however
    few slots were in use. With one entry each now takes a quarter of
    that at most. A full PT page is bounded at its own size, with 64
-   words of slack: 1 093 words while no entry is read (raw words, mirror
-   slots and chunk headers), and 4 163 once every entry is read, each
-   read keeping its decoded leaf. A store that decoded would take the
-   read size unread, and fail the first bound. *)
+   words of slack: 571 words while no entry is read (raw words and
+   chunk headers), and 4 163 once every entry is read, each chunk's
+   first read building its 65-word mirror and each read keeping its
+   decoded leaf. A store that built the mirror (1 091 words) or decoded
+   (4 163) would fail the first bound. *)
 let test_sparse_storage () =
   let phys = Phys.create () in
   let pt = Mm_pt.Pt.create phys Mm_hal.Isa.x86_64 in
@@ -589,10 +632,10 @@ let test_sparse_storage () =
   done;
   let unread_words = pt_storage ~beside:first full in
   check Alcotest.bool
-    (Printf.sprintf "PT page, full and unread: %d words <= 1 093 + 64"
+    (Printf.sprintf "PT page, full and unread: %d words <= 571 + 64"
        unread_words)
     true
-    (unread_words <= 1093 + 64);
+    (unread_words <= 571 + 64);
   for idx = 0 to Mm_pt.Pt.entries_per_node pt - 1 do
     ignore (Mm_pt.Pt.get_uncharged pt full idx : Mm_hal.Pte.t)
   done;
@@ -695,6 +738,8 @@ let () =
           QCheck_alcotest.to_alcotest buddy_no_overlap_prop;
           Alcotest.test_case "reference equivalence" `Quick
             test_reference_equivalence;
+          Alcotest.test_case "order-0 runs against the reference" `Quick
+            test_order0_runs;
         ] );
       ( "phys",
         [

@@ -543,7 +543,12 @@ let slot_ops_prop =
    read must equal the reference [decode (encode pte)] of the slot's
    last store, and the tree must be well-formed before and after every
    slot has been read: the check must not depend on which slots a read
-   has decoded. *)
+   has decoded.
+
+   The same stores also go to a second tree that nothing reads, so none
+   of its chunks has built a mirror: it must be well-formed, a stale
+   mirror slot forced into any of its chunks must be caught, and its
+   reads must equal the reference afterwards. *)
 type mirror_op =
   | Store of int * Pte.t (* [set]: a huge leaf or [Absent] *)
   | Set_child of int (* a new page over a non-table entry *)
@@ -613,6 +618,60 @@ let lazy_mirror_prop (isa : Mm_hal.Isa.t) =
           Mm_hal.Isa.decode isa ~level:2 (Mm_hal.Isa.encode isa ~level:2 pte)
       in
       let reads_ok idx = Pte.equal (Pt.get_uncharged pt p idx) expected.(idx) in
+      (* The unread tree: [set_accessed] and [clear_accessed] read, so it
+         leaves them out, and it finds a page under a table entry in
+         [kids], not through [Pt.child]. *)
+      let q : unit Pt.t = Pt.create phys isa in
+      let pq = Pt.walk_create q ~to_level:2 0 in
+      let kids = Array.make n None and expected_q = Array.make n Pte.Absent in
+      let store_unread op idx =
+        let unlink () =
+          Option.iter
+            (fun c ->
+              c.Pt.parent <- None;
+              Pt.free_node q c)
+            kids.(idx);
+          kids.(idx) <- None
+        in
+        let note pte =
+          expected_q.(idx) <-
+            Mm_hal.Isa.decode isa ~level:2 (Mm_hal.Isa.encode isa ~level:2 pte)
+        in
+        match (op, expected_q.(idx)) with
+        | Store (_, pte), _ ->
+          Pt.set q pq idx pte;
+          unlink ();
+          note pte
+        | Set_child _, (Pte.Absent | Pte.Leaf _) ->
+          let c = Pt.alloc_node q ~level:1 in
+          Pt.set_child q pq idx c;
+          kids.(idx) <- Some c;
+          note (Pte.Table { pfn = (c.Pt.frame :> int) })
+        | Detach_child _, Pte.Table _ ->
+          Pt.set q pq idx Pte.Absent;
+          unlink ();
+          note Pte.Absent
+        | (Set_child _ | Detach_child _ | Set_accessed _ | Clear_accessed _), _
+          ->
+          ()
+      in
+      let stale_caught idx =
+        let right = expected_q.(idx) in
+        let wrong =
+          match right with
+          | Pte.Absent -> Pte.leaf ~pfn:512 ~perm:Perm.r ()
+          | Pte.Table _ | Pte.Leaf _ -> Pte.Absent
+        in
+        Pt.corrupt_mirror q pq idx wrong;
+        let caught =
+          match Pt.check_well_formed q with
+          | () -> false
+          | exception Pt.Ill_formed _ -> true
+        in
+        Pt.corrupt_mirror q pq idx right;
+        Pt.check_well_formed q;
+        caught
+      in
       List.for_all
         (fun (op, read) ->
           let idx =
@@ -658,6 +717,7 @@ let lazy_mirror_prop (isa : Mm_hal.Isa.t) =
               roundtrip idx (Pte.Leaf { l with accessed = false })
             | Pte.Absent | Pte.Table _ -> ())
           | (Set_child _ | Detach_child _), _ -> ());
+          store_unread op idx;
           (not read) || reads_ok idx)
         ops
       && begin
@@ -665,6 +725,15 @@ let lazy_mirror_prop (isa : Mm_hal.Isa.t) =
            let all_read = List.for_all reads_ok (List.init n Fun.id) in
            Pt.check_well_formed pt;
            all_read
+         end
+      && begin
+           (* One slot in each chunk the slots reach, before any read. *)
+           Pt.check_well_formed q;
+           List.for_all stale_caught [ 0; 64; 130; 448 ]
+           && List.for_all
+                (fun idx ->
+                  Pte.equal (Pt.get_uncharged q pq idx) expected_q.(idx))
+                (List.init n Fun.id)
          end)
 
 (* [Pt]'s slot arithmetic against the geometry's, at every level of

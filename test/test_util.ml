@@ -94,22 +94,46 @@ let align_prop =
       && Align.is_aligned (Align.up x a) a
       && Align.up x a - Align.down x a < 2 * a)
 
-(* Chunked tables against plain arrays: random get/set/fill/reset
-   sequences at sizes around the 64-entry chunk, with indices one past
-   each end, which both must reject. [0] is the absent value. *)
-type chunked_op = Get of int | Set of int * int | Fill of int | Reset
+(* Chunked tables against plain arrays: random get/set/fill/reset and
+   ranged-fill sequences at sizes around the 64-entry chunk, with
+   indices one past each end, which both must reject. A ranged fill is
+   empty, inside one chunk, across chunk boundaries, over whole chunks,
+   or out of bounds (which both must reject). [0] is the absent
+   value. *)
+type chunked_op =
+  | Get of int
+  | Set of int * int
+  | Fill of int
+  | Fill_range of int * int * int
+  | Reset
 
 let chunked_prop =
   let gen =
     QCheck.Gen.(
       let* n = oneofl [ 0; 1; 63; 64; 65; 512 ] in
       let idx = int_range (-1) n and value = int_bound 3 in
+      let bound = int_range 0 n and chunks = int_bound ((n + 63) / 64) in
+      let range =
+        oneof
+          [
+            map (fun i -> (i, i)) bound;
+            (let* lo = bound in
+             let* hi = int_range lo (min n (((lo / 64) + 1) * 64)) in
+             return (lo, hi));
+            map2 (fun a b -> (min a b, max a b)) bound bound;
+            map2
+              (fun a b -> (min n (64 * min a b), min n (64 * max a b)))
+              chunks chunks;
+            oneofl [ (-1, 0); (-1, n); (0, n + 1); (n, n + 1); (1, 0) ];
+          ]
+      in
       let op =
         frequency
           [
             (4, map (fun i -> Get i) idx);
             (4, map2 (fun i v -> Set (i, v)) idx value);
             (1, map (fun v -> Fill v) value);
+            (2, map2 (fun (lo, hi) v -> Fill_range (lo, hi, v)) range value);
             (1, return Reset);
           ]
       in
@@ -124,6 +148,8 @@ let chunked_prop =
               | Get i -> Printf.sprintf "get %d" i
               | Set (i, v) -> Printf.sprintf "set %d %d" i v
               | Fill v -> Printf.sprintf "fill %d" v
+              | Fill_range (lo, hi, v) ->
+                Printf.sprintf "fill_range %d %d %d" lo hi v
               | Reset -> "reset")
             ops))
   in
@@ -146,6 +172,10 @@ let chunked_prop =
             Chunked.fill t v;
             Array.fill a 0 n v;
             true
+          | Fill_range (lo, hi, v) ->
+            agree
+              (fun () -> Chunked.fill_range t lo hi v)
+              (fun () -> Array.fill a lo (hi - lo) v)
           | Reset ->
             Chunked.reset t;
             Array.fill a 0 n 0;
