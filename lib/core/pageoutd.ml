@@ -137,10 +137,13 @@ let reclaim_file_pages t file ~target =
 (* Mirror a pass's increments into the metrics registry so reclaim
    activity shows up in [--report]/[--json] like every other subsystem.
    Guarded by the trace session, so an untraced run never touches the
-   registry. *)
-let note_pass ~scanned ~second_chances ~swapped =
+   registry, nor counts the pass's candidate lists. *)
+let note_pass ~hot ~cold ~swapped =
   if Mm_obs.Trace.on () then begin
-    Mm_obs.Metrics.add (Mm_obs.Metrics.counter "pageoutd.scanned") scanned;
+    let second_chances = List.length hot in
+    Mm_obs.Metrics.add
+      (Mm_obs.Metrics.counter "pageoutd.scanned")
+      (second_chances + List.length cold);
     Mm_obs.Metrics.add
       (Mm_obs.Metrics.counter "pageoutd.second_chances")
       second_chances;
@@ -206,9 +209,7 @@ let clock_pass t asp ~target =
         stats.swapped <- stats.swapped + 1
       end)
     (List.rev !cold);
-  note_pass
-    ~scanned:(List.length !hot + List.length !cold)
-    ~second_chances:(List.length !hot) ~swapped:!swapped;
+  note_pass ~hot:!hot ~cold:!cold ~swapped:!swapped;
   !swapped
 
 (* One full pass: page cache first (cheap, Linux-style preference), then
