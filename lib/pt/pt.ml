@@ -91,10 +91,19 @@ let empty_chunk =
     mirror = Array.make chunk_entries Pte.Absent;
   }
 
+let raw_get c j = Bytes.get_int64_le c.words (j * 8)
+let raw_set c j w = Bytes.set_int64_le c.words (j * 8) w
+
+(* A chunk's mirror, built on its first read as the stores would have
+   left it: [Absent] over word 0, so a read of an unstored slot decodes
+   nothing, and [undecoded] over any other word. *)
 let own_mirror c =
   if c.mirror != no_mirror then c.mirror
   else begin
-    let m = Array.make chunk_entries undecoded in
+    let m = Array.make chunk_entries Pte.Absent in
+    for j = 0 to chunk_entries - 1 do
+      if not (Int64.equal (raw_get c j) 0L) then m.(j) <- undecoded
+    done;
     c.mirror <- m;
     m
   end
@@ -104,9 +113,6 @@ let own_mirror c =
 let unmirror c j raw =
   if c.mirror != no_mirror then
     c.mirror.(j) <- (if Int64.equal raw 0L then Pte.Absent else undecoded)
-
-let raw_get c j = Bytes.get_int64_le c.words (j * 8)
-let raw_set c j w = Bytes.set_int64_le c.words (j * 8) w
 
 type occ = Bytes.t
 
