@@ -274,6 +274,25 @@ for t in test_serve test_reclaim test_baselines test_obs; do
   tail -n 2 "/tmp/check_golden_$t.out"
 done
 
+echo "== benchmark: every workload's sim_digest matches BENCH_digests.txt =="
+# mmbench hashes the simulated outputs of a workload's warm-up round into
+# its sim_digest, so a change that keeps every simulated byte keeps all
+# four lines at seed 1. The suite workload runs fig14's full plan, not
+# the MM_FIG14_SUBSET one. A change that moves a simulated number commits
+# the new lines.
+mmbench=./_build/default/benchmark/mmbench.exe
+: > /tmp/digests.txt
+for w in suite serve-mixed fork-fleet reclaim; do
+  (unset MM_FIG14_SUBSET; $mmbench --workload "$w" --seed 1 --seconds 1) \
+    | grep "^$w sim_digest " >> /tmp/digests.txt || true
+done
+if ! cmp -s BENCH_digests.txt /tmp/digests.txt; then
+  echo "benchmark: sim_digest differs from BENCH_digests.txt on:"
+  diff BENCH_digests.txt /tmp/digests.txt \
+    | sed -n 's/^[<>] \([^ ]*\) .*/\1/p' | sort -u
+  exit 1
+fi
+
 echo "== run: write BENCH_wallclock.json (default --wallclock path) =="
 # The file is gitignored, so a fresh clone has none: produce it here
 # rather than validate a leftover from an earlier run.

@@ -36,7 +36,6 @@ type t = {
   page_size : int;
   tlb : Mm_tlb.Tlb.t;
   va : Va_alloc.t;
-  cpu_mask : bool array; (* CPUs that have used this address space *)
   meta_cache : Mm_phys.Slab.t; (* slab backing the per-PTE metadata arrays *)
   no_meta : Bytes.t; (* empty occupancy bits, for PT pages without metadata *)
   mutable meta_arrays : int;
@@ -100,7 +99,6 @@ let create ?va kernel (cfg : Config.t) =
         Va_alloc.create ~ncpus:kernel.Kernel.ncpus
           ~per_core:cfg.Config.per_core_va ~va_lo
           ~va_hi:(Geometry.va_limit geo) ~page_size);
-    cpu_mask = Array.make kernel.Kernel.ncpus false;
     meta_cache =
       Mm_phys.Slab.create kernel.Kernel.phys ~name:"pte_metadata"
         ~obj_size:
@@ -136,20 +134,17 @@ let vm_object t = t.obj
    unrefs the old top). *)
 let reset_vm_object t = t.obj <- Vm_object.create_anon ()
 
-let note_cpu t =
-  match Mm_sim.Engine.current () with
-  | Some f -> t.cpu_mask.(f.f_cpu) <- true
-  | None -> ()
-
 (* -- Metadata arrays -- *)
 
 let entries_per_node t = Pt.entries_per_node t.pt
 
-let meta_of t (node : node) =
+(* [f] is the transaction's fiber: metadata is allocated and written only
+   under a cursor. *)
+let meta_of f t (node : node) =
   match node.Pt.meta with
   | Some m -> m
   | None ->
-    Mm_sim.Engine.charge Mm_sim.Cost.meta_array_alloc;
+    Mm_sim.Engine.tick_on f Mm_sim.Cost.meta_array_alloc;
     let n = entries_per_node t in
     let m =
       {
@@ -183,9 +178,9 @@ let meta_store m idx v =
     Mm_util.Bitset.remove m.bits idx
   | _, _ -> ()
 
-let meta_set t (node : node) idx v =
-  let m = meta_of t node in
-  Mm_sim.Engine.charge Mm_sim.Cost.meta_write;
+let meta_set f t (node : node) idx v =
+  let m = meta_of f t node in
+  Mm_sim.Engine.tick_on f Mm_sim.Cost.meta_write;
   meta_store m idx v
 
 let meta_live (node : node) =
@@ -214,8 +209,13 @@ type cursor = {
   asp : t;
   lo : int;
   hi : int;
+  fiber : Mm_sim.Engine.fiber;
+      (* The transaction's fiber, looked up once: every lock transition,
+         PT access, charge and line access up to the end of [commit]
+         runs on it. *)
+  fo : Mm_sim.Engine.fiber option; (* [Some fiber], for [Pt]'s [_on] forms *)
   covering : node;
-  read_path : node list; (* rw: read-locked ancestors, root first *)
+  read_path : node list; (* rw: read-locked ancestors, deepest first *)
   mutable locked : node list; (* locked nodes, most recent first *)
   mutable tlb_pending : (int * int) list; (* (first vpn, page count) *)
   mutable tlb_targets : int; (* CPUs that may cache the flushed entries *)
@@ -230,35 +230,16 @@ type cursor = {
 
 let sync_shootdown c = c.sync_shootdown <- true
 
-(* -- CortenMM_rw locking protocol (Fig 5) -- *)
-
-let rw_lock t ~lo ~hi =
-  let rec descend (cur : node) path =
-    let idx = Pt.covering_slot t.pt cur ~lo ~hi in
-    if idx < 0 then begin
-      Mm_sim.Rwlock_s.write_lock (Pt.rwlock t.pt cur);
-      (cur, List.rev path)
-    end
-    else begin
-      Mm_sim.Rwlock_s.read_lock (Pt.rwlock t.pt cur);
-      match Pt.get t.pt cur idx with
-      | Pte.Table _ -> descend (Pt.child t.pt cur idx) (cur :: path)
-      | Pte.Absent | Pte.Leaf _ ->
-        (* [cur] is the lowest existing covering page: trade the reader
-           lock for the writer lock (Fig 5 L7-8). *)
-        Mm_sim.Rwlock_s.read_unlock (Pt.rwlock t.pt cur);
-        Mm_sim.Rwlock_s.write_lock (Pt.rwlock t.pt cur);
-        (cur, List.rev path)
-    end
-  in
-  let covering, read_path = descend (Pt.root t.pt) [] in
+let cursor f fo t ~lo ~hi ~covering ~read_path ~locked =
   {
     asp = t;
     lo;
     hi;
+    fiber = f;
+    fo;
     covering;
     read_path;
-    locked = [ covering ];
+    locked;
     tlb_pending = [];
     tlb_targets = 0;
     sync_shootdown = false;
@@ -266,74 +247,92 @@ let rw_lock t ~lo ~hi =
     committed = false;
   }
 
+(* -- CortenMM_rw locking protocol (Fig 5) --
+
+   Descend from the root read-locking each page above the covering one;
+   [path] collects them deepest first, the order [commit] releases them
+   in. *)
+
+let rec rw_descend f fo t ~lo ~hi (cur : node) path =
+  let idx = Pt.covering_slot t.pt cur ~lo ~hi in
+  if idx < 0 then begin
+    Mm_sim.Rwlock_s.write_lock_on f (Pt.rwlock t.pt cur);
+    cursor f fo t ~lo ~hi ~covering:cur ~read_path:path ~locked:[ cur ]
+  end
+  else begin
+    Mm_sim.Rwlock_s.read_lock_on f (Pt.rwlock t.pt cur);
+    match Pt.get_on fo t.pt cur idx with
+    | Pte.Table _ ->
+      rw_descend f fo t ~lo ~hi (Pt.child t.pt cur idx) (cur :: path)
+    | Pte.Absent | Pte.Leaf _ ->
+      (* [cur] is the lowest existing covering page: trade the reader
+         lock for the writer lock (Fig 5 L7-8). *)
+      Mm_sim.Rwlock_s.read_unlock_on f (Pt.rwlock t.pt cur);
+      Mm_sim.Rwlock_s.write_lock_on f (Pt.rwlock t.pt cur);
+      cursor f fo t ~lo ~hi ~covering:cur ~read_path:path ~locked:[ cur ]
+  end
+
+
 (* -- CortenMM_adv locking protocol (Fig 6) -- *)
 
-let adv_lock t ~lo ~hi =
-  let rcu = t.kernel.Kernel.rcu in
-  let rec retry () =
-    Mm_sim.Rcu_s.read_lock rcu;
-    (* Traversal phase: lock-free descent to the covering PT page. *)
-    let rec descend (cur : node) =
-      let idx = Pt.covering_slot t.pt cur ~lo ~hi in
-      if idx < 0 then cur
-      else
-        match Pt.get_atomic t.pt cur idx with
-        | Pte.Table _ -> descend (Pt.child t.pt cur idx)
-        | Pte.Absent | Pte.Leaf _ -> cur
+(* Traversal phase: lock-free descent to the covering PT page. *)
+let rec adv_descend fo t ~lo ~hi (cur : node) =
+  let idx = Pt.covering_slot t.pt cur ~lo ~hi in
+  if idx < 0 then cur
+  else
+    match Pt.get_atomic_on fo t.pt cur idx with
+    | Pte.Table _ -> adv_descend fo t ~lo ~hi (Pt.child t.pt cur idx)
+    | Pte.Absent | Pte.Leaf _ -> cur
+
+(* Locking phase: preorder DFS over all descendants (Fig 6 L17),
+   locking each child PT page as the scan of its parent meets it and
+   pushing it on [locked]. Finding the children is a streaming scan of
+   each PT page. *)
+let rec adv_lock_below f fo t ~n (node : node) locked =
+  if node.Pt.level <= 1 then locked
+  else begin
+    Pt.charge_node_scan_on fo t.pt;
+    adv_lock_from f fo t ~n node (Pt.next_present t.pt node 0 ~stop:n) locked
+  end
+
+and adv_lock_from f fo t ~n (node : node) i locked =
+  if i >= n then locked
+  else
+    let locked =
+      match Pt.get_uncharged t.pt node i with
+      | Pte.Table _ ->
+        let child = Pt.child t.pt node i in
+        Mm_sim.Mutex_s.lock_on f (Pt.lock t.pt child);
+        adv_lock_below f fo t ~n child (child :: locked)
+      | Pte.Absent | Pte.Leaf _ -> locked
     in
-    let cover = descend (Pt.root t.pt) in
-    Mm_sim.Mutex_s.lock (Pt.lock t.pt cover);
-    if Mm_phys.Phys.stale t.kernel.Kernel.phys cover.Pt.frame then begin
-      (* Race with a concurrent unmap that removed this PT page: retry
-         (Fig 6 L10-13). *)
-      Mm_sim.Mutex_s.unlock (Pt.lock t.pt cover);
-      Mm_sim.Rcu_s.read_unlock rcu;
-      t.stale_retries <- t.stale_retries + 1;
-      if Mm_obs.Trace.on () then begin
-        Mm_obs.Metrics.inc (Mm_obs.Metrics.counter "addr_space.stale_retries");
-        Mm_sim.Engine.obs Mm_obs.Event.Stale_retry
-      end;
-      retry ()
-    end
-    else begin
-      Mm_sim.Rcu_s.read_unlock rcu;
-      (* Locking phase: preorder DFS over all descendants (Fig 6 L17).
-         Finding the children is a streaming scan of each PT page. *)
-      let locked = ref [ cover ] in
-      let n = entries_per_node t in
-      let rec dfs (node : node) =
-        if node.Pt.level > 1 then begin
-          Pt.charge_node_scan t.pt;
-          let i = ref (Pt.next_present t.pt node 0 ~stop:n) in
-          while !i < n do
-            (match Pt.get_uncharged t.pt node !i with
-            | Pte.Table _ ->
-              let child = Pt.child t.pt node !i in
-              Mm_sim.Mutex_s.lock (Pt.lock t.pt child);
-              locked := child :: !locked;
-              dfs child
-            | Pte.Absent | Pte.Leaf _ -> ());
-            i := Pt.next_present t.pt node (!i + 1) ~stop:n
-          done
-        end
-      in
-      dfs cover;
-      {
-        asp = t;
-        lo;
-        hi;
-        covering = cover;
-        read_path = [];
-        locked = !locked;
-        tlb_pending = [];
-        tlb_targets = 0;
-        sync_shootdown = false;
-        deferred_frames = [];
-        committed = false;
-      }
-    end
-  in
-  retry ()
+    adv_lock_from f fo t ~n node (Pt.next_present t.pt node (i + 1) ~stop:n)
+      locked
+
+let rec adv_lock f fo t ~lo ~hi =
+  let rcu = t.kernel.Kernel.rcu in
+  Mm_sim.Rcu_s.read_lock_on f rcu;
+  let cover = adv_descend fo t ~lo ~hi (Pt.root t.pt) in
+  Mm_sim.Mutex_s.lock_on f (Pt.lock t.pt cover);
+  if Mm_phys.Phys.stale t.kernel.Kernel.phys cover.Pt.frame then begin
+    (* Race with a concurrent unmap that removed this PT page: retry
+       (Fig 6 L10-13). *)
+    Mm_sim.Mutex_s.unlock_on f (Pt.lock t.pt cover);
+    Mm_sim.Rcu_s.read_unlock_on f rcu;
+    t.stale_retries <- t.stale_retries + 1;
+    if Mm_obs.Trace.on () then begin
+      Mm_obs.Metrics.inc (Mm_obs.Metrics.counter "addr_space.stale_retries");
+      Mm_sim.Engine.obs_on f Mm_obs.Event.Stale_retry
+    end;
+    adv_lock f fo t ~lo ~hi
+  end
+  else begin
+    Mm_sim.Rcu_s.read_unlock_on f rcu;
+    let locked =
+      adv_lock_below f fo t ~n:(entries_per_node t) cover [ cover ]
+    in
+    cursor f fo t ~lo ~hi ~covering:cover ~read_path:[] ~locked
+  end
 
 let check_range t ~lo ~hi =
   let ps = page_size t in
@@ -343,35 +342,74 @@ let check_range t ~lo ~hi =
   if lo < 0 || hi > Geometry.va_limit t.kernel.Kernel.isa.Isa.geo then
     raise (Bad_range "range outside the virtual address space")
 
-let lock t ~lo ~hi =
+let lock_on (f : Mm_sim.Engine.fiber) t ~lo ~hi =
   check_range t ~lo ~hi;
-  note_cpu t;
-  let tracing = Mm_obs.Trace.on () && Mm_sim.Engine.in_fiber () in
-  let t0 = if tracing then Mm_sim.Engine.now () else 0 in
+  let t0 = f.f_time and fo = Some f in
   let c =
     match t.cfg.Config.protocol with
-    | Config.Rw -> rw_lock t ~lo ~hi
-    | Config.Adv -> adv_lock t ~lo ~hi
+    | Config.Rw -> rw_descend f fo t ~lo ~hi (Pt.root t.pt) []
+    | Config.Adv -> adv_lock f fo t ~lo ~hi
   in
-  if tracing then begin
-    let span = Mm_sim.Engine.now () - t0 in
+  if Mm_obs.Trace.on () then begin
+    let span = f.f_time - t0 in
     Mm_obs.Metrics.observe
       (Mm_obs.Metrics.histogram "cursor.lock_cycles")
       span;
-    Mm_sim.Engine.obs
+    Mm_sim.Engine.obs_on f
       (Mm_obs.Event.Cursor_lock
          { asp = t.id; lo; hi; locked = List.length c.locked; span })
   end;
   c
 
+let lock t ~lo ~hi = lock_on (Mm_sim.Engine.fiber ()) t ~lo ~hi
+
 (* -- Commit (RCursor Drop, Fig 4 L23) -- *)
 
 let full_flush_threshold = 64
 
+(* Release frames unmapped under a deferring TLB policy. This runs as the
+   shootdown's [on_flush] hook, possibly from a later flush on another
+   fiber, so it charges whichever fiber is running. *)
+let free_frames t frames () =
+  List.iter
+    (fun (frame : Mm_phys.Frame.t) ->
+      Mm_sim.Engine.charge Mm_sim.Cost.page_free;
+      if Mm_obs.Trace.on () then
+        Mm_sim.Engine.obs
+          (Mm_obs.Event.Frame_freed
+             {
+               pfn = (frame :> int);
+               pages = 1 lsl Mm_phys.Phys.order t.kernel.Kernel.phys frame;
+             });
+      Mm_phys.Phys.free t.kernel.Kernel.phys frame)
+    frames
+
+let rec write_unlock_all f t = function
+  | [] -> ()
+  | (n : node) :: rest ->
+    Mm_sim.Rwlock_s.write_unlock_on f (Pt.rwlock t.pt n);
+    write_unlock_all f t rest
+
+let rec read_unlock_all f t = function
+  | [] -> ()
+  | (n : node) :: rest ->
+    Mm_sim.Rwlock_s.read_unlock_on f (Pt.rwlock t.pt n);
+    read_unlock_all f t rest
+
+let rec unlock_all f t = function
+  | [] -> ()
+  | (n : node) :: rest ->
+    Mm_sim.Mutex_s.unlock_on f (Pt.lock t.pt n);
+    unlock_all f t rest
+
+let rec pending_pages acc = function
+  | [] -> acc
+  | (_, n) :: rest -> pending_pages (acc + n) rest
+
 let commit c =
   if c.committed then invalid_arg "Addr_space.commit: cursor already dropped";
   c.committed <- true;
-  let t = c.asp in
+  let t = c.asp and f = c.fiber in
   (* Announced before the unlocks: releasing a contended lock yields to
      the scheduler ([serialize] inside the lock model), so a fiber
      waiting on this range can acquire it — and emit its Txn_locked —
@@ -379,37 +417,27 @@ let commit c =
      operations after this point, so ending its monitored lifetime here
      keeps the overlap check sound without false positives on legal
      handoffs. *)
-  if Mm_obs.Trace.on () && Mm_sim.Engine.in_fiber () then
-    Mm_sim.Engine.obs
+  if Mm_obs.Trace.on () then
+    Mm_sim.Engine.obs_on f
       (Mm_obs.Event.Txn_committed { asp = t.id; lo = c.lo; hi = c.hi });
   (* Frames unmapped under a deferring TLB policy are released only once
      the shootdown that invalidates their translations has actually
      flushed — [Tlb.shootdown]'s [on_flush] hook (async unmap). The
      cursor's list is captured here so the callback owns the frames
      regardless of when the batch completes. *)
-  let deferred = List.rev c.deferred_frames in
-  c.deferred_frames <- [];
-  let free_deferred () =
-    List.iter
-      (fun (frame : Mm_phys.Frame.t) ->
-        Mm_sim.Engine.charge Mm_sim.Cost.page_free;
-        if Mm_obs.Trace.on () then
-          Mm_sim.Engine.obs
-            (Mm_obs.Event.Frame_freed
-               {
-                 pfn = (frame :> int);
-                 pages = 1 lsl Mm_phys.Phys.order t.kernel.Kernel.phys frame;
-               });
-        Mm_phys.Phys.free t.kernel.Kernel.phys frame)
-      deferred
+  let on_flush =
+    match c.deferred_frames with
+    | [] -> None
+    | frames ->
+      c.deferred_frames <- [];
+      Some (free_frames t (List.rev frames))
   in
   (* Batched TLB shootdown for everything this transaction invalidated. *)
   (match c.tlb_pending with
-  | [] -> if deferred <> [] then free_deferred ()
-  | pending when Mm_sim.Engine.in_fiber () ->
-    let total = List.fold_left (fun a (_, n) -> a + n) 0 pending in
+  | [] -> Option.iter (fun free -> free ()) on_flush
+  | pending ->
     let vpns =
-      if total > full_flush_threshold then
+      if pending_pages 0 pending > full_flush_threshold then
         (* Beyond the threshold a real kernel flushes the whole TLB; we
            enumerate a bounded set for the table model and charge the
            full-flush cost through the list length cap. *)
@@ -422,49 +450,33 @@ let commit c =
        under the affected PT pages ("CPUs that may require the TLB
        shootdown", paper §4.5), not the whole address-space mask. *)
     let targets =
-      Array.init (Array.length t.cpu_mask) (fun i ->
+      Array.init t.kernel.Kernel.ncpus (fun i ->
           c.tlb_targets land (1 lsl i) <> 0)
     in
-    let on_flush = if deferred = [] then None else Some free_deferred in
-    Mm_tlb.Tlb.shootdown ?on_flush ~sync:c.sync_shootdown t.tlb ~targets
-      ~vpns
-  | _ ->
-    (* Outside a fiber no shootdown is modelled, so nothing holds the
-       frames back (host-side unit-test path). *)
-    if deferred <> [] then free_deferred ());
+    Mm_tlb.Tlb.shootdown_on f ?on_flush ~sync:c.sync_shootdown t.tlb ~targets
+      ~vpns);
   (* Release locks in reverse acquisition order. *)
   (match t.cfg.Config.protocol with
-  | Config.Adv ->
-    List.iter
-      (fun (n : node) -> Mm_sim.Mutex_s.unlock (Pt.lock t.pt n))
-      c.locked
+  | Config.Adv -> unlock_all f t c.locked
   | Config.Rw ->
-    List.iter
-      (fun (n : node) ->
-        Mm_sim.Rwlock_s.write_unlock (Pt.rwlock t.pt n))
-      c.locked;
-    List.iter
-      (fun (n : node) ->
-        Mm_sim.Rwlock_s.read_unlock (Pt.rwlock t.pt n))
-      (List.rev c.read_path));
+    write_unlock_all f t c.locked;
+    read_unlock_all f t c.read_path);
   if Mm_obs.Trace.on () then
-    Mm_sim.Engine.obs
+    Mm_sim.Engine.obs_on f
       (Mm_obs.Event.Cursor_commit
-         {
-           lo = c.lo;
-           hi = c.hi;
-           flushed = List.fold_left (fun a (_, n) -> a + n) 0 c.tlb_pending;
-         })
+         { lo = c.lo; hi = c.hi; flushed = pending_pages 0 c.tlb_pending })
 
-let with_lock t ~lo ~hi f =
-  let c = lock t ~lo ~hi in
-  match f c with
+let with_lock_on f t ~lo ~hi fn =
+  let c = lock_on f t ~lo ~hi in
+  match fn c with
   | v ->
     commit c;
     v
   | exception e ->
     commit c;
     raise e
+
+let with_lock t ~lo ~hi fn = with_lock_on (Mm_sim.Engine.fiber ()) t ~lo ~hi fn
 
 (* -- Internal navigation helpers (operate under the cursor's locks) -- *)
 
@@ -487,15 +499,16 @@ let origin_advance origin ~by =
    slot receives the mark with its file offset advanced to its position.
    An anonymous mark is the same at every position, so its slots share
    one record. *)
-let push_down_mark t (parent : node) idx (child : node) =
+let push_down_mark c (parent : node) idx (child : node) =
+  let t = c.asp in
   match meta_get parent idx with
   | Status.M_invalid -> ()
   | Status.M_alloc { origin; perm; policy } as mark ->
     (* Bulk fill: one streaming pass over the child's array, not 512
        individually-charged stores. *)
     let child_cov = Pt.entry_coverage t.pt child in
-    let m = meta_of t child in
-    Mm_sim.Engine.charge Mm_sim.Cost.meta_bulk_fill;
+    let m = meta_of c.fiber t child in
+    Mm_sim.Engine.tick_on c.fiber Mm_sim.Cost.meta_bulk_fill;
     let n = entries_per_node t in
     (match origin with
     | Status.O_anon -> Mm_util.Chunked.fill m.slots mark
@@ -506,7 +519,7 @@ let push_down_mark t (parent : node) idx (child : node) =
       done);
     m.live <- n;
     Mm_util.Bitset.fill m.bits ~from:0 ~stop:n;
-    meta_set t parent idx Status.M_invalid
+    meta_set c.fiber t parent idx Status.M_invalid
   | Status.M_resident _ | Status.M_swapped _ ->
     invariant ~ctx:"push_down_mark" "non-mark metadata on a table slot"
 
@@ -515,18 +528,18 @@ let push_down_mark t (parent : node) idx (child : node) =
    traversal cannot slip under our transaction). *)
 let ensure_child c (parent : node) idx =
   let t = c.asp in
-  match Pt.get t.pt parent idx with
+  match Pt.get_on c.fo t.pt parent idx with
   | Pte.Table _ -> Pt.child t.pt parent idx
   | Pte.Absent | Pte.Leaf _ ->
-    let child = Pt.ensure_child t.pt parent idx in
+    let child = Pt.ensure_child_on c.fo t.pt parent idx in
     (match t.cfg.Config.protocol with
     | Config.Adv ->
-      Mm_sim.Mutex_s.lock (Pt.lock t.pt child);
+      Mm_sim.Mutex_s.lock_on c.fiber (Pt.lock t.pt child);
       c.locked <- child :: c.locked
     | Config.Rw ->
       (* Reachable only through the write-locked covering page. *)
       ());
-    push_down_mark t parent idx child;
+    push_down_mark c parent idx child;
     child
 
 (* The node at [to_level] toward [vaddr], creating missing PT pages
@@ -549,14 +562,14 @@ let subtree_nodes t (node : node) =
    empty of mappings and marks. *)
 let free_child c (parent : node) idx (child : node) =
   let t = c.asp in
-  let detached = Pt.detach_child t.pt parent idx in
+  let detached = Pt.detach_child_on c.fo t.pt parent idx in
   assert (detached == child);
   let nodes = subtree_nodes t child in
   if Mm_obs.Trace.on () then begin
     Mm_obs.Metrics.add
       (Mm_obs.Metrics.counter "addr_space.pt_pages_freed")
       (List.length nodes);
-    Mm_sim.Engine.obs
+    Mm_sim.Engine.obs_on c.fiber
       (Mm_obs.Event.Pt_free
          { level = child.Pt.level; pages = List.length nodes })
   end;
@@ -567,10 +580,12 @@ let free_child c (parent : node) idx (child : node) =
     List.iter
       (fun (n : node) ->
         Mm_phys.Phys.set_stale t.kernel.Kernel.phys n.Pt.frame true;
-        Mm_sim.Mutex_s.unlock (Pt.lock t.pt n);
+        Mm_sim.Mutex_s.unlock_on c.fiber (Pt.lock t.pt n);
         c.locked <- List.filter (fun x -> not (x == n)) c.locked)
       nodes;
-    Mm_sim.Rcu_s.defer t.kernel.Kernel.rcu (fun () ->
+    (* The callback may run at another fiber's read-side exit: it
+       charges whichever fiber is running. *)
+    Mm_sim.Rcu_s.defer_on c.fiber t.kernel.Kernel.rcu (fun () ->
         List.iter
           (fun (n : node) ->
             release_meta t n;
@@ -584,7 +599,7 @@ let free_child c (parent : node) idx (child : node) =
       (fun (n : node) ->
         release_meta t n;
         n.Pt.parent <- None;
-        Pt.free_node t.pt n)
+        Pt.free_node_on c.fo t.pt n)
       nodes)
 
 let node_is_empty (node : node) = node.Pt.present = 0 && meta_live node = 0
@@ -609,12 +624,13 @@ let vpn_of t vaddr = vaddr / page_size t
 (* Rewrite a live leaf in place, honouring ARM's break-before-make: the
    entry is first invalidated and the TLB entry flushed before the new
    translation is written (paper §4.5). *)
-let rewrite_live_leaf t (node : node) idx pte =
+let rewrite_live_leaf c (node : node) idx pte =
+  let t = c.asp in
   if Isa.needs_break_before_make t.kernel.Kernel.isa then begin
-    Pt.set t.pt node idx Pte.Absent;
-    Mm_sim.Engine.charge Mm_sim.Cost.tlb_flush_page
+    Pt.set_on c.fo t.pt node idx Pte.Absent;
+    Mm_sim.Engine.tick_on c.fiber Mm_sim.Cost.tlb_flush_page
   end;
-  Pt.set t.pt node idx pte
+  Pt.set_on c.fo t.pt node idx pte
 
 let note_tlb c ~vaddr ~pages =
   c.tlb_pending <- (vpn_of c.asp vaddr, pages) :: c.tlb_pending
@@ -630,7 +646,7 @@ let free_or_defer c (frame : Mm_phys.Frame.t) =
   if Mm_tlb.Tlb.deferring t.tlb then begin
     c.deferred_frames <- frame :: c.deferred_frames;
     if Mm_obs.Trace.on () then
-      Mm_sim.Engine.obs
+      Mm_sim.Engine.obs_on c.fiber
         (Mm_obs.Event.Frame_deferred
            {
              pfn = (frame :> int);
@@ -638,7 +654,7 @@ let free_or_defer c (frame : Mm_phys.Frame.t) =
            })
   end
   else begin
-    Mm_sim.Engine.charge Mm_sim.Cost.page_free;
+    Mm_sim.Engine.tick_on c.fiber Mm_sim.Cost.page_free;
     Mm_phys.Phys.free t.kernel.Kernel.phys frame
   end
 
@@ -651,15 +667,13 @@ let unmap_leaf c (node : node) idx (pfn, (perm : Perm.t)) =
   let vaddr = Pt.node_base t.pt node + (idx * Pt.entry_coverage t.pt node) in
   ignore perm;
   let origin = meta_get node idx in
-  Pt.set t.pt node idx Pte.Absent;
-  meta_set t node idx Status.M_invalid;
+  Pt.set_on c.fo t.pt node idx Pte.Absent;
+  meta_set c.fiber t node idx Status.M_invalid;
   note_tlb c ~vaddr ~pages;
   c.tlb_targets <- c.tlb_targets lor node.Pt.touched;
   let phys = t.kernel.Kernel.phys in
   let frame = Mm_phys.Phys.frame phys pfn in
-  (match Mm_sim.Engine.current () with
-  | Some f -> Mm_sim.Engine.Line.rmw_on f (Mm_phys.Phys.line phys frame)
-  | None -> ());
+  Mm_sim.Engine.Line.rmw_on c.fiber (Mm_phys.Phys.line phys frame);
   let last = Mm_phys.Phys.drop_map phys frame in
   (match origin with
   | Status.M_resident Status.O_anon ->
@@ -689,7 +703,7 @@ let split_huge c (node : node) idx (l : Pte.t) =
   | Pte.Leaf { pfn; perm; accessed; dirty; global } ->
     if Mm_obs.Trace.on () then begin
       Mm_obs.Metrics.inc (Mm_obs.Metrics.counter "addr_space.pt_splits");
-      Mm_sim.Engine.obs
+      Mm_sim.Engine.obs_on c.fiber
         (Mm_obs.Event.Pt_split
            { vaddr = Pt.node_base t.pt node; level = node.Pt.level })
     end;
@@ -698,22 +712,22 @@ let split_huge c (node : node) idx (l : Pte.t) =
     let geo = t.kernel.Kernel.isa.Isa.geo and phys = t.kernel.Kernel.phys in
     let sub_pages = Geometry.pages_per_entry geo ~level:(node.Pt.level - 1) in
     (* Detach the leaf first, then build the child and link it. *)
-    Pt.set t.pt node idx Pte.Absent;
-    meta_set t node idx Status.M_invalid;
-    let child = Pt.alloc_node t.pt ~level:(node.Pt.level - 1) in
+    Pt.set_on c.fo t.pt node idx Pte.Absent;
+    meta_set c.fiber t node idx Status.M_invalid;
+    let child = Pt.alloc_node_on c.fo t.pt ~level:(node.Pt.level - 1) in
     (match t.cfg.Config.protocol with
     | Config.Adv ->
-      Mm_sim.Mutex_s.lock (Pt.lock t.pt child);
+      Mm_sim.Mutex_s.lock_on c.fiber (Pt.lock t.pt child);
       c.locked <- child :: c.locked
     | Config.Rw -> ());
     let sub_bytes = Geometry.coverage geo ~level:(node.Pt.level - 1) in
     for i = 0 to n - 1 do
-      Pt.set t.pt child i
+      Pt.set_on c.fo t.pt child i
         (Pte.Leaf { pfn = pfn + (i * sub_pages); perm; accessed; dirty; global });
       (match origin with
       | Status.M_invalid -> ()
       | Status.M_resident o ->
-        meta_set t child i
+        meta_set c.fiber t child i
           (Status.M_resident (origin_advance o ~by:(i * sub_bytes)))
       | Status.M_alloc _ | Status.M_swapped _ ->
         invariant ~ctx:"split_huge" "non-resident metadata under a present leaf");
@@ -722,32 +736,34 @@ let split_huge c (node : node) idx (l : Pte.t) =
     done;
     (* The huge frame head loses its single mapping. *)
     ignore (Mm_phys.Phys.drop_map phys (Mm_phys.Phys.frame phys pfn) : bool);
-    Pt.set_child t.pt node idx child;
+    Pt.set_child_on c.fo t.pt node idx child;
     child
   | Pte.Absent | Pte.Table _ -> invalid_arg "split_huge: not a leaf"
 
 (* -- The four basic operations (Fig 4) -- *)
 
-let query c vaddr : Status.t =
-  in_range c ~lo:vaddr ~hi:(vaddr + page_size c.asp);
+(* The descents below the covering page recurse through top-level
+   functions, so a query allocates only its result. *)
+let rec query_below c ~vaddr (cur : node) : Status.t =
   let t = c.asp in
-  let rec go (cur : node) =
-    let idx = Pt.index t.pt ~level:cur.Pt.level ~vaddr in
-    match Pt.get t.pt cur idx with
-    | Pte.Leaf { pfn; perm; _ } ->
-      let off = (vaddr mod Pt.entry_coverage t.pt cur) / page_size t in
-      Status.Mapped { pfn = pfn + off; perm }
-    | Pte.Table _ -> go (Pt.child t.pt cur idx)
-    | Pte.Absent -> (
-      match meta_get cur idx with
-      | Status.M_invalid -> Status.Invalid
-      | Status.M_alloc { origin; perm; _ } -> status_of_mark ~origin ~perm
-      | Status.M_swapped { dev; block; perm } ->
-        Status.Swapped { dev; block; perm }
-      | Status.M_resident _ ->
-        invariant ~ctx:"query" "resident metadata under an absent PTE")
-  in
-  go c.covering
+  let idx = Pt.index t.pt ~level:cur.Pt.level ~vaddr in
+  match Pt.get_on c.fo t.pt cur idx with
+  | Pte.Leaf { pfn; perm; _ } ->
+    let off = (vaddr mod Pt.entry_coverage t.pt cur) / page_size t in
+    Status.Mapped { pfn = pfn + off; perm }
+  | Pte.Table _ -> query_below c ~vaddr (Pt.child t.pt cur idx)
+  | Pte.Absent -> (
+    match meta_get cur idx with
+    | Status.M_invalid -> Status.Invalid
+    | Status.M_alloc { origin; perm; _ } -> status_of_mark ~origin ~perm
+    | Status.M_swapped { dev; block; perm } ->
+      Status.Swapped { dev; block; perm }
+    | Status.M_resident _ ->
+      invariant ~ctx:"query" "resident metadata under an absent PTE")
+
+let query c vaddr =
+  in_range c ~lo:vaddr ~hi:(vaddr + page_size c.asp);
+  query_below c ~vaddr c.covering
 
 (* Map one physical page (or huge block) at [vaddr]. *)
 let map c ~vaddr ~(frame : Mm_phys.Frame.t) ~perm ?(level = 1)
@@ -760,19 +776,16 @@ let map c ~vaddr ~(frame : Mm_phys.Frame.t) ~perm ?(level = 1)
     raise (Bad_range "map: vaddr not aligned for the mapping level");
   let node = node_for c vaddr ~to_level:level in
   let idx = Pt.index t.pt ~level ~vaddr in
-  (match Pt.get t.pt node idx with
+  (match Pt.get_on c.fo t.pt node idx with
   | Pte.Leaf { pfn; perm; _ } -> unmap_leaf c node idx (pfn, perm)
   | Pte.Table _ -> invalid_arg "map: range contains a finer-grained subtree"
   | Pte.Absent -> ());
   let pfn = (frame :> int) and phys = t.kernel.Kernel.phys in
-  Pt.set t.pt node idx (Pte.leaf ~accessed:true ~pfn ~perm ());
-  meta_set t node idx (Status.M_resident origin);
-  let fiber = Mm_sim.Engine.current () in
-  (match fiber with
-  | Some f ->
-    node.Pt.touched <- node.Pt.touched lor (1 lsl f.f_cpu);
-    Mm_sim.Engine.Line.rmw_on f (Mm_phys.Phys.line phys frame)
-  | None -> ());
+  Pt.set_on c.fo t.pt node idx (Pte.leaf ~accessed:true ~pfn ~perm ());
+  meta_set c.fiber t node idx (Status.M_resident origin);
+  let f = c.fiber in
+  node.Pt.touched <- node.Pt.touched lor (1 lsl f.f_cpu);
+  Mm_sim.Engine.Line.rmw_on f (Mm_phys.Phys.line phys frame);
   Mm_phys.Phys.add_map phys frame;
   (match origin with
   | Status.O_anon ->
@@ -785,15 +798,10 @@ let map c ~vaddr ~(frame : Mm_phys.Frame.t) ~perm ?(level = 1)
     File.add_mapper file
       { File.asp_id = t.id; map_vaddr = vaddr; file_offset = offset;
         len = bytes });
-  (* Install the translation in the faulting CPU's TLB ([fiber] is still
-     the running one: the line RMW above parks and resumes the same
-     fiber). *)
-  match fiber with
-  | Some f ->
-    Mm_tlb.Tlb.install t.tlb ~cpu:f.f_cpu ~vpn:(vpn_of t vaddr) ~pfn
-      ~writable:(perm.Perm.write && not perm.Perm.cow)
-      ~key:perm.Perm.mpk_key ()
-  | None -> ()
+  (* Install the translation in the faulting CPU's TLB. *)
+  Mm_tlb.Tlb.install t.tlb ~cpu:f.f_cpu ~vpn:(vpn_of t vaddr) ~pfn
+    ~writable:(perm.Perm.write && not perm.Perm.cow)
+    ~key:perm.Perm.mpk_key ()
 
 (* Fast path for clearing an entire node: one streaming scan frees the
    present leaves and child subtrees and drops the metadata array
@@ -801,7 +809,7 @@ let map c ~vaddr ~(frame : Mm_phys.Frame.t) ~perm ?(level = 1)
    tears down a fully-covered subtree. *)
 let rec clear_whole_node c (node : node) =
   let t = c.asp in
-  Pt.charge_node_scan t.pt;
+  Pt.charge_node_scan_on c.fo t.pt;
   let n = entries_per_node t in
   (* A sparse page is walked by its occupancy bits, a dense one by index:
      past about a quarter of the slots occupied, finding each next bit
@@ -847,7 +855,7 @@ let rec clear_range c (node : node) ~lo ~hi =
     let i = ref (Pt.first_slot t.pt node ~lo) in
     while !i < stop do
       let idx = next_occupied t node !i ~stop in
-      Pt.charge_gets t.pt node (idx - !i);
+      Pt.charge_gets_on c.fo t.pt node (idx - !i);
       if idx < stop then clear_slot c node ~lo ~hi idx;
       i := idx + 1
     done
@@ -860,11 +868,11 @@ and clear_slot c (node : node) ~lo ~hi idx =
   let sub_lo = if lo > e_lo then lo else e_lo in
   let sub_hi = if hi < e_hi then hi else e_hi in
   let full = sub_lo = e_lo && sub_hi = e_hi in
-  match Pt.get t.pt node idx with
+  match Pt.get_on c.fo t.pt node idx with
   | Pte.Leaf { pfn; perm; _ } ->
     if full then unmap_leaf c node idx (pfn, perm)
     else
-      let child = split_huge c node idx (Pt.get t.pt node idx) in
+      let child = split_huge c node idx (Pt.get_on c.fo t.pt node idx) in
       clear_range c child ~lo:sub_lo ~hi:sub_hi
   | Pte.Table _ ->
     let child = Pt.child t.pt node idx in
@@ -873,7 +881,7 @@ and clear_slot c (node : node) ~lo ~hi idx =
   | Pte.Absent -> (
     match meta_get node idx with
     | Status.M_invalid -> ()
-    | Status.M_alloc _ when full -> meta_set t node idx Status.M_invalid
+    | Status.M_alloc _ when full -> meta_set c.fiber t node idx Status.M_invalid
     | Status.M_alloc _ ->
       (* Partial clear of a large mark: push down, then recurse. *)
       let child = ensure_child c node idx in
@@ -881,7 +889,7 @@ and clear_slot c (node : node) ~lo ~hi idx =
     | Status.M_swapped { dev; block; _ } ->
       (* Swap slots are page-granular (level 1 only). *)
       Blockdev.free_block dev ~block;
-      meta_set t node idx Status.M_invalid
+      meta_set c.fiber t node idx Status.M_invalid
     | Status.M_resident _ ->
       invariant ~ctx:"clear_range" "resident metadata under an absent PTE")
 
@@ -902,7 +910,7 @@ let rec mark_range c (node : node) ~lo ~hi ~base ~origin ~perm ~policy =
       if full then begin
         (* Clear whatever was there, then store the mark at this level —
            one metadata entry can stand for the entire slot coverage. *)
-        (match Pt.get t.pt node idx with
+        (match Pt.get_on c.fo t.pt node idx with
         | Pte.Leaf { pfn; perm; _ } -> unmap_leaf c node idx (pfn, perm)
         | Pte.Table _ ->
           let child = Pt.child t.pt node idx in
@@ -914,12 +922,12 @@ let rec mark_range c (node : node) ~lo ~hi ~base ~origin ~perm ~policy =
           | Status.M_swapped { dev; block; _ } ->
             Blockdev.free_block dev ~block
           | _ -> ()));
-        meta_set t node idx
+        meta_set c.fiber t node idx
           (Status.M_alloc
              { origin = origin_advance origin ~by:(e_lo - base); perm; policy })
       end
       else
-        match Pt.get t.pt node idx with
+        match Pt.get_on c.fo t.pt node idx with
         | Pte.Leaf _ as l ->
           let child = split_huge c node idx l in
           mark_range c child ~lo:sub_lo ~hi:sub_hi ~base ~origin ~perm ~policy
@@ -951,7 +959,7 @@ let rec set_policy_range c (node : node) ~lo ~hi policy =
       let e_lo = Pt.node_base t.pt node + (idx * Pt.entry_coverage t.pt node) in
       let e_hi = e_lo + Pt.entry_coverage t.pt node in
       let full = sub_lo = e_lo && sub_hi = e_hi in
-      match Pt.get t.pt node idx with
+      match Pt.get_on c.fo t.pt node idx with
       | Pte.Table _ ->
         set_policy_range c (Pt.child t.pt node idx) ~lo:sub_lo ~hi:sub_hi
           policy
@@ -959,7 +967,7 @@ let rec set_policy_range c (node : node) ~lo ~hi policy =
       | Pte.Absent -> (
         match meta_get node idx with
         | Status.M_alloc { origin; perm; _ } when full ->
-          meta_set t node idx (Status.M_alloc { origin; perm; policy })
+          meta_set c.fiber t node idx (Status.M_alloc { origin; perm; policy })
         | Status.M_alloc _ ->
           let child = ensure_child c node idx in
           set_policy_range c child ~lo:sub_lo ~hi:sub_hi policy
@@ -972,19 +980,18 @@ let update_policy c ~lo ~hi policy =
   set_policy_range c c.covering ~lo ~hi policy
 
 (* The policy recorded for an (unmapped) page, for the fault path. *)
-let policy_at c vaddr =
+let rec policy_below c ~vaddr (cur : node) =
   let t = c.asp in
-  let rec go (cur : node) =
-    let idx = Pt.index t.pt ~level:cur.Pt.level ~vaddr in
-    match Pt.get_uncharged t.pt cur idx with
-    | Pte.Table _ -> go (Pt.child t.pt cur idx)
-    | Pte.Leaf _ -> Numa.Default
-    | Pte.Absent -> (
-      match meta_get cur idx with
-      | Status.M_alloc { policy; _ } -> policy
-      | _ -> Numa.Default)
-  in
-  go c.covering
+  let idx = Pt.index t.pt ~level:cur.Pt.level ~vaddr in
+  match Pt.get_uncharged t.pt cur idx with
+  | Pte.Table _ -> policy_below c ~vaddr (Pt.child t.pt cur idx)
+  | Pte.Leaf _ -> Numa.Default
+  | Pte.Absent -> (
+    match meta_get cur idx with
+    | Status.M_alloc { policy; _ } -> policy
+    | _ -> Numa.Default)
+
+let policy_at c vaddr = policy_below c ~vaddr c.covering
 
 (* Change permissions over a range, preserving mappings and marks. *)
 let rec protect_range c (node : node) ~lo ~hi perm =
@@ -993,10 +1000,10 @@ let rec protect_range c (node : node) ~lo ~hi perm =
       let e_lo = Pt.node_base t.pt node + (idx * Pt.entry_coverage t.pt node) in
       let e_hi = e_lo + Pt.entry_coverage t.pt node in
       let full = sub_lo = e_lo && sub_hi = e_hi in
-      match Pt.get t.pt node idx with
+      match Pt.get_on c.fo t.pt node idx with
       | Pte.Leaf ({ pfn = _; _ } as l) ->
         if full then begin
-          rewrite_live_leaf t node idx
+          rewrite_live_leaf c node idx
             (Pte.Leaf { l with perm = { perm with Perm.cow = l.perm.Perm.cow } });
           let geo = t.kernel.Kernel.isa.Isa.geo in
           note_tlb c ~vaddr:e_lo
@@ -1004,7 +1011,7 @@ let rec protect_range c (node : node) ~lo ~hi perm =
           c.tlb_targets <- c.tlb_targets lor node.Pt.touched
         end
         else
-          let child = split_huge c node idx (Pt.get t.pt node idx) in
+          let child = split_huge c node idx (Pt.get_on c.fo t.pt node idx) in
           protect_range c child ~lo:sub_lo ~hi:sub_hi perm
       | Pte.Table _ ->
         protect_range c (Pt.child t.pt node idx) ~lo:sub_lo ~hi:sub_hi perm
@@ -1012,12 +1019,12 @@ let rec protect_range c (node : node) ~lo ~hi perm =
         match meta_get node idx with
         | Status.M_invalid -> ()
         | Status.M_alloc { origin; policy; _ } when full ->
-          meta_set t node idx (Status.M_alloc { origin; perm; policy })
+          meta_set c.fiber t node idx (Status.M_alloc { origin; perm; policy })
         | Status.M_alloc _ ->
           let child = ensure_child c node idx in
           protect_range c child ~lo:sub_lo ~hi:sub_hi perm
         | Status.M_swapped s ->
-          meta_set t node idx (Status.M_swapped { s with perm })
+          meta_set c.fiber t node idx (Status.M_swapped { s with perm })
         | Status.M_resident _ ->
           invariant ~ctx:"protect" "resident metadata under an absent PTE"))
 
@@ -1029,20 +1036,15 @@ let protect c ~lo ~hi perm =
    leaf, so later unmaps/protects shoot its TLB down. Used when a
    translation is (re)installed outside [map] — e.g. the spurious-fault
    path. *)
-let record_toucher c ~vaddr =
-  match Mm_sim.Engine.current () with
-  | None -> ()
-  | Some f ->
-    let t = c.asp in
-    let mask = 1 lsl f.f_cpu in
-    let rec go (cur : node) =
-      let idx = Pt.index t.pt ~level:cur.Pt.level ~vaddr in
-      match Pt.get t.pt cur idx with
-      | Pte.Table _ -> go (Pt.child t.pt cur idx)
-      | Pte.Leaf _ -> cur.Pt.touched <- cur.Pt.touched lor mask
-      | Pte.Absent -> ()
-    in
-    go c.covering
+let rec toucher_below c ~vaddr (cur : node) =
+  let t = c.asp in
+  let idx = Pt.index t.pt ~level:cur.Pt.level ~vaddr in
+  match Pt.get_on c.fo t.pt cur idx with
+  | Pte.Table _ -> toucher_below c ~vaddr (Pt.child t.pt cur idx)
+  | Pte.Leaf _ -> cur.Pt.touched <- cur.Pt.touched lor (1 lsl c.fiber.f_cpu)
+  | Pte.Absent -> ()
+
+let record_toucher c ~vaddr = toucher_below c ~vaddr c.covering
 
 (* Record a swapped-out page in the metadata (the PTE slot must be absent:
    the caller unmapped the page after writing it to the device). *)
@@ -1051,8 +1053,9 @@ let set_swapped c ~vaddr ~dev ~block ~perm =
   in_range c ~lo:vaddr ~hi:(vaddr + page_size t);
   let node = node_for c vaddr ~to_level:1 in
   let idx = Pt.index t.pt ~level:1 ~vaddr in
-  match Pt.get t.pt node idx with
-  | Pte.Absent -> meta_set t node idx (Status.M_swapped { dev; block; perm })
+  match Pt.get_on c.fo t.pt node idx with
+  | Pte.Absent ->
+    meta_set c.fiber t node idx (Status.M_swapped { dev; block; perm })
   | Pte.Leaf _ | Pte.Table _ ->
     invalid_arg "set_swapped: slot still holds a mapping"
 
@@ -1064,9 +1067,9 @@ let remap_pte c ~vaddr ~pfn ~perm =
   in_range c ~lo:vaddr ~hi:(vaddr + page_size t);
   let node = node_for c vaddr ~to_level:1 in
   let idx = Pt.index t.pt ~level:1 ~vaddr in
-  match Pt.get t.pt node idx with
+  match Pt.get_on c.fo t.pt node idx with
   | Pte.Leaf _ ->
-    rewrite_live_leaf t node idx (Pte.leaf ~pfn ~perm ());
+    rewrite_live_leaf c node idx (Pte.leaf ~pfn ~perm ());
     note_tlb c ~vaddr ~pages:1;
     c.tlb_targets <- c.tlb_targets lor node.Pt.touched
   | Pte.Absent | Pte.Table _ -> invalid_arg "remap_pte: page not mapped"
@@ -1081,7 +1084,7 @@ let iter_slots c ~lo ~hi f =
   let rec go (node : node) ~lo ~hi =
     (* Enumeration streams over whole PT pages: charge per node, not per
        entry. *)
-    Pt.charge_node_scan t.pt;
+    Pt.charge_node_scan_on c.fo t.pt;
     let stop = Pt.last_slot t.pt node ~hi + 1 in
     let i = ref (next_occupied t node (Pt.first_slot t.pt node ~lo) ~stop) in
     while !i < stop do
@@ -1132,18 +1135,19 @@ let move_range c ~old_lo ~old_hi ~new_lo =
     let nv = new_lo + (i * ps) in
     let onode = node_for c ov ~to_level:1 in
     let oidx = Pt.index t.pt ~level:1 ~vaddr:ov in
-    match Pt.get t.pt onode oidx with
+    match Pt.get_on c.fo t.pt onode oidx with
     | Pte.Leaf { pfn; perm; accessed; dirty; global } ->
       let origin = meta_get onode oidx in
       (* Clear the old slot without releasing the frame... *)
-      Pt.set t.pt onode oidx Pte.Absent;
-      meta_set t onode oidx Status.M_invalid;
+      Pt.set_on c.fo t.pt onode oidx Pte.Absent;
+      meta_set c.fiber t onode oidx Status.M_invalid;
       note_tlb c ~vaddr:ov ~pages:1;
       c.tlb_targets <- c.tlb_targets lor onode.Pt.touched;
       (* ...and re-link it at the new address. *)
       let nnode = node_for c nv ~to_level:1 in
       let nidx = Pt.index t.pt ~level:1 ~vaddr:nv in
-      Pt.set t.pt nnode nidx (Pte.Leaf { pfn; perm; accessed; dirty; global });
+      Pt.set_on c.fo t.pt nnode nidx
+        (Pte.Leaf { pfn; perm; accessed; dirty; global });
       (match origin with
       | Status.M_resident Status.O_anon ->
         Kernel.rmap_remove t.kernel ~pfn ~asp_id:t.id ~vaddr:ov;
@@ -1156,7 +1160,7 @@ let move_range c ~old_lo ~old_hi ~new_lo =
           Vm_object.forget t.obj ~vpn:(ov / ps);
           Vm_object.install t.obj ~vpn:(nv / ps) ~pfn
         | _ -> ());
-        meta_set t nnode nidx origin
+        meta_set c.fiber t nnode nidx origin
       | Status.M_resident (Status.O_file (f, _) as o)
       | Status.M_resident (Status.O_shm (f, _) as o) ->
         File.remove_mapper f ~asp_id:t.id ~map_vaddr:ov;
@@ -1166,17 +1170,17 @@ let move_range c ~old_lo ~old_hi ~new_lo =
               | Status.O_file (_, off) | Status.O_shm (_, off) -> off
               | Status.O_anon -> 0);
             len = ps };
-        meta_set t nnode nidx origin
-      | m -> meta_set t nnode nidx m)
+        meta_set c.fiber t nnode nidx origin
+      | m -> meta_set c.fiber t nnode nidx m)
     | Pte.Table _ -> invariant ~ctx:"move_range" "table entry at leaf level"
     | Pte.Absent -> (
       match meta_get onode oidx with
       | Status.M_invalid -> ()
       | (Status.M_alloc _ | Status.M_swapped _) as m ->
-        meta_set t onode oidx Status.M_invalid;
+        meta_set c.fiber t onode oidx Status.M_invalid;
         let nnode = node_for c nv ~to_level:1 in
         let nidx = Pt.index t.pt ~level:1 ~vaddr:nv in
-        meta_set t nnode nidx m
+        meta_set c.fiber t nnode nidx m
       | Status.M_resident _ ->
         invariant ~ctx:"move_range" "resident metadata under an absent PTE")
   done
@@ -1204,8 +1208,8 @@ let clone_for_fork pc cc =
   let geo = t.kernel.Kernel.isa.Isa.geo in
   let n = entries_per_node t in
   let rec clone (pn : node) (cn : node) =
-    Pt.charge_node_scan t.pt;
-    Mm_sim.Engine.charge Mm_sim.Cost.page_copy;
+    Pt.charge_node_scan_on pc.fo t.pt;
+    Mm_sim.Engine.tick_on pc.fiber Mm_sim.Cost.page_copy;
     (* Copy the metadata array wholesale (swap slots get fresh blocks so
        each space owns its copy). *)
     (match pn.Pt.meta with
@@ -1213,8 +1217,8 @@ let clone_for_fork pc cc =
     | Some pm ->
       (* The child's array is fresh (all invalid): copy the parent's
          occupied slots. *)
-      let cm = meta_of ct cn in
-      Mm_sim.Engine.charge Mm_sim.Cost.meta_bulk_fill;
+      let cm = meta_of cc.fiber ct cn in
+      Mm_sim.Engine.tick_on pc.fiber Mm_sim.Cost.meta_bulk_fill;
       let i = ref (Mm_util.Bitset.next pm.bits 0 ~stop:n) in
       while !i < n do
         let copied =
@@ -1236,13 +1240,13 @@ let clone_for_fork pc cc =
       | Pte.Absent -> ()
       | Pte.Table _ ->
         let pchild = Pt.child t.pt pn idx in
-        let cchild = Pt.alloc_node ct.pt ~level:(cn.Pt.level - 1) in
+        let cchild = Pt.alloc_node_on cc.fo ct.pt ~level:(cn.Pt.level - 1) in
         (match ct.cfg.Config.protocol with
         | Config.Adv ->
-          Mm_sim.Mutex_s.lock (Pt.lock ct.pt cchild);
+          Mm_sim.Mutex_s.lock_on cc.fiber (Pt.lock ct.pt cchild);
           cc.locked <- cchild :: cc.locked
         | Config.Rw -> ());
-        Pt.set_child ct.pt cn idx cchild;
+        Pt.set_child_on cc.fo ct.pt cn idx cchild;
         clone pchild cchild
       | Pte.Leaf { pfn; perm; accessed; dirty; global } ->
         let vaddr = Pt.node_base t.pt pn + (idx * Pt.entry_coverage t.pt pn) in
@@ -1258,7 +1262,7 @@ let clone_for_fork pc cc =
             (* Write-protect both sides and set the COW bit (Fig 8). *)
             let p = Perm.with_cow (Perm.with_write perm false) true in
             if not skip_parent_wp then begin
-              Pt.set t.pt pn idx
+              Pt.set_on pc.fo t.pt pn idx
                 (Pte.Leaf { pfn; perm = p; accessed; dirty; global });
               note_tlb pc ~vaddr
                 ~pages:(Geometry.pages_per_entry geo ~level:pn.Pt.level);
@@ -1268,7 +1272,8 @@ let clone_for_fork pc cc =
           end
           else perm
         in
-        Pt.set ct.pt cn idx (Pte.Leaf { pfn; perm = p; accessed; dirty; global });
+        Pt.set_on cc.fo ct.pt cn idx
+          (Pte.Leaf { pfn; perm = p; accessed; dirty; global });
         Mm_phys.Phys.add_map phys frame;
         (match origin with
         | Status.M_resident Status.O_anon | Status.M_invalid ->
@@ -1304,7 +1309,7 @@ let promote_huge c ~vaddr =
     invalid_arg "promote_huge: covering page must be above the leaf level";
   let parent = node_for c vaddr ~to_level:2 in
   let pidx = Pt.index t.pt ~level:2 ~vaddr in
-  match Pt.get t.pt parent pidx with
+  match Pt.get_on c.fo t.pt parent pidx with
   | Pte.Absent | Pte.Leaf _ -> false (* nothing to promote / already huge *)
   | Pte.Table _ ->
     let child = Pt.child t.pt parent pidx in
@@ -1313,7 +1318,7 @@ let promote_huge c ~vaddr =
     else begin
       (* All slots must be singly-mapped anonymous pages with one shared
          permission and no pending COW. *)
-      Pt.charge_node_scan t.pt;
+      Pt.charge_node_scan_on c.fo t.pt;
       let uniform = ref None in
       let ok = ref true in
       for idx = 0 to n - 1 do
@@ -1338,12 +1343,12 @@ let promote_huge c ~vaddr =
       | true, Some perm ->
         (* Copy into a fresh 2 MiB block, retire the small pages, install
            the huge leaf. *)
-        Mm_sim.Engine.charge Mm_sim.Cost.page_alloc;
+        Mm_sim.Engine.tick_on c.fiber Mm_sim.Cost.page_alloc;
         let block =
           Mm_phys.Phys.alloc t.kernel.Kernel.phys ~kind:Mm_phys.Frame.Anon
             ~order:(Mm_util.Align.log2 n) ()
         in
-        Mm_sim.Engine.charge (n * Mm_sim.Cost.page_copy);
+        Mm_sim.Engine.tick_on c.fiber (n * Mm_sim.Cost.page_copy);
         for idx = 0 to n - 1 do
           match Pt.get_uncharged t.pt child idx with
           | Pte.Leaf { pfn; _ } ->
@@ -1354,9 +1359,9 @@ let promote_huge c ~vaddr =
         done;
         clear_whole_node c child;
         free_child c parent pidx child;
-        Pt.set t.pt parent pidx
+        Pt.set_on c.fo t.pt parent pidx
           (Pte.leaf ~accessed:true ~pfn:(block :> int) ~perm ());
-        meta_set t parent pidx (Status.M_resident Status.O_anon);
+        meta_set c.fiber t parent pidx (Status.M_resident Status.O_anon);
         Mm_phys.Phys.set_map_count phys block 1;
         Kernel.rmap_add t.kernel ~pfn:(block :> int) ~asp_id:t.id
           ~vaddr;
@@ -1371,15 +1376,14 @@ let l1_full t vaddr =
   let node = Pt.walk_opt t.pt ~to_level:1 vaddr in
   node.Pt.level = 1 && node.Pt.present = entries_per_node t
 
-let origin_at c vaddr =
+let rec origin_below c ~vaddr (cur : node) =
   let t = c.asp in
-  let rec go (cur : node) =
-    let idx = Pt.index t.pt ~level:cur.Pt.level ~vaddr in
-    match Pt.get t.pt cur idx with
-    | Pte.Table _ -> go (Pt.child t.pt cur idx)
-    | Pte.Leaf _ | Pte.Absent -> meta_get cur idx
-  in
-  go c.covering
+  let idx = Pt.index t.pt ~level:cur.Pt.level ~vaddr in
+  match Pt.get_on c.fo t.pt cur idx with
+  | Pte.Table _ -> origin_below c ~vaddr (Pt.child t.pt cur idx)
+  | Pte.Leaf _ | Pte.Absent -> meta_get cur idx
+
+let origin_at c vaddr = origin_below c ~vaddr c.covering
 
 (* -- Accounting -- *)
 

@@ -106,16 +106,26 @@ val set_mutant_fork_skip_parent_wp : bool -> unit
 
 type cursor
 
-val lock : t -> lo:int -> hi:int -> cursor
+val lock_on : Mm_sim.Engine.fiber -> t -> lo:int -> hi:int -> cursor
 (** Run the locking protocol for [lo, hi) (page-aligned, non-empty;
-    raises {!Bad_range} otherwise) and return the transaction's cursor. *)
+    raises {!Bad_range} otherwise) on the calling fiber, which the
+    caller looked up once, and return the transaction's cursor. Every
+    lock transition, page-table access, charge and line access of the
+    transaction, up to the end of its [commit], runs on that fiber. *)
+
+val lock : t -> lo:int -> hi:int -> cursor
+(** [lock_on] on [Engine.fiber ()]. *)
 
 val commit : cursor -> unit
 (** The RCursor Drop (Fig 4 L23): batched TLB shootdown, then release
     all locks in reverse order. A cursor must be committed exactly once. *)
 
+val with_lock_on :
+  Mm_sim.Engine.fiber -> t -> lo:int -> hi:int -> (cursor -> 'a) -> 'a
+(** [lock_on], run the function, [commit] (also on exception). *)
+
 val with_lock : t -> lo:int -> hi:int -> (cursor -> 'a) -> 'a
-(** [lock], run the function, [commit] (also on exception). *)
+(** [with_lock_on] on [Engine.fiber ()]. *)
 
 
 val sync_shootdown : cursor -> unit

@@ -154,18 +154,25 @@ let madvise_dontneed asp ~addr ~len =
         | _ -> ()
       done)
 
+(* The fiber an entry point looked up once, for the transaction it
+   opens: a transaction needs one, so outside a simulation this raises
+   what [Addr_space.lock] would. *)
+let txn_fiber = function
+  | Some f -> f
+  | None -> Mm_sim.Engine.fiber ()
+
 (* -- The page-fault handler (Fig 8 page_fault_handler) -- *)
 
-let page_fault asp ~vaddr ~write =
-  Mm_sim.Engine.charge Mm_sim.Cost.trap;
-  let tracing = Mm_obs.Trace.on () && Mm_sim.Engine.in_fiber () in
-  let t0 = if tracing then Mm_sim.Engine.now () else 0 in
+(* [f] is the faulting fiber, looked up once by the entry point. *)
+let fault_on (f : Mm_sim.Engine.fiber) asp ~vaddr ~write =
+  Mm_sim.Engine.tick_on f Mm_sim.Cost.trap;
+  let t0 = f.f_time in
   let kernel = Addr_space.kernel asp in
   let phys = kernel.Kernel.phys in
   let ps = Addr_space.page_size asp in
   let page = Mm_util.Align.down vaddr ps in
   let outcome =
-    Addr_space.with_lock asp ~lo:page ~hi:(page + ps) (fun c ->
+    Addr_space.with_lock_on f asp ~lo:page ~hi:(page + ps) (fun c ->
       match Addr_space.query c page with
       | Status.Invalid -> Sigsegv
       | Status.Private_anon perm ->
@@ -174,9 +181,9 @@ let page_fault asp ~vaddr ~write =
           (* Fault on a virtually allocated anonymous page: map a zeroed
              frame, allocated per the NUMA policy stored in the metadata
              (local node by default). *)
-          Mm_sim.Engine.charge (Mm_sim.Cost.page_alloc + Mm_sim.Cost.page_zero);
-          let cpu = Mm_sim.Engine.cpu_or_zero () in
-          let local_node = Kernel.node_of_cpu kernel ~cpu in
+          Mm_sim.Engine.tick_on f
+            (Mm_sim.Cost.page_alloc + Mm_sim.Cost.page_zero);
+          let local_node = Kernel.node_of_cpu kernel ~cpu:f.f_cpu in
           let node =
             Numa.choose
               ~policy:(Addr_space.policy_at c page)
@@ -184,7 +191,7 @@ let page_fault asp ~vaddr ~write =
               ~nnodes:(Kernel.numa_nodes kernel)
           in
           if node <> local_node then
-            Mm_sim.Engine.charge Mm_sim.Cost.numa_remote_alloc;
+            Mm_sim.Engine.tick_on f Mm_sim.Cost.numa_remote_alloc;
           let frame =
             Mm_phys.Phys.alloc phys ~kind:Mm_phys.Frame.Anon ~node ()
           in
@@ -197,7 +204,8 @@ let page_fault asp ~vaddr ~write =
           (* Private write: immediately break from the page cache. *)
           let fpager = File.pager file phys in
           let cache = fpager.Pager.get_page ~page_index:(offset / ps) in
-          Mm_sim.Engine.charge (Mm_sim.Cost.page_alloc + Mm_sim.Cost.page_copy);
+          Mm_sim.Engine.tick_on f
+            (Mm_sim.Cost.page_alloc + Mm_sim.Cost.page_copy);
           let frame = Mm_phys.Phys.alloc phys ~kind:Mm_phys.Frame.Anon () in
           Mm_phys.Phys.set_contents phys frame (Mm_phys.Phys.contents phys cache);
           Addr_space.map c ~vaddr:page ~frame ~perm ~origin:Status.O_anon ();
@@ -258,7 +266,7 @@ let page_fault asp ~vaddr ~write =
             Handled
           end
           else begin
-            Mm_sim.Engine.charge
+            Mm_sim.Engine.tick_on f
               (Mm_sim.Cost.page_alloc + Mm_sim.Cost.page_copy);
             let copy = Mm_phys.Phys.alloc phys ~kind:Mm_phys.Frame.Anon () in
             Mm_phys.Phys.set_contents phys copy (Mm_phys.Phys.contents phys frame);
@@ -278,22 +286,23 @@ let page_fault asp ~vaddr ~write =
           (* Spurious fault (racing fault already mapped the page, or a
              stale TLB): reinstall the translation. *)
           Addr_space.record_toucher c ~vaddr:page;
-          (match Mm_sim.Engine.current () with
-          | Some f ->
-            Mm_tlb.Tlb.install (Addr_space.tlb asp) ~cpu:f.f_cpu
-              ~vpn:(page / ps) ~pfn
-              ~writable:(perm.Perm.write && not perm.Perm.cow)
-              ~key:perm.Perm.mpk_key ()
-          | None -> ());
+          Mm_tlb.Tlb.install (Addr_space.tlb asp) ~cpu:f.f_cpu
+            ~vpn:(page / ps) ~pfn
+            ~writable:(perm.Perm.write && not perm.Perm.cow)
+            ~key:perm.Perm.mpk_key ();
           Handled
         end)
   in
-  if tracing then begin
-    let span = Mm_sim.Engine.now () - t0 in
+  if Mm_obs.Trace.on () then begin
+    let span = f.f_time - t0 in
     Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "fault.cycles") span;
-    Mm_sim.Engine.obs (Mm_obs.Event.Page_fault { vaddr = page; write; span })
+    Mm_sim.Engine.obs_on f
+      (Mm_obs.Event.Page_fault { vaddr = page; write; span })
   end;
   outcome
+
+let page_fault asp ~vaddr ~write =
+  fault_on (Mm_sim.Engine.fiber ()) asp ~vaddr ~write
 
 (* -- Transparent huge pages (khugepaged-style promotion) -- *)
 
@@ -314,13 +323,21 @@ exception Fault of int (* vaddr that faulted with Sigsegv *)
 (* One user-level access. TLB hit: free. Miss: hardware page walk; if the
    translation is present and permits the access, install it; otherwise
    take a page fault and retry once. The typed variant returns the fault
-   as a value so backends expose it at the interface boundary. *)
-let touch_r asp ~vaddr ~write =
+   as a value so backends expose it at the interface boundary. [fo] is
+   the accessing fiber, looked up once by the entry point, or [None]
+   outside a simulation: a TLB hit or a walk that finds the page needs
+   no fiber. *)
+let touch_on fo asp ~vaddr ~write =
   let t = Addr_space.tlb asp in
   let ps = Addr_space.page_size asp in
   let vpn = vaddr / ps in
-  let cpu = Mm_sim.Engine.cpu_or_zero () in
-  Mm_sim.Engine.charge Mm_sim.Cost.cache_hit;
+  let cpu =
+    match fo with
+    | Some (f : Mm_sim.Engine.fiber) ->
+      Mm_sim.Engine.tick_on f Mm_sim.Cost.cache_hit;
+      f.f_cpu
+    | None -> 0
+  in
   (* Hardware checks the PKRU register against the translation's
      protection key on every access, TLB hit or miss. *)
   let pkru_denies key =
@@ -334,7 +351,7 @@ let touch_r asp ~vaddr ~write =
     let pt = Addr_space.pt asp in
     let rec walk (node : 'm Pt.node) =
       let idx = Pt.index pt ~level:node.Pt.level ~vaddr in
-      match Pt.get pt node idx with
+      match Pt.get_on fo pt node idx with
       | Pte.Leaf { pfn; perm; _ } when Perm.allows perm ~write ->
         let off = (vaddr mod Pt.entry_coverage pt node) / ps in
         (* COW pages are mapped read-only; a write access must fault. *)
@@ -356,7 +373,7 @@ let touch_r asp ~vaddr ~write =
     | `Hit -> Ok ()
     | `Pkru -> Error (Errno.SIGSEGV vaddr)
     | `Miss -> (
-      match page_fault asp ~vaddr ~write with
+      match fault_on (txn_fiber fo) asp ~vaddr ~write with
       | Handled ->
         (* Auto-THP: when the fault filled its leaf PT page, promote the
            2 MiB region in a fresh transaction. *)
@@ -367,22 +384,28 @@ let touch_r asp ~vaddr ~write =
         Ok ()
       | Sigsegv -> Error (Errno.SIGSEGV vaddr)))
 
+let touch_r asp ~vaddr ~write =
+  touch_on (Mm_sim.Engine.current ()) asp ~vaddr ~write
+
 let touch asp ~vaddr ~write =
   match touch_r asp ~vaddr ~write with
   | Ok () -> ()
   | Error (Errno.SIGSEGV v) -> raise (Fault v)
   | Error _ -> raise (Fault vaddr)
 
-let touch_range_r asp ~addr ~len ~write =
+let touch_range_on fo asp ~addr ~len ~write =
   let ps = Addr_space.page_size asp in
   let rec go v =
     if v >= addr + len then Ok ()
     else
-      match touch_r asp ~vaddr:v ~write with
+      match touch_on fo asp ~vaddr:v ~write with
       | Ok () -> go (v + ps)
       | Error _ as e -> e
   in
   go addr
+
+let touch_range_r asp ~addr ~len ~write =
+  touch_range_on (Mm_sim.Engine.current ()) asp ~addr ~len ~write
 
 let touch_range asp ~addr ~len ~write =
   match touch_range_r asp ~addr ~len ~write with
@@ -543,7 +566,10 @@ let mlock_r asp ~addr ~len =
   let ps = Addr_space.page_size asp in
   if len <= 0 || addr < 0 || addr mod ps <> 0 then Error Errno.EINVAL
   else begin
-    Mm_sim.Engine.charge Mm_sim.Cost.syscall;
+    let fo = Mm_sim.Engine.current () in
+    (match fo with
+    | Some f -> Mm_sim.Engine.tick_on f Mm_sim.Cost.syscall
+    | None -> ());
     let len = Mm_util.Align.up len ps in
     let npages = len / ps in
     let kernel = Addr_space.kernel asp in
@@ -554,15 +580,15 @@ let mlock_r asp ~addr ~len =
     else begin
       (* mlock populates: fault every page of the range in. *)
       let populated =
-        try touch_range_r asp ~addr ~len ~write:false
+        try touch_range_on fo asp ~addr ~len ~write:false
         with Mm_phys.Buddy.Out_of_memory -> Error Errno.EAGAIN
       in
       match populated with
       | Error (Errno.SIGSEGV _) -> Error Errno.ENOMEM (* unmapped range *)
       | Error _ as e -> e
       | Ok () ->
-        let phys = kernel.Kernel.phys in
-        Addr_space.with_lock asp ~lo:addr ~hi:(addr + len) (fun c ->
+        let phys = kernel.Kernel.phys and fiber = txn_fiber fo in
+        Addr_space.with_lock_on fiber asp ~lo:addr ~hi:(addr + len) (fun c ->
             for i = 0 to npages - 1 do
               let v = addr + (i * ps) in
               match Addr_space.query c v with
@@ -573,7 +599,8 @@ let mlock_r asp ~addr ~len =
                   kernel.Kernel.wired_pages <-
                     kernel.Kernel.wired_pages + 1;
                   if Mm_obs.Trace.on () then
-                    Mm_sim.Engine.obs (Mm_obs.Event.Page_wired { pfn })
+                    Mm_sim.Engine.obs_on fiber
+                      (Mm_obs.Event.Page_wired { pfn })
                 end
               | _ -> ()
             done);
@@ -585,12 +612,13 @@ let munlock_r asp ~addr ~len =
   let ps = Addr_space.page_size asp in
   if len <= 0 || addr < 0 || addr mod ps <> 0 then Error Errno.EINVAL
   else begin
-    Mm_sim.Engine.charge Mm_sim.Cost.syscall;
+    let fiber = Mm_sim.Engine.fiber () in
+    Mm_sim.Engine.tick_on fiber Mm_sim.Cost.syscall;
     let len = Mm_util.Align.up len ps in
     let npages = len / ps in
     let kernel = Addr_space.kernel asp in
     let phys = kernel.Kernel.phys in
-    Addr_space.with_lock asp ~lo:addr ~hi:(addr + len) (fun c ->
+    Addr_space.with_lock_on fiber asp ~lo:addr ~hi:(addr + len) (fun c ->
         for i = 0 to npages - 1 do
           let v = addr + (i * ps) in
           match Addr_space.query c v with
@@ -600,7 +628,8 @@ let munlock_r asp ~addr ~len =
               Mm_phys.Phys.set_wired phys f false;
               kernel.Kernel.wired_pages <- kernel.Kernel.wired_pages - 1;
               if Mm_obs.Trace.on () then
-                Mm_sim.Engine.obs (Mm_obs.Event.Page_unwired { pfn })
+                Mm_sim.Engine.obs_on fiber
+                  (Mm_obs.Event.Page_unwired { pfn })
             end
           | _ -> ()
         done);
@@ -637,14 +666,15 @@ let timer_tick asp =
    was paged out in between (reclaim on another CPU) is still mapped:
    drop this CPU's translation and retry the access, which faults it back
    in. *)
-let rec with_resident_page asp ~vaddr ~write f =
-  match touch_r asp ~vaddr ~write with
+let rec resident_on fo asp ~vaddr ~write f =
+  match touch_on fo asp ~vaddr ~write with
   | Error _ as e -> e
   | Ok () -> (
     let ps = Addr_space.page_size asp in
     let page = Mm_util.Align.down vaddr ps in
+    let fiber = txn_fiber fo in
     let r =
-      Addr_space.with_lock asp ~lo:page ~hi:(page + ps) (fun c ->
+      Addr_space.with_lock_on fiber asp ~lo:page ~hi:(page + ps) (fun c ->
           match Addr_space.query c page with
           | Status.Mapped { pfn; _ } ->
             let phys = (Addr_space.kernel asp).Kernel.phys in
@@ -655,9 +685,12 @@ let rec with_resident_page asp ~vaddr ~write f =
     match r with
     | Some r -> r
     | None ->
-      Mm_tlb.Tlb.flush_local (Addr_space.tlb asp)
-        ~cpu:(Mm_sim.Engine.cpu_or_zero ()) ~vpns:[ page / ps ];
-      with_resident_page asp ~vaddr ~write f)
+      Mm_tlb.Tlb.flush_local (Addr_space.tlb asp) ~cpu:fiber.f_cpu
+        ~vpns:[ page / ps ];
+      resident_on fo asp ~vaddr ~write f)
+
+let with_resident_page asp ~vaddr ~write f =
+  resident_on (Mm_sim.Engine.current ()) asp ~vaddr ~write f
 
 let write_value_r asp ~vaddr ~value =
   with_resident_page asp ~vaddr ~write:true (fun phys frame ->

@@ -157,16 +157,18 @@ let note_pass ~hot ~cold ~swapped =
    clear) is swapped out. Hot pages touched again before the next pass
    have their bit set by the MMU walk, so they survive. The reclaim of
    each page is its own transaction, so faults proceed concurrently with
-   the scan. *)
+   the scan. The pass looks the running fiber up once for its own page-
+   table accesses; each swap-out's transaction looks it up once more. *)
 let clock_pass t asp ~target =
   let stats = t.stats in
   let pt = Addr_space.pt asp in
   let ps = Addr_space.page_size asp in
+  let fo = Mm_sim.Engine.current () in
   (* Collect candidates lock-free; re-validation happens inside
      [Mm.swap_out]'s transaction. *)
   let cold = ref [] in
   let hot = ref [] in
-  Pt.iter_leaves pt (Pt.root pt) (fun vaddr level pte ->
+  Pt.iter_leaves_on fo pt (Pt.root pt) (fun vaddr level pte ->
       if level = 1 then
         match pte with
         | Pte.Leaf { perm; accessed; _ } when not perm.Mm_hal.Perm.cow ->
@@ -182,17 +184,17 @@ let clock_pass t asp ~target =
   List.iter
     (fun vaddr ->
       stats.second_chances <- stats.second_chances + 1;
-      let node = Pt.walk_opt pt ~to_level:1 vaddr in
+      let node = Pt.walk_opt_on fo pt ~to_level:1 vaddr in
       if node.Pt.level = 1 then begin
         let idx = Pt.index pt ~level:1 ~vaddr in
-        match Pt.get pt node idx with
+        match Pt.get_on fo pt node idx with
         | Pte.Leaf { accessed = true; _ } ->
-          Pt.clear_accessed pt node idx;
+          Pt.clear_accessed_on fo pt node idx;
           stripped := (vaddr / ps) :: !stripped
         | Pte.Leaf _ | Pte.Absent | Pte.Table _ -> ()
       end)
     !hot;
-  (if !stripped <> [] && Mm_sim.Engine.in_fiber () then
+  (if !stripped <> [] && Option.is_some fo then
      let ncpus = (Addr_space.kernel asp).Kernel.ncpus in
      let tlb = Addr_space.tlb asp in
      if List.length !stripped > 64 then

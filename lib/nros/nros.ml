@@ -108,9 +108,10 @@ let release t f =
     Mm_phys.Phys.free t.phys f
   end
 
-(* Apply one log entry to a replica (its lock is held), walking from the
-   root for each page. *)
-let apply_op t (rep : replica) op =
+(* Apply one log entry to a replica (its lock is held by [fiber]),
+   walking from the root for each page. [fo] is [Some fiber]: the walks,
+   stores and charges run on the fiber that took the replica's lock. *)
+let apply_op t (fiber : Mm_sim.Engine.fiber) fo (rep : replica) op =
   let ps = page_size t in
   match op with
   | L_map m ->
@@ -119,7 +120,7 @@ let apply_op t (rep : replica) op =
       (* First applier allocates the shared physical frames. *)
       m.pfns <-
         Array.init npages (fun _ ->
-            Mm_sim.Engine.charge
+            Mm_sim.Engine.tick_on fiber
               (Mm_sim.Cost.page_alloc + Mm_sim.Cost.page_zero);
             let f = Mm_phys.Phys.alloc t.phys ~kind:Mm_phys.Frame.Anon () in
             Mm_phys.Phys.set_map_count t.phys f 1;
@@ -127,8 +128,8 @@ let apply_op t (rep : replica) op =
     end;
     for i = 0 to npages - 1 do
       let vaddr = m.lo + (i * ps) in
-      let node = Pt.walk_create rep.pt ~to_level:1 vaddr in
-      Pt.set rep.pt node
+      let node = Pt.walk_create_on fo rep.pt ~to_level:1 vaddr in
+      Pt.set_on fo rep.pt node
         (Pt.index rep.pt ~level:1 ~vaddr)
         (Pte.leaf ~pfn:m.pfns.(i) ~perm:m.perm ())
     done
@@ -138,30 +139,33 @@ let apply_op t (rep : replica) op =
     let npages = u.len / ps in
     for i = 0 to npages - 1 do
       let vaddr = u.lo + (i * ps) in
-      let node = Pt.walk_opt rep.pt ~to_level:1 vaddr in
+      let node = Pt.walk_opt_on fo rep.pt ~to_level:1 vaddr in
       if node.Pt.level = 1 then begin
-        match Pt.get rep.pt node (Pt.index rep.pt ~level:1 ~vaddr) with
+        match Pt.get_on fo rep.pt node (Pt.index rep.pt ~level:1 ~vaddr) with
         | Pte.Leaf { pfn; _ } ->
-          Pt.set rep.pt node (Pt.index rep.pt ~level:1 ~vaddr) Pte.Absent;
+          Pt.set_on fo rep.pt node (Pt.index rep.pt ~level:1 ~vaddr) Pte.Absent;
           if first then release t (Mm_phys.Phys.frame t.phys pfn)
         | Pte.Absent | Pte.Table _ -> ()
       end
     done
 
-(* Apply every entry the replica has not seen (its lock is held). *)
-let catch_up t rep =
+(* Apply every entry the replica has not seen (its lock is held by
+   [fiber]). *)
+let catch_up t fiber rep =
+  let fo = Some fiber in
   while rep.applied < t.log_len do
-    apply_op t rep t.log.(rep.applied);
+    apply_op t fiber fo rep t.log.(rep.applied);
     rep.applied <- rep.applied + 1
   done
 
-(* Catch the replica up with the log, then run [f] under its lock. *)
+(* Catch the replica up with the log, then run [f] under its lock, on the
+   fiber looked up once here. *)
 let with_replica t ~cpu f =
-  let rep = replica_of t ~cpu in
-  Mm_sim.Mutex_s.lock rep.rep_lock;
-  catch_up t rep;
+  let rep = replica_of t ~cpu and fiber = Mm_sim.Engine.fiber () in
+  Mm_sim.Mutex_s.lock_on fiber rep.rep_lock;
+  catch_up t fiber rep;
   let v = f rep in
-  Mm_sim.Mutex_s.unlock rep.rep_lock;
+  Mm_sim.Mutex_s.unlock_on fiber rep.rep_lock;
   v
 
 let note_cpu t =
@@ -318,12 +322,13 @@ let destroy t =
   Mm_sim.Engine.charge Mm_sim.Cost.syscall;
   (* Catch every replica up first so each has seen every map/unmap, then
      tear the replicas down in order. *)
+  let fiber = Mm_sim.Engine.fiber () in
   Array.iter
     (fun rep ->
-      Mm_sim.Mutex_s.lock rep.rep_lock;
-      catch_up t rep;
+      Mm_sim.Mutex_s.lock_on fiber rep.rep_lock;
+      catch_up t fiber rep;
       teardown_pt t rep.pt;
-      Mm_sim.Mutex_s.unlock rep.rep_lock)
+      Mm_sim.Mutex_s.unlock_on fiber rep.rep_lock)
     t.replicas;
   t.log_len <- 0
 

@@ -53,9 +53,14 @@
    and every other store into the remembered slot clears it; [set]
    rejects a bare [Table] entry. Slot arithmetic reads per-level shifts
    derived once from the ISA geometry. [walk_create] and [walk_opt] are
-   the one descent from the root: each looks the running fiber up once
-   and charges one [get] per level it reads, so no caller needs a memo
-   of its own over them. *)
+   the one descent from the root: each charges one [get] per level it
+   reads, so no caller needs a memo of its own over them.
+
+   Charges: every charged access has an [_on] form that charges the
+   fiber its caller holds ([None] outside a simulation, charging
+   nothing), so a caller that looked the running fiber up once per
+   operation pays no lookup per access; the plain form is the [_on] form
+   applied to [Mm_sim.Engine.current ()]. *)
 
 open Mm_hal
 
@@ -145,11 +150,17 @@ type 'm t = {
 
 exception Ill_formed of string
 
-(* One walk step read on fiber [f]: the step cost plus a shared read of
-   the node's line. *)
-let walk_step_on f node =
-  Mm_sim.Engine.tick_on f Mm_sim.Cost.pt_walk_step;
-  Mm_sim.Engine.Line.read_on f node.line
+(* One walk step read on the held fiber: the step cost plus a shared
+   read of the node's line. *)
+let walk_step fo node =
+  match fo with
+  | Some f ->
+    Mm_sim.Engine.tick_on f Mm_sim.Cost.pt_walk_step;
+    Mm_sim.Engine.Line.read_on f node.line
+  | None -> ()
+
+let charge fo c =
+  match fo with Some f -> Mm_sim.Engine.tick_on f c | None -> ()
 
 (* A node's lock fields until [lock] and [rwlock] first fetch the
    frame's locks from the frame table. *)
@@ -180,8 +191,8 @@ let make_node phys isa frame ~level =
   in
   node
 
-let alloc_node t ~level =
-  Mm_sim.Engine.charge Mm_sim.Cost.pt_page_init;
+let alloc_node_on fo t ~level =
+  charge fo Mm_sim.Cost.pt_page_init;
   let frame = Mm_phys.Phys.alloc t.phys ~kind:Mm_phys.Frame.Pt_page () in
   let node = make_node t.phys t.isa frame ~level in
   Hashtbl.replace t.nodes (frame :> int) node;
@@ -258,16 +269,14 @@ let own_chunk node idx =
     c
   end
 
-let get t node idx =
-  (match Mm_sim.Engine.current () with
-  | Some f -> walk_step_on f node
-  | None -> ());
+let get_on fo t node idx =
+  walk_step fo node;
   read t node idx
 
 (* A store's charges: the write cost plus an exclusive line access, which
    serializes — the fiber may yield to others before the store lands. *)
-let charge_store node =
-  match Mm_sim.Engine.current () with
+let charge_store fo node =
+  match fo with
   | Some f ->
     Mm_sim.Engine.tick_on f Mm_sim.Cost.pte_write;
     Mm_sim.Engine.Line.write_on f node.line
@@ -304,36 +313,33 @@ let store t node idx pte =
   | Pte.Table _ -> invalid_arg "Pt.set: a table entry is written by set_child"
   | Pte.Absent | Pte.Leaf _ -> write t node idx pte
 
-let set t node idx pte =
-  charge_store node;
+let set_on fo t node idx pte =
+  charge_store fo node;
   store t node idx pte
 
 (* An atomic read for the lock-free traversal phase of CortenMM_adv: same
    cost as a plain read (RCU readers pay nothing extra), but kept separate
    so call sites document their intent. *)
-let get_atomic = get
+let get_atomic_on = get_on
 
 (* Uncharged read, for whole-node scans that are charged in bulk with
    [charge_node_scan] (streaming a 4 KiB PT page is a linear pass over its
    cache lines, not 512 independent walk steps). *)
 let get_uncharged = read
 
-let charge_node_scan t =
-  Mm_sim.Engine.charge (entries_per_node t / 8 * Mm_sim.Cost.cache_hit)
+let charge_node_scan_on fo t =
+  charge fo (entries_per_node t / 8 * Mm_sim.Cost.cache_hit)
 
 (* Exactly the charges of [k] back-to-back [get]s on [node]. The first
    read leaves the fiber's clock at or past the line's [avail] and the
    line owned by nobody else (shared, unowned or ours), and a read does
    not serialize, so each further read costs one walk step plus a cache
    hit ({!Mm_sim.Engine.Line.read_on}). *)
-let charge_gets _t node k =
-  if k > 0 then
-    match Mm_sim.Engine.current () with
-    | Some f ->
-      walk_step_on f node;
-      Mm_sim.Engine.tick_on f
-        ((k - 1) * (Mm_sim.Cost.pt_walk_step + Mm_sim.Cost.cache_hit))
-    | None -> ()
+let charge_gets_on fo _t node k =
+  if k > 0 then begin
+    walk_step fo node;
+    charge fo ((k - 1) * (Mm_sim.Cost.pt_walk_step + Mm_sim.Cost.cache_hit))
+  end
 
 (* -- Occupancy -- *)
 
@@ -381,26 +387,26 @@ let entry_coverage t node = 1 lsl t.shift.(node.level - 1)
    address, so [node_base] is a field read instead of a walk to the
    root — then store the table entry, charged as [set], and remember
    [c] as the child there. *)
-let set_child t parent idx c =
+let set_child_on fo t parent idx c =
   c.parent <- Some (parent, idx);
   c.base <- parent.base + (idx lsl t.shift.(parent.level - 1));
-  charge_store parent;
+  charge_store fo parent;
   write t parent idx (Pte.Table { pfn = (c.frame :> int) });
   parent.kid_slot <- idx;
   parent.kid <- c
 
 (* A new PT page linked under [node]'s absent entry [idx]. *)
-let add_child t node idx =
+let add_child fo t node idx =
   if node.level <= 1 then invalid_arg "Pt.ensure_child: at leaf level";
-  let c = alloc_node t ~level:(node.level - 1) in
-  set_child t node idx c;
+  let c = alloc_node_on fo t ~level:(node.level - 1) in
+  set_child_on fo t node idx c;
   c
 
-let ensure_child t node idx =
-  match get t node idx with
+let ensure_child_on fo t node idx =
+  match get_on fo t node idx with
   | Pte.Table _ -> child t node idx
   | Pte.Leaf _ -> invalid_arg "Pt.ensure_child: entry is a huge leaf"
-  | Pte.Absent -> add_child t node idx
+  | Pte.Absent -> add_child fo t node idx
 
 (* Hardware sets the accessed bit for free during a walk; model that as an
    uncharged in-place update of the raw entry. *)
@@ -419,8 +425,8 @@ let set_accessed t node idx =
 (* Linux's ptep_test_and_clear_young, charged as a [set]: the entry is
    re-read after the store's serialization point, so a concurrent
    transaction that changed it while this fiber waited is never undone. *)
-let clear_accessed t node idx =
-  charge_store node;
+let clear_accessed_on fo t node idx =
+  charge_store fo node;
   match read t node idx with
   | Pte.Leaf ({ accessed = true; _ } as l) ->
     store t node idx (Pte.Leaf { l with accessed = false })
@@ -428,11 +434,11 @@ let clear_accessed t node idx =
 
 (* Detach the child under [idx] without freeing it (CortenMM_adv clears the
    parent entry first and RCU-defers the free, Fig 6 L30). *)
-let detach_child t node idx =
-  match get t node idx with
+let detach_child_on fo t node idx =
+  match get_on fo t node idx with
   | Pte.Table _ ->
     let c = child t node idx in
-    set t node idx Pte.Absent;
+    set_on fo t node idx Pte.Absent;
     c.parent <- None;
     c
   | Pte.Absent | Pte.Leaf _ -> invalid_arg "Pt.detach_child: not a table entry"
@@ -440,11 +446,11 @@ let detach_child t node idx =
 (* Free a node's frame. The node must already be unlinked from its parent.
    Does not touch descendants — callers free subtrees explicitly so that
    protocol code controls ordering (and RCU deferral). *)
-let free_node t node =
+let free_node_on fo t node =
   (match node.parent with
   | Some _ -> invalid_arg "Pt.free_node: node still linked"
   | None -> ());
-  Mm_sim.Engine.charge Mm_sim.Cost.page_free;
+  charge fo Mm_sim.Cost.page_free;
   Hashtbl.remove t.nodes (node.frame :> int);
   t.pt_page_count <- t.pt_page_count - 1;
   Mm_phys.Phys.free t.phys node.frame
@@ -511,52 +517,48 @@ let charge_range_scan t node ~lo ~hi =
   Mm_sim.Engine.charge
     (Mm_util.Align.div_round_up slots 8 * Mm_sim.Cost.cache_hit)
 
-(* [get]'s charges, on a fiber the caller looked up once per walk. *)
-let charge_step f node =
-  match f with Some f -> walk_step_on f node | None -> ()
-
 (* The walks recurse through top-level functions, so a walk allocates
    no closure. A level whose remembered child is in the walk's slot
    reads two fields and not the entry: that slot holds the table entry
    naming the child. *)
-let rec create_below t f ~to_level vaddr node =
+let rec create_below t fo ~to_level vaddr node =
   if node.level = to_level then node
   else begin
     let idx = index t ~level:node.level ~vaddr in
-    charge_step f node;
+    walk_step fo node;
     let next =
       if idx = node.kid_slot then node.kid
       else
         match read t node idx with
         | Pte.Table _ -> child t node idx
-        | Pte.Absent -> add_child t node idx
+        | Pte.Absent -> add_child fo t node idx
         | Pte.Leaf _ -> invalid_arg "Pt.walk_create: entry is a huge leaf"
     in
-    create_below t f ~to_level vaddr next
+    create_below t fo ~to_level vaddr next
   end
 
 (* Walk from the root to the node at [to_level] containing [vaddr],
    creating intermediate nodes on demand: the charges of [ensure_child]
    at each level. *)
-let walk_create t ~to_level vaddr =
-  create_below t (Mm_sim.Engine.current ()) ~to_level vaddr t.root
+let walk_create_on fo t ~to_level vaddr =
+  create_below t fo ~to_level vaddr t.root
 
-let rec opt_below t f ~to_level vaddr node =
+let rec opt_below t fo ~to_level vaddr node =
   if node.level = to_level then node
   else begin
     let idx = index t ~level:node.level ~vaddr in
-    charge_step f node;
-    if idx = node.kid_slot then opt_below t f ~to_level vaddr node.kid
+    walk_step fo node;
+    if idx = node.kid_slot then opt_below t fo ~to_level vaddr node.kid
     else
       match read t node idx with
-      | Pte.Table _ -> opt_below t f ~to_level vaddr (child t node idx)
+      | Pte.Table _ -> opt_below t fo ~to_level vaddr (child t node idx)
       | Pte.Absent | Pte.Leaf _ -> node
   end
 
 (* Walk without creating; returns the deepest existing node toward [vaddr]
    at or above [to_level], charging a [get] per level read. *)
-let walk_opt t ~to_level vaddr =
-  opt_below t (Mm_sim.Engine.current ()) ~to_level vaddr t.root
+let walk_opt_on fo t ~to_level vaddr =
+  opt_below t fo ~to_level vaddr t.root
 
 (* -- Whole-tree traversal (used by fork, verification, accounting) -- *)
 
@@ -576,8 +578,8 @@ let rec iter_subtree t node f =
 let iter_nodes t f = iter_subtree t t.root f
 
 (* Enumerate present leaves under [node] as (vaddr, level, pte). *)
-let rec iter_leaves t node f =
-  charge_node_scan t;
+let rec iter_leaves_on fo t node f =
+  charge_node_scan_on fo t;
   let base = node_base t node in
   let per = entry_coverage t node in
   let n = entries_per_node t in
@@ -586,9 +588,37 @@ let rec iter_leaves t node f =
     (match read t node !i with
     | Pte.Absent -> ()
     | Pte.Leaf _ as pte -> f (base + (!i * per)) node.level pte
-    | Pte.Table _ -> iter_leaves t (child t node !i) f);
+    | Pte.Table _ -> iter_leaves_on fo t (child t node !i) f);
     i := next_present t node (!i + 1) ~stop:n
   done
+
+(* -- The same accesses on the running fiber, looked up per call -- *)
+
+let get t node idx = get_on (Mm_sim.Engine.current ()) t node idx
+let set t node idx pte = set_on (Mm_sim.Engine.current ()) t node idx pte
+let alloc_node t ~level = alloc_node_on (Mm_sim.Engine.current ()) t ~level
+let free_node t node = free_node_on (Mm_sim.Engine.current ()) t node
+let charge_node_scan t = charge_node_scan_on (Mm_sim.Engine.current ()) t
+let charge_gets t node k = charge_gets_on (Mm_sim.Engine.current ()) t node k
+let iter_leaves t node f = iter_leaves_on (Mm_sim.Engine.current ()) t node f
+
+let set_child t parent idx c =
+  set_child_on (Mm_sim.Engine.current ()) t parent idx c
+
+let ensure_child t node idx =
+  ensure_child_on (Mm_sim.Engine.current ()) t node idx
+
+let detach_child t node idx =
+  detach_child_on (Mm_sim.Engine.current ()) t node idx
+
+let clear_accessed t node idx =
+  clear_accessed_on (Mm_sim.Engine.current ()) t node idx
+
+let walk_create t ~to_level vaddr =
+  walk_create_on (Mm_sim.Engine.current ()) t ~to_level vaddr
+
+let walk_opt t ~to_level vaddr =
+  walk_opt_on (Mm_sim.Engine.current ()) t ~to_level vaddr
 
 (* -- Well-formedness (the paper's Fig 12 invariant) -- *)
 

@@ -7,7 +7,13 @@
 
     A walk step is [get] on a node, then {!child} on a [Table] entry:
     [Pt] alone maps a table entry to its node and computes slots.
-    {!walk_create} and {!walk_opt} are the one descent from the root. *)
+    {!walk_create} and {!walk_opt} are the one descent from the root.
+
+    Every charged access comes in two forms. The [_on] form charges the
+    fiber its caller holds: [Some] of the fiber the caller looked up
+    once per operation, or [None] outside a simulation, which charges
+    nothing. The plain form is its [_on] form applied to
+    {!Mm_sim.Engine.current}[ ()], one domain-local lookup per call. *)
 
 open Mm_hal
 
@@ -69,8 +75,9 @@ val pt_page_count : 'm t -> int
 val get : 'm t -> 'm node -> int -> Pte.t
 (** Decode entry [idx]; charges a walk step and a shared line read. *)
 
-val get_atomic : 'm t -> 'm node -> int -> Pte.t
-(** Same cost as [get]; marks lock-free traversal call sites. *)
+val get_atomic_on :
+  Mm_sim.Engine.fiber option -> 'm t -> 'm node -> int -> Pte.t
+(** Same cost as [get_on]; marks lock-free traversal call sites. *)
 
 val get_uncharged : 'm t -> 'm node -> int -> Pte.t
 (** Decode without charging — for whole-node scans billed in bulk. *)
@@ -192,8 +199,7 @@ val walk_create : 'm t -> to_level:int -> int -> 'm node
 (** [walk_create t ~to_level vaddr] descends from the root to the node at
     [to_level] whose coverage holds [vaddr], adding missing PT pages with
     {!set_child}. It charges what {!ensure_child} on each level above
-    [to_level] charges, looking the running fiber up once. Raises
-    [Invalid_argument] at a huge leaf. *)
+    [to_level] charges. Raises [Invalid_argument] at a huge leaf. *)
 
 val walk_opt : 'm t -> to_level:int -> int -> 'm node
 (** Like {!walk_create} without adding pages: the deepest existing node
@@ -205,6 +211,50 @@ val iter_nodes : 'm t -> ('m node -> unit) -> unit
 
 val iter_leaves : 'm t -> 'm node -> (int -> int -> Pte.t -> unit) -> unit
 (** Enumerate present leaves as [(vaddr, level, pte)]. *)
+
+(** {2 On a held fiber}
+
+    Each charges exactly what its plain form charges, on the given fiber
+    instead of the running one. *)
+
+val get_on : Mm_sim.Engine.fiber option -> 'm t -> 'm node -> int -> Pte.t
+
+val set_on :
+  Mm_sim.Engine.fiber option -> 'm t -> 'm node -> int -> Pte.t -> unit
+
+val set_child_on :
+  Mm_sim.Engine.fiber option -> 'm t -> 'm node -> int -> 'm node -> unit
+
+val alloc_node_on :
+  Mm_sim.Engine.fiber option -> 'm t -> level:int -> 'm node
+
+val ensure_child_on :
+  Mm_sim.Engine.fiber option -> 'm t -> 'm node -> int -> 'm node
+
+val detach_child_on :
+  Mm_sim.Engine.fiber option -> 'm t -> 'm node -> int -> 'm node
+
+val clear_accessed_on :
+  Mm_sim.Engine.fiber option -> 'm t -> 'm node -> int -> unit
+
+val free_node_on : Mm_sim.Engine.fiber option -> 'm t -> 'm node -> unit
+val charge_node_scan_on : Mm_sim.Engine.fiber option -> 'm t -> unit
+
+val charge_gets_on :
+  Mm_sim.Engine.fiber option -> 'm t -> 'm node -> int -> unit
+
+val walk_create_on :
+  Mm_sim.Engine.fiber option -> 'm t -> to_level:int -> int -> 'm node
+
+val walk_opt_on :
+  Mm_sim.Engine.fiber option -> 'm t -> to_level:int -> int -> 'm node
+
+val iter_leaves_on :
+  Mm_sim.Engine.fiber option ->
+  'm t ->
+  'm node ->
+  (int -> int -> Pte.t -> unit) ->
+  unit
 
 val check_well_formed : 'm t -> unit
 (** The paper's Fig 12 invariant: every present entry is a last-level leaf

@@ -140,6 +140,7 @@ let fiber () =
 let now () = (fiber ()).f_time
 let cpu_id () = (fiber ()).f_cpu
 let ncpus () = (world ()).ncpus
+let ncpus_on f = f.f_world.ncpus
 let in_fiber () = match current () with Some _ -> true | None -> false
 let cpu_or_zero () = match current () with Some f -> f.f_cpu | None -> 0
 
@@ -284,9 +285,11 @@ let stats w = w.stats
    [Mm_obs.Trace.on ()] so the payload is never even allocated while no
    subscriber listens; emitting never touches [f_time], so observed and
    unobserved runs are bit-identical. *)
+let obs_on f payload = Mm_obs.Trace.emit ~time:f.f_time ~cpu:f.f_cpu payload
+
 let obs payload =
   match current () with
-  | Some f -> Mm_obs.Trace.emit ~time:f.f_time ~cpu:f.f_cpu payload
+  | Some f -> obs_on f payload
   | None -> Mm_obs.Trace.emit ~time:0 ~cpu:(-1) payload
 
 (* -- Cache-line contention model -- *)

@@ -85,10 +85,13 @@ val cpu_or_zero : unit -> int
 (** {!cpu_id} inside a fiber, 0 outside one. *)
 
 (** On a fiber the caller holds, with no lookup. [tick], [serialize],
-    [Line.rmw] and [Line.read] are these applied to [fiber ()]. *)
+    [ncpus], [obs] (inside a fiber), [Line.rmw] and [Line.read] are these
+    applied to [fiber ()]. *)
 
 val tick_on : fiber -> int -> unit
 val serialize_on : fiber -> unit
+val ncpus_on : fiber -> int
+val obs_on : fiber -> Mm_obs.Event.payload -> unit
 
 val park : (parked -> unit) -> unit
 (** Suspend the current fiber; the callback receives a handle that a later

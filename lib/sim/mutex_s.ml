@@ -45,7 +45,8 @@ let profile t =
       | Some n -> n
       | None -> Printf.sprintf "mutex#%d" t.id)
 
-(* [f] is the acquiring fiber, looked up once per operation. *)
+(* [f] is the acquiring fiber, which the caller looked up once per
+   operation. *)
 let note_acquired (f : Engine.fiber) t ~wait =
   t.acquired_at <- f.f_time;
   if Mm_obs.Trace.on () then begin
@@ -53,12 +54,11 @@ let note_acquired (f : Engine.fiber) t ~wait =
       Mm_obs.Contention.acquired (profile t) ~wait;
       Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "lock.wait_cycles") wait
     end;
-    Engine.obs
+    Engine.obs_on f
       (Mm_obs.Event.Lock_acquire { lock = t.id; kind = Mm_obs.Event.Mutex; wait })
   end
 
-let lock t =
-  let f = Engine.fiber () in
+let lock_on (f : Engine.fiber) t =
   Engine.Line.rmw_on f t.line;
   if not t.locked then begin
     t.locked <- true;
@@ -67,7 +67,7 @@ let lock t =
   end
   else begin
     if Mm_obs.Trace.on () then
-      Engine.obs
+      Engine.obs_on f
         (Mm_obs.Event.Lock_contend { lock = t.id; kind = Mm_obs.Event.Mutex });
     let t0 = f.f_time in
     Engine.park (fun p -> Queue.push p t.waiters);
@@ -75,8 +75,7 @@ let lock t =
     note_acquired f t ~wait:(f.f_time - t0)
   end
 
-let try_lock t =
-  let f = Engine.fiber () in
+let try_lock_on (f : Engine.fiber) t =
   Engine.Line.rmw_on f t.line;
   if t.locked then false
   else begin
@@ -86,8 +85,7 @@ let try_lock t =
     true
   end
 
-let unlock t =
-  let f = Engine.fiber () in
+let unlock_on (f : Engine.fiber) t =
   Engine.serialize_on f;
   if not t.locked then failwith "Mutex_s.unlock: not locked";
   if t.holder <> f.f_cpu then failwith "Mutex_s.unlock: unlocked by non-holder";
@@ -98,7 +96,7 @@ let unlock t =
       Mm_obs.Contention.released (profile t) ~held;
       Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "lock.hold_cycles") held
     end;
-    Engine.obs
+    Engine.obs_on f
       (Mm_obs.Event.Lock_release { lock = t.id; kind = Mm_obs.Event.Mutex; held })
   end;
   match Queue.take_opt t.waiters with
@@ -110,4 +108,7 @@ let unlock t =
     (* Handoff: the successor observes the release after a line transfer. *)
     Engine.unpark p ~at:(f.f_time + Cost.line_transfer)
 
+let lock t = lock_on (Engine.fiber ()) t
+let try_lock t = try_lock_on (Engine.fiber ()) t
+let unlock t = unlock_on (Engine.fiber ()) t
 let id t = t.id

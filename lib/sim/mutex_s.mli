@@ -17,3 +17,11 @@ val try_lock : t -> bool
 val unlock : t -> unit
 (** Raises if the lock is not held, or held by a different CPU. *)
 
+(** The same transitions on the calling fiber, which the caller looked
+    up once ({!Engine.fiber}); each form above is its [_on] form applied
+    to [Engine.fiber ()]. *)
+
+val lock_on : Engine.fiber -> t -> unit
+val try_lock_on : Engine.fiber -> t -> bool
+val unlock_on : Engine.fiber -> t -> unit
+

@@ -55,14 +55,13 @@ let make ~ncpus =
     immediate = 0;
   }
 
-let read_lock t =
-  let f = Engine.fiber () in
+let read_lock_on (f : Engine.fiber) t =
   Engine.serialize_on f;
   Engine.tick_on f Cost.rcu_toggle;
   let c = f.f_cpu in
   t.nesting.(c) <- t.nesting.(c) + 1;
   if t.nesting.(c) = 1 && Mm_obs.Trace.on () then
-    Engine.obs Mm_obs.Event.Rcu_enter
+    Engine.obs_on f Mm_obs.Event.Rcu_enter
 
 let in_read_section t ~cpu = t.nesting.(cpu) > 0
 
@@ -78,26 +77,26 @@ let rec count_out cpu completed = function
     count_out cpu (completed || cb.remaining = 0) rest
 
 (* Most read-side exits complete no grace period, so the pending list
-   is split only when one did; [ready] keeps its callbacks' order. *)
-let quiesce t cpu =
+   is split only when one did; [ready] keeps its callbacks' order. [f]
+   is the exiting fiber, whose context the callbacks run in. *)
+let quiesce f t cpu =
   if count_out cpu false t.pending then begin
     let ready, rest = List.partition (fun cb -> cb.remaining = 0) t.pending in
     t.pending <- rest;
     if Mm_obs.Trace.on () then begin
       let n = List.length ready in
       Mm_obs.Metrics.add (Mm_obs.Metrics.counter "rcu.gp_callbacks") n;
-      Engine.obs (Mm_obs.Event.Rcu_gp { callbacks = n })
+      Engine.obs_on f (Mm_obs.Event.Rcu_gp { callbacks = n })
     end;
     List.iter
       (fun cb ->
         if Mm_obs.Trace.on () then
-          Engine.obs (Mm_obs.Event.Rcu_fire { cb = cb.cb_id });
+          Engine.obs_on f (Mm_obs.Event.Rcu_fire { cb = cb.cb_id });
         cb.fn ())
       ready
   end
 
-let read_unlock t =
-  let f = Engine.fiber () in
+let read_unlock_on (f : Engine.fiber) t =
   Engine.serialize_on f;
   Engine.tick_on f Cost.rcu_toggle;
   let c = f.f_cpu in
@@ -106,8 +105,8 @@ let read_unlock t =
   if t.nesting.(c) = 0 then begin
     (* Exit is announced before [quiesce] so callbacks firing in this
        very quiescent state observe the reader as already gone. *)
-    if Mm_obs.Trace.on () then Engine.obs Mm_obs.Event.Rcu_exit;
-    quiesce t c
+    if Mm_obs.Trace.on () then Engine.obs_on f Mm_obs.Event.Rcu_exit;
+    quiesce f t c
   end
 
 let snapshot_readers t =
@@ -122,15 +121,15 @@ let snapshot_readers t =
   done;
   (waiting, !remaining)
 
-let defer t fn =
-  let f = Engine.fiber () in
+let defer_on (f : Engine.fiber) t fn =
   Engine.serialize_on f;
   Engine.tick_on f Cost.cache_hit;
   let waiting, remaining = snapshot_readers t in
   let cb_id =
     if Mm_obs.Trace.on () then begin
       let cb = fresh_cb_id () in
-      Engine.obs (Mm_obs.Event.Rcu_retire { cb; waiting = Array.copy waiting });
+      Engine.obs_on f
+        (Mm_obs.Event.Rcu_retire { cb; waiting = Array.copy waiting });
       cb
     end
     else 0
@@ -138,17 +137,16 @@ let defer t fn =
   if remaining = 0 || !(mutant_no_grace_period ()) then begin
     t.immediate <- t.immediate + 1;
     if Mm_obs.Trace.on () then
-      Engine.obs (Mm_obs.Event.Rcu_fire { cb = cb_id });
+      Engine.obs_on f (Mm_obs.Event.Rcu_fire { cb = cb_id });
     fn ()
   end
   else t.pending <- { cb_id; waiting_on = waiting; remaining; fn } :: t.pending;
   if Mm_obs.Trace.on () then begin
     Mm_obs.Metrics.inc (Mm_obs.Metrics.counter "rcu.deferred");
-    Engine.obs (Mm_obs.Event.Rcu_defer { pending = List.length t.pending })
+    Engine.obs_on f (Mm_obs.Event.Rcu_defer { pending = List.length t.pending })
   end
 
-let synchronize t =
-  let f = Engine.fiber () in
+let synchronize_on (f : Engine.fiber) t =
   Engine.serialize_on f;
   let _, remaining = snapshot_readers t in
   if remaining > 0 then
@@ -165,4 +163,8 @@ let synchronize t =
             }
             :: t.pending)
 
+let read_lock t = read_lock_on (Engine.fiber ()) t
+let read_unlock t = read_unlock_on (Engine.fiber ()) t
+let defer t fn = defer_on (Engine.fiber ()) t fn
+let synchronize t = synchronize_on (Engine.fiber ()) t
 let immediate t = t.immediate

@@ -17,6 +17,15 @@ val defer : t -> (unit -> unit) -> unit
 val synchronize : t -> unit
 (** Block the calling fiber until a grace period elapses. *)
 
+(** The same transitions on the calling fiber, which the caller looked
+    up once ({!Engine.fiber}); each form above is its [_on] form applied
+    to [Engine.fiber ()]. *)
+
+val read_lock_on : Engine.fiber -> t -> unit
+val read_unlock_on : Engine.fiber -> t -> unit
+val defer_on : Engine.fiber -> t -> (unit -> unit) -> unit
+val synchronize_on : Engine.fiber -> t -> unit
+
 val immediate : t -> int
 
 val set_mutant_no_grace_period : bool -> unit

@@ -66,18 +66,20 @@ let profile t =
       | Some n -> n
       | None -> Printf.sprintf "rwlock#%d" t.id)
 
-let note_acquired t ~kind ~wait =
+(* [f] is the fiber making the transition, which the caller looked up
+   once per operation. *)
+let note_acquired f t ~kind ~wait =
   if Mm_obs.Trace.on () then begin
     if Mm_obs.Trace.recording () then begin
       Mm_obs.Contention.acquired (profile t) ~wait;
       Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "lock.wait_cycles") wait
     end;
-    Engine.obs (Mm_obs.Event.Lock_acquire { lock = t.id; kind; wait })
+    Engine.obs_on f (Mm_obs.Event.Lock_acquire { lock = t.id; kind; wait })
   end
 
-let note_contend t ~kind =
+let note_contend f t ~kind =
   if Mm_obs.Trace.on () then
-    Engine.obs (Mm_obs.Event.Lock_contend { lock = t.id; kind })
+    Engine.obs_on f (Mm_obs.Event.Lock_contend { lock = t.id; kind })
 
 let reader_entry_cost f t =
   if t.bravo then Engine.tick_on f Cost.bravo_read
@@ -90,23 +92,22 @@ let maybe_reenable_bravo t =
     && t.reads_since_writer >= bravo_reenable_threshold
   then t.bravo <- true
 
-let read_lock t =
-  let f = Engine.fiber () in
+let read_lock_on (f : Engine.fiber) t =
   Engine.serialize_on f;
   if t.writer || not (Queue.is_empty t.wwait) then begin
     (* Phase-fair: a pending writer blocks new readers. The waker updates
        the lock state on our behalf before unparking us. *)
-    note_contend t ~kind:Mm_obs.Event.Rw_read;
+    note_contend f t ~kind:Mm_obs.Event.Rw_read;
     let t0 = f.f_time in
     Engine.park (fun p -> Queue.push p t.rwait);
-    note_acquired t ~kind:Mm_obs.Event.Rw_read ~wait:(f.f_time - t0)
+    note_acquired f t ~kind:Mm_obs.Event.Rw_read ~wait:(f.f_time - t0)
   end
   else begin
     reader_entry_cost f t;
     t.readers <- t.readers + 1;
     t.reads_since_writer <- t.reads_since_writer + 1;
     maybe_reenable_bravo t;
-    note_acquired t ~kind:Mm_obs.Event.Rw_read ~wait:0
+    note_acquired f t ~kind:Mm_obs.Event.Rw_read ~wait:0
   end
 
 (* [now] is the releasing fiber's clock. *)
@@ -118,41 +119,39 @@ let wake_next_writer t ~now =
     t.writer_cpu <- Engine.parked_cpu p;
     Engine.unpark p ~at:(now + Cost.line_transfer)
 
-let read_unlock t =
-  let f = Engine.fiber () in
+let read_unlock_on (f : Engine.fiber) t =
   Engine.serialize_on f;
   if t.readers <= 0 then failwith "Rwlock_s.read_unlock: no readers";
   reader_entry_cost f t;
   t.readers <- t.readers - 1;
   if Mm_obs.Trace.on () then
-    Engine.obs
+    Engine.obs_on f
       (Mm_obs.Event.Lock_release
          { lock = t.id; kind = Mm_obs.Event.Rw_read; held = 0 });
   if t.readers = 0 && not t.writer then wake_next_writer t ~now:f.f_time
 
-let write_lock t =
-  let f = Engine.fiber () in
+let write_lock_on (f : Engine.fiber) t =
   Engine.Line.rmw_on f t.line;
   t.reads_since_writer <- 0;
   if t.bravo then begin
     (* Revoke the reader bias: scan the visible-readers table. *)
     t.bravo <- false;
     t.revocations <- t.revocations + 1;
-    Engine.tick_on f (Cost.bravo_revoke_per_cpu * Engine.ncpus ())
+    Engine.tick_on f (Cost.bravo_revoke_per_cpu * Engine.ncpus_on f)
   end;
   if t.readers = 0 && (not t.writer) && Queue.is_empty t.wwait then begin
     t.writer <- true;
     t.writer_cpu <- f.f_cpu;
     t.writer_since <- f.f_time;
-    note_acquired t ~kind:Mm_obs.Event.Rw_write ~wait:0
+    note_acquired f t ~kind:Mm_obs.Event.Rw_write ~wait:0
   end
   else begin
-    note_contend t ~kind:Mm_obs.Event.Rw_write;
+    note_contend f t ~kind:Mm_obs.Event.Rw_write;
     let t0 = f.f_time in
     Engine.park (fun p -> Queue.push p t.wwait);
     (* We resume as the writer: [wake_next_writer] set the state. *)
     t.writer_since <- f.f_time;
-    note_acquired t ~kind:Mm_obs.Event.Rw_write ~wait:(f.f_time - t0)
+    note_acquired f t ~kind:Mm_obs.Event.Rw_write ~wait:(f.f_time - t0)
   end
 
 let wake_reader_phase t ~now =
@@ -174,7 +173,7 @@ let note_writer_release (f : Engine.fiber) t =
       Mm_obs.Contention.released (profile t) ~held;
       Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "lock.hold_cycles") held
     end;
-    Engine.obs
+    Engine.obs_on f
       (Mm_obs.Event.Lock_release
          { lock = t.id; kind = Mm_obs.Event.Rw_write; held })
   end
@@ -194,8 +193,7 @@ let mutant_skip_writer_handoff () =
 
 let set_mutant_skip_writer_handoff v = mutant_skip_writer_handoff () := v
 
-let write_unlock t =
-  let f = Engine.fiber () in
+let write_unlock_on (f : Engine.fiber) t =
   Engine.serialize_on f;
   if not t.writer then failwith "Rwlock_s.write_unlock: no writer";
   if t.writer_cpu <> f.f_cpu then failwith "Rwlock_s.write_unlock: wrong cpu";
@@ -208,8 +206,7 @@ let write_unlock t =
     (not (Queue.is_empty t.wwait)) && not !(mutant_skip_writer_handoff ())
   then wake_next_writer t ~now:f.f_time
 
-let downgrade t =
-  let f = Engine.fiber () in
+let downgrade_on (f : Engine.fiber) t =
   Engine.serialize_on f;
   if not t.writer then failwith "Rwlock_s.downgrade: no writer";
   if t.writer_cpu <> f.f_cpu then failwith "Rwlock_s.downgrade: wrong cpu";
@@ -219,15 +216,22 @@ let downgrade t =
   t.writer_cpu <- -1;
   t.readers <- t.readers + 1;
   if Mm_obs.Trace.on () then
-    Engine.obs (Mm_obs.Event.Lock_downgrade { lock = t.id });
+    Engine.obs_on f (Mm_obs.Event.Lock_downgrade { lock = t.id });
   (* Phase-fair: the waiting reader phase joins us. *)
   if not (Queue.is_empty t.rwait) then wake_reader_phase t ~now:f.f_time
 
 (* Upgrade is modelled as release-then-acquire, as in the Linux page-fault
    path (Fig 2 re-validates after upgrading). *)
-let upgrade t =
-  read_unlock t;
-  write_lock t
+let upgrade_on f t =
+  read_unlock_on f t;
+  write_lock_on f t
+
+let read_lock t = read_lock_on (Engine.fiber ()) t
+let read_unlock t = read_unlock_on (Engine.fiber ()) t
+let write_lock t = write_lock_on (Engine.fiber ()) t
+let write_unlock t = write_unlock_on (Engine.fiber ()) t
+let downgrade t = downgrade_on (Engine.fiber ()) t
+let upgrade t = upgrade_on (Engine.fiber ()) t
 
 let readers t = t.readers
 let writer_active t = t.writer

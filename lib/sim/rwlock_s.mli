@@ -23,6 +23,17 @@ val upgrade : t -> unit
 (** Release read side, then acquire write side (not atomic; callers must
     re-validate, as the Linux page-fault path does). *)
 
+(** The same transitions on the calling fiber, which the caller looked
+    up once ({!Engine.fiber}); each form above is its [_on] form applied
+    to [Engine.fiber ()]. *)
+
+val read_lock_on : Engine.fiber -> t -> unit
+val read_unlock_on : Engine.fiber -> t -> unit
+val write_lock_on : Engine.fiber -> t -> unit
+val write_unlock_on : Engine.fiber -> t -> unit
+val downgrade_on : Engine.fiber -> t -> unit
+val upgrade_on : Engine.fiber -> t -> unit
+
 val readers : t -> int
 val writer_active : t -> bool
 val revocations : t -> int

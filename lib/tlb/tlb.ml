@@ -218,8 +218,8 @@ let flush_batch t =
    policy: LATR sends IPIs instead of publishing, and nothing is batched.
    Reclaim needs this — once a page's contents leave memory, no CPU may
    keep a translation to its frame until some later timer tick. *)
-let shootdown ?on_flush ?(sync = false) t ~targets ~vpns =
-  let f = Mm_sim.Engine.fiber () in
+let shootdown_on (f : Mm_sim.Engine.fiber) ?on_flush ?(sync = false) t
+    ~targets ~vpns =
   let self = f.f_cpu in
   t.counters.shootdowns <- t.counters.shootdowns + 1;
   Mm_sim.Engine.tick_on f (invalidate_local t ~cpu:self ~vpns);
@@ -266,6 +266,9 @@ let shootdown ?on_flush ?(sync = false) t ~targets ~vpns =
       (Mm_obs.Event.Tlb_shootdown
          { vpns = List.length vpns; targets = nremote; ipis })
   end
+
+let shootdown ?on_flush ?sync t ~targets ~vpns =
+  shootdown_on (Mm_sim.Engine.fiber ()) ?on_flush ?sync t ~targets ~vpns
 
 (* Full shootdown: invalidate the targets' entire TLBs (what a kernel
    does beyond a per-page threshold, and what kswapd does after a batch

@@ -70,6 +70,17 @@ val shootdown :
     invalidation completes before the call returns under every strategy
     and policy: LATR sends IPIs as [Sync] does, and nothing is batched. *)
 
+val shootdown_on :
+  Mm_sim.Engine.fiber ->
+  ?on_flush:(unit -> unit) ->
+  ?sync:bool ->
+  t ->
+  targets:bool array ->
+  vpns:int list ->
+  unit
+(** {!shootdown} on the calling fiber, which the caller looked up once;
+    [shootdown] is this applied to [Engine.fiber ()]. *)
+
 val shootdown_full : t -> targets:bool array -> unit
 (** Invalidate the targets' entire TLBs (synchronous; used beyond
     per-page thresholds and after reference-bit batch clears). Completes

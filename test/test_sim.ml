@@ -542,6 +542,283 @@ let test_sched_replay_reproduces () =
         (run_tie_scenario (Sched.replay half)))
     [ 1; 7; 42 ]
 
+(* -- Held-fiber forms equal the lookup forms --
+
+   Random programs of lock, rwlock and RCU transitions on 2-4 fibers run
+   twice under one random schedule: once through the forms that look
+   the running fiber up per call, once through the [_on] forms on the
+   fiber each program looked up once. Clocks, final lock states, RCU
+   callback times and the traced event streams must be equal. Each
+   program step takes at most one lock and releases it, and only a
+   fiber holding nothing waits for a grace period, so no program
+   deadlocks. *)
+
+type step =
+  | Mutex of int * int (* lock, hold ticks *)
+  | Try_mutex of int * int
+  | Read of int * int
+  | Write of int * int
+  | Downgrade of int * int * int (* write, downgrade, read *)
+  | Upgrade of int * int * int (* read, upgrade, write *)
+  | Rcu_read of int
+  | Rcu_mutex of int * int (* a mutex section inside a read section *)
+  | Defer of int
+  | Synchronize
+  | Tick of int
+
+let step_gen =
+  let open QCheck.Gen in
+  let lk = int_range 0 1 and hold = int_range 0 40 in
+  frequency
+    [
+      (3, map2 (fun i h -> Mutex (i, h)) lk hold);
+      (1, map2 (fun i h -> Try_mutex (i, h)) lk hold);
+      (3, map2 (fun i h -> Read (i, h)) lk hold);
+      (2, map2 (fun i h -> Write (i, h)) lk hold);
+      (1, map3 (fun i a b -> Downgrade (i, a, b)) lk hold hold);
+      (1, map3 (fun i a b -> Upgrade (i, a, b)) lk hold hold);
+      (2, map (fun h -> Rcu_read h) hold);
+      (1, map2 (fun i h -> Rcu_mutex (i, h)) lk hold);
+      (1, map (fun k -> Defer k) (int_range 0 99));
+      (1, return Synchronize);
+      (2, map (fun h -> Tick h) hold);
+    ]
+
+let show_step = function
+  | Mutex (i, h) -> Printf.sprintf "M%d/%d" i h
+  | Try_mutex (i, h) -> Printf.sprintf "T%d/%d" i h
+  | Read (i, h) -> Printf.sprintf "R%d/%d" i h
+  | Write (i, h) -> Printf.sprintf "W%d/%d" i h
+  | Downgrade (i, a, b) -> Printf.sprintf "D%d/%d/%d" i a b
+  | Upgrade (i, a, b) -> Printf.sprintf "U%d/%d/%d" i a b
+  | Rcu_read h -> Printf.sprintf "rcu/%d" h
+  | Rcu_mutex (i, h) -> Printf.sprintf "rcuM%d/%d" i h
+  | Defer k -> Printf.sprintf "defer%d" k
+  | Synchronize -> "sync"
+  | Tick h -> Printf.sprintf "tick%d" h
+
+(* A schedule seed and one program per fiber. *)
+let programs_arb =
+  let open QCheck.Gen in
+  let gen =
+    pair (int_range 1 1_000_000)
+      (int_range 2 4 >>= fun n ->
+       list_repeat n (list_size (int_range 0 12) step_gen))
+  in
+  QCheck.make gen ~print:(fun (seed, progs) ->
+      Printf.sprintf "seed %d: %s" seed
+        (String.concat " | "
+           (List.map
+              (fun p -> String.concat " " (List.map show_step p))
+              progs)))
+
+type locks = {
+  ms : Mutex_s.t array;
+  rws : Rwlock_s.t array;
+  rcu : Rcu_s.t;
+  fired : (int * int) list ref; (* deferred callback, clock it ran at *)
+}
+
+let defer_cb l k () = l.fired := (k, Engine.now ()) :: !(l.fired)
+
+(* Each step through the per-call lookup forms... *)
+let lookup_step l = function
+  | Mutex (i, h) ->
+    Mutex_s.lock l.ms.(i);
+    Engine.tick h;
+    Mutex_s.unlock l.ms.(i)
+  | Try_mutex (i, h) ->
+    if Mutex_s.try_lock l.ms.(i) then begin
+      Engine.tick h;
+      Mutex_s.unlock l.ms.(i)
+    end
+  | Read (i, h) ->
+    Rwlock_s.read_lock l.rws.(i);
+    Engine.tick h;
+    Rwlock_s.read_unlock l.rws.(i)
+  | Write (i, h) ->
+    Rwlock_s.write_lock l.rws.(i);
+    Engine.tick h;
+    Rwlock_s.write_unlock l.rws.(i)
+  | Downgrade (i, a, b) ->
+    Rwlock_s.write_lock l.rws.(i);
+    Engine.tick a;
+    Rwlock_s.downgrade l.rws.(i);
+    Engine.tick b;
+    Rwlock_s.read_unlock l.rws.(i)
+  | Upgrade (i, a, b) ->
+    Rwlock_s.read_lock l.rws.(i);
+    Engine.tick a;
+    Rwlock_s.upgrade l.rws.(i);
+    Engine.tick b;
+    Rwlock_s.write_unlock l.rws.(i)
+  | Rcu_read h ->
+    Rcu_s.read_lock l.rcu;
+    Engine.tick h;
+    Rcu_s.read_unlock l.rcu
+  | Rcu_mutex (i, h) ->
+    Rcu_s.read_lock l.rcu;
+    Mutex_s.lock l.ms.(i);
+    Engine.tick h;
+    Mutex_s.unlock l.ms.(i);
+    Rcu_s.read_unlock l.rcu
+  | Defer k -> Rcu_s.defer l.rcu (defer_cb l k)
+  | Synchronize -> Rcu_s.synchronize l.rcu
+  | Tick h -> Engine.tick h
+
+(* ...and through the [_on] forms on the fiber the program holds. *)
+let held_step f l = function
+  | Mutex (i, h) ->
+    Mutex_s.lock_on f l.ms.(i);
+    Engine.tick_on f h;
+    Mutex_s.unlock_on f l.ms.(i)
+  | Try_mutex (i, h) ->
+    if Mutex_s.try_lock_on f l.ms.(i) then begin
+      Engine.tick_on f h;
+      Mutex_s.unlock_on f l.ms.(i)
+    end
+  | Read (i, h) ->
+    Rwlock_s.read_lock_on f l.rws.(i);
+    Engine.tick_on f h;
+    Rwlock_s.read_unlock_on f l.rws.(i)
+  | Write (i, h) ->
+    Rwlock_s.write_lock_on f l.rws.(i);
+    Engine.tick_on f h;
+    Rwlock_s.write_unlock_on f l.rws.(i)
+  | Downgrade (i, a, b) ->
+    Rwlock_s.write_lock_on f l.rws.(i);
+    Engine.tick_on f a;
+    Rwlock_s.downgrade_on f l.rws.(i);
+    Engine.tick_on f b;
+    Rwlock_s.read_unlock_on f l.rws.(i)
+  | Upgrade (i, a, b) ->
+    Rwlock_s.read_lock_on f l.rws.(i);
+    Engine.tick_on f a;
+    Rwlock_s.upgrade_on f l.rws.(i);
+    Engine.tick_on f b;
+    Rwlock_s.write_unlock_on f l.rws.(i)
+  | Rcu_read h ->
+    Rcu_s.read_lock_on f l.rcu;
+    Engine.tick_on f h;
+    Rcu_s.read_unlock_on f l.rcu
+  | Rcu_mutex (i, h) ->
+    Rcu_s.read_lock_on f l.rcu;
+    Mutex_s.lock_on f l.ms.(i);
+    Engine.tick_on f h;
+    Mutex_s.unlock_on f l.ms.(i);
+    Rcu_s.read_unlock_on f l.rcu
+  | Defer k -> Rcu_s.defer_on f l.rcu (defer_cb l k)
+  | Synchronize -> Rcu_s.synchronize_on f l.rcu
+  | Tick h -> Engine.tick_on f h
+
+(* One traced run: per-CPU clocks, each rwlock's final state, RCU's
+   immediate frees, the callbacks' clocks and the event stream. *)
+let run_programs ~held (seed, progs) =
+  Mm_obs.Trace.start ();
+  Rcu_s.reset_ids ();
+  let n = List.length progs in
+  let w = Engine.create_sched ~sched:(Sched.random ~seed ()) ~ncpus:n in
+  let l =
+    {
+      ms = Array.init 2 (fun _ -> Mutex_s.make ());
+      rws = Array.init 2 (fun _ -> Rwlock_s.make ());
+      rcu = Rcu_s.make ~ncpus:n;
+      fired = ref [];
+    }
+  in
+  List.iteri
+    (fun cpu prog ->
+      Engine.spawn w ~cpu (fun () ->
+          if held then begin
+            let f = Engine.fiber () in
+            List.iter (held_step f l) prog
+          end
+          else List.iter (lookup_step l) prog))
+    progs;
+  Engine.run w;
+  let events = Mm_obs.Trace.stop () in
+  ( Array.init n (Engine.cpu_time w),
+    Array.map
+      (fun rw ->
+        ( Rwlock_s.readers rw,
+          Rwlock_s.writer_active rw,
+          Rwlock_s.revocations rw ))
+      l.rws,
+    Rcu_s.immediate l.rcu,
+    List.rev !(l.fired),
+    Mm_obs.Trace.to_text events )
+
+let held_forms_prop =
+  QCheck.Test.make ~name:"held-fiber lock forms equal the lookup forms"
+    ~count:300 programs_arb (fun p ->
+      run_programs ~held:false p = run_programs ~held:true p)
+
+(* [Pt.get] and [Pt.set] against [get_on] and [set_on] on one tree: each
+   fiber reads and stores entries of two leaf PT pages. *)
+type pt_step = Get of int * int | Set of int * int * int (* page, slot, pfn *)
+
+let pt_programs_arb =
+  let open QCheck.Gen in
+  let page = int_range 0 1 and slot = int_range 0 7 in
+  let step =
+    frequency
+      [
+        (3, map2 (fun p i -> Get (p, i)) page slot);
+        (2, map3 (fun p i v -> Set (p, i, v)) page slot (int_range 0 3));
+      ]
+  in
+  let gen =
+    pair (int_range 1 1_000_000)
+      (int_range 2 4 >>= fun n ->
+       list_repeat n (list_size (int_range 0 16) step))
+  in
+  QCheck.make gen
+
+let run_pt_programs ~held (seed, progs) =
+  let pt = Mm_pt.Pt.create (Mm_phys.Phys.create ()) Mm_hal.Isa.x86_64 in
+  let pages =
+    [| Mm_pt.Pt.walk_create pt ~to_level:1 0x4000_0000;
+       Mm_pt.Pt.walk_create pt ~to_level:1 0x8000_0000 |]
+  in
+  let pte v =
+    if v = 0 then Mm_hal.Pte.Absent
+    else Mm_hal.Pte.leaf ~pfn:(v * 16) ~perm:Mm_hal.Perm.rw ()
+  in
+  let n = List.length progs in
+  let w = Engine.create_sched ~sched:(Sched.random ~seed ()) ~ncpus:n in
+  let reads = Array.make n [] in
+  List.iteri
+    (fun cpu prog ->
+      Engine.spawn w ~cpu (fun () ->
+          let fo = Engine.current () in
+          List.iter
+            (function
+              | Get (p, i) ->
+                let e =
+                  if held then Mm_pt.Pt.get_on fo pt pages.(p) i
+                  else Mm_pt.Pt.get pt pages.(p) i
+                in
+                reads.(cpu) <- e :: reads.(cpu)
+              | Set (p, i, v) ->
+                if held then Mm_pt.Pt.set_on fo pt pages.(p) i (pte v)
+                else Mm_pt.Pt.set pt pages.(p) i (pte v))
+            prog))
+    progs;
+  Engine.run w;
+  ( Array.init n (Engine.cpu_time w),
+    Array.map
+      (fun (node : unit Mm_pt.Pt.node) ->
+        ( Engine.Line.avail node.Mm_pt.Pt.line,
+          Engine.Line.owner node.Mm_pt.Pt.line,
+          List.init 8 (Mm_pt.Pt.get_uncharged pt node) ))
+      pages,
+    reads )
+
+let pt_held_forms_prop =
+  QCheck.Test.make ~name:"Pt.get_on/set_on equal Pt.get/set" ~count:200
+    pt_programs_arb (fun p ->
+      run_pt_programs ~held:false p = run_pt_programs ~held:true p)
+
 let () =
   Alcotest.run "mm_sim"
     [
@@ -606,5 +883,10 @@ let () =
         [
           Alcotest.test_case "order" `Quick test_pqueue_order;
           QCheck_alcotest.to_alcotest pqueue_prop;
+        ] );
+      ( "held fiber",
+        [
+          QCheck_alcotest.to_alcotest held_forms_prop;
+          QCheck_alcotest.to_alcotest pt_held_forms_prop;
         ] );
     ]
