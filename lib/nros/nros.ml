@@ -109,10 +109,10 @@ let release t f =
   end
 
 (* Apply one log entry to a replica (its lock is held by [fiber]),
-   walking from the root for each page. [fo] is [Some fiber]: the walks,
-   stores and charges run on the fiber that took the replica's lock. *)
-let apply_op t (fiber : Mm_sim.Engine.fiber) fo (rep : replica) op =
-  let ps = page_size t in
+   walking from the root for each page: the walks, stores and charges
+   run on the fiber that took the replica's lock. *)
+let apply_op t (fiber : Mm_sim.Engine.fiber) (rep : replica) op =
+  let ps = page_size t and fo = Some fiber in
   match op with
   | L_map m ->
     let npages = m.len / ps in
@@ -152,9 +152,8 @@ let apply_op t (fiber : Mm_sim.Engine.fiber) fo (rep : replica) op =
 (* Apply every entry the replica has not seen (its lock is held by
    [fiber]). *)
 let catch_up t fiber rep =
-  let fo = Some fiber in
   while rep.applied < t.log_len do
-    apply_op t fiber fo rep t.log.(rep.applied);
+    apply_op t fiber rep t.log.(rep.applied);
     rep.applied <- rep.applied + 1
   done
 
