@@ -277,9 +277,10 @@ done
 echo "== benchmark: every workload's sim_digest matches BENCH_digests.txt =="
 # mmbench hashes the simulated outputs of a workload's warm-up round into
 # its sim_digest, so a change that keeps every simulated byte keeps all
-# four lines at seed 1. The suite workload runs fig14's full plan, not
-# the MM_FIG14_SUBSET one. A change that moves a simulated number commits
-# the new lines.
+# four lines at seed 1. MM_FIG14_SUBSET would shrink the suite
+# workload's fig14 to the trajectory's subset, so it is unset here as in
+# the benchmark. A change that moves a simulated number commits the new
+# lines.
 mmbench=./_build/default/benchmark/mmbench.exe
 : > /tmp/digests.txt
 for w in suite serve-mixed fork-fleet reclaim; do
